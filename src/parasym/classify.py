@@ -23,12 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as E
-from .invariants import (InvariantTriple, ParabolicEquation, chebyshev_points,
+from .expr import ParasymError, chebyshev_points
+from .invariants import (InvariantTriple, ParabolicEquation,
                          compute_invariants, fokker_planck_equation,
                          probe_window)
 
 
-class IllConditionedFit(Exception):
+class IllConditionedFit(ParasymError):
     """I is nearly constant on the probe grid — degenerate domain."""
 
 

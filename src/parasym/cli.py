@@ -26,13 +26,11 @@ from . import __version__
 from . import expr as E
 from . import kernels as KN
 from . import symmetry as S
-from .classify import ClassifyConfig, IllConditionedFit, classify
-from .invariants import (NonparabolicError, ParabolicEquation,
-                         UnsupportedCoefficient, compute_invariants,
-                         probe_window)
-from .parser import SyntaxError as EqSyntaxError
-from .parser import UndeclaredIdentifier, parse_file
-from .transform import NotReducible, build_heat_transform, verify_pullback
+from .classify import ClassifyConfig, classify
+from .expr import ParasymError
+from .invariants import ParabolicEquation, compute_invariants, probe_window
+from .parser import parse_file
+from .transform import build_heat_transform, verify_pullback
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 20250823
@@ -176,9 +174,7 @@ def cmd_analyze(args):
             if worst > args.tol_residual:
                 warnings.append("pullback residual %.3g exceeds %.3g"
                                 % (worst, args.tol_residual))
-    except (EqSyntaxError, UndeclaredIdentifier, NonparabolicError,
-            UnsupportedCoefficient, IllConditionedFit, NotReducible,
-            OSError) as exc:
+    except (ParasymError, OSError) as exc:
         print("error: %s: %s" % (args.file, exc), file=sys.stderr)
         return 1
 
@@ -270,10 +266,7 @@ def cmd_kernels(args, extra):
         i += 2
     try:
         rep = KN.verify_entry(args.name, constants or None)
-    except KN.UnknownKernel as exc:
-        print("error: UnknownKernel: %s" % exc, file=sys.stderr)
-        return 1
-    except (KN.ConstraintViolation, KN.NonconvergentQuadrature) as exc:
+    except (ParasymError, OSError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
     report = {
@@ -300,8 +293,8 @@ def cmd_kernels(args, extra):
 # ---------------------------------------------------------------------------
 # selftest
 
-_CORPUS_EXPECT = {
-    # file stem -> (dim, {constant: value})
+CORPUS_EXPECT = {
+    # file stem of equations/*.eq -> (dim, {constant: value})
     "heat": (6, {"c2": 0.0, "c1": 0.0, "c0": 0.0}),
     "brownian": (6, {"c2": 0.0, "c1": 0.0, "c0": 1.0}),
     "quartic_diffusion": (6, {"c2": 0.0, "c1": 0.0, "c0": 0.0}),
@@ -339,7 +332,7 @@ def cmd_selftest(args):
         print("%s  %-38s %s" % ("PASS" if ok else "FAIL", name, detail))
 
     corpus = _corpus_dir()
-    for stem, (want_dim, want_consts) in sorted(_CORPUS_EXPECT.items()):
+    for stem, (want_dim, want_consts) in sorted(CORPUS_EXPECT.items()):
         path = os.path.join(corpus, stem + ".eq")
         try:
             eq = ParabolicEquation.from_program(parse_file(path))

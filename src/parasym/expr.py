@@ -16,7 +16,11 @@ import random
 from fractions import Fraction
 
 
-class ExprError(Exception):
+class ParasymError(Exception):
+    """Base class of every error parasym raises."""
+
+
+class ExprError(ParasymError):
     pass
 
 
@@ -742,12 +746,13 @@ def _poly(e, var):
 _SAMPLE_SEED = 20250823
 
 
-def _chebyshev_points(lo, hi, n):
+def chebyshev_points(lo, hi, n):
+    """The n Chebyshev nodes of [lo, hi] in ascending order."""
     pts = []
     for i in range(n):
         theta = math.pi * (2 * i + 1) / (2 * n)
         pts.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(theta))
-    return pts
+    return sorted(pts)
 
 
 def _sample_interval(interval):
@@ -784,7 +789,8 @@ def is_zero(e, var="x", interval=(-3.0, 3.0), bindings=None, tol=1e-9):
     rng = random.Random(_SAMPLE_SEED)
     env = _auto_bindings(e, var, bindings, rng)
     lo, hi = _sample_interval(interval)
-    pts = _chebyshev_points(lo, hi, 7)
+    # descending nodes: the sampled checks and fits keep this probe order
+    pts = chebyshev_points(lo, hi, 7)[::-1]
     pts += [rng.uniform(lo, hi) for _ in range(50)]
     scale = 1.0
     checked = 0
@@ -864,7 +870,7 @@ def _match_poly_sampled(e, var, degree, x, interval, bindings, tol):
             scale = max(scale, abs(w), abs(v) ** degree)
         return np.array(rows), np.array(vals), scale
 
-    A, yv, scale = probe(_chebyshev_points(lo, hi, max(7, degree + 3)))
+    A, yv, scale = probe(chebyshev_points(lo, hi, max(7, degree + 3))[::-1])
     if len(yv) < degree + 2:
         return None
     coef, *_ = np.linalg.lstsq(A, yv, rcond=None)

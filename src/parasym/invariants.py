@@ -23,19 +23,19 @@ from functools import lru_cache
 from scipy.integrate import quad
 
 from . import expr as E
-from .expr import Expr, DomainError
+from .expr import Expr, DomainError, ParasymError, chebyshev_points
 
 
-class NonparabolicError(Exception):
+class NonparabolicError(ParasymError):
     """Diffusion coefficient vanishes or changes sign on the domain."""
 
 
-class UnsupportedCoefficient(Exception):
+class UnsupportedCoefficient(ParasymError):
     """Coefficient outside the time-autonomous class handled here."""
 
 
-class DegenerateTransform(Exception):
-    """A Jacobian factor (T', X_x, or theta) vanished on the probed grid."""
+class DegenerateTransform(ParasymError):
+    """A Jacobian factor (T', X_x, or theta) vanished or degenerated."""
 
 
 VAR = "x"
@@ -94,14 +94,6 @@ def probe_window(domain):
         return (hi - 5.0, hi - 0.15)
     w = hi - lo
     return (lo + 0.05 * w, hi - 0.05 * w)
-
-
-def chebyshev_points(lo, hi, n):
-    pts = []
-    for i in range(n):
-        theta = math.pi * (2 * i + 1) / (2 * n)
-        pts.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(theta))
-    return sorted(pts)
 
 
 def base_point(domain):

@@ -1,11 +1,13 @@
 """Closed-form heat-kernel catalog with uniform numeric verification.
 
-Twelve catalog entries, each carrying the kernel as a symbolic expression,
-its PDE, an analytic normalization target, and numerically stable
-evaluators.  Verification is uniform: symbolic PDE residual on a grid,
-quadrature normalization at several times, and a delta-initial-condition
-limit with a Gaussian test bump.  Heat polynomials, their associated
-functions, and elementary invariant solutions round out the module.
+Twelve catalog entries, each given as data: the kernel as a symbolic
+expression, the coefficients of the PDE it solves, the points where that PDE
+is checked, an analytic normalization target, and a mass integrator that
+holds the entry's numerical tricks.  One generic verifier covers them all:
+symbolic PDE residual at the sample points, quadrature normalization at
+several times, and a delta-initial-condition limit with a Gaussian test
+bump.  Heat polynomials, their associated functions, and elementary
+invariant solutions round out the module.
 
 Where the source formulas were internally inconsistent, the implemented
 variant is the one that passes the residual and delta-limit checks:
@@ -22,31 +24,32 @@ variant is the one that passes the residual and delta-limit checks:
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
 from . import expr as E
-from .expr import Expr
-from .special import OutOfValidatedRange, bessel_i, ive
+from .expr import Expr, ParasymError
+from .special import ive
 from .invariants import ParabolicEquation
 from .classify import classify
 from .transform import build_heat_transform, map_solution
 from .parser import parse_expression
 
 
-class UnknownKernel(Exception):
+class UnknownKernel(ParasymError):
     """No catalog entry under that name."""
 
 
-class ConstraintViolation(Exception):
+class ConstraintViolation(ParasymError):
     """Entry-specific parameter constraint violated."""
 
 
-class NonconvergentQuadrature(Exception):
+class NonconvergentQuadrature(ParasymError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
@@ -66,6 +69,14 @@ def _quad(f, lo, hi, points=None):
     return val
 
 
+def _mass_quad(f, phi, source, lo, hi, points):
+    """Integral of f over [lo, hi]; with a test bump phi, of f times phi at
+    the offset from the source."""
+    if phi is None:
+        return _quad(f, lo, hi, points)
+    return _quad(lambda v: f(v) * phi(v - source), lo, hi, points)
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
 
 
@@ -75,13 +86,27 @@ def _gl_quad(f, lo, hi):
     return float(sum(wi * f(xi) for xi, wi in zip(x, w)))
 
 
-def _bump(center, width=0.5):
+def _bump(width):
+    """Gaussian test bump of an offset; exactly 1.0 at offset 0."""
     s2 = 2.0 * width * width
 
-    def phi(x):
-        return math.exp(-(x - center) ** 2 / s2)
+    def phi(d):
+        return math.exp(-d ** 2 / s2)
 
     return phi
+
+
+def _grid(lo, hi, n):
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _grid_points(names, *axes):
+    """Every combination of the axis values as an environment, the last axis
+    varying fastest."""
+    return [dict(zip(names, p)) for p in itertools.product(*axes)]
+
+
+_X = E.sym("x")
 
 
 # ---------------------------------------------------------------------------
@@ -89,57 +114,31 @@ def _bump(center, width=0.5):
 
 @dataclass
 class KernelEntry:
+    """One catalog entry.  The kernel solves
+
+        u_t = sum over s of (a_s u_ss + b_s u_s) + c u
+
+    with `diffusion` mapping each spatial symbol s to (a_s, b_s) and
+    `potential` holding c; any coefficient may depend on t."""
     name: str
     description: str
     constants: dict
-    expr: Expr                     # kernel in the symbols named in variables
-    variables: tuple               # e.g. ("x", "t") with source point bound
+    expr: Expr                     # closed-form kernel
     equation: str                  # human-readable PDE
     domain: tuple
-    normalization_target: object   # callable t -> expected mass
+    diffusion: dict
+    residual_points: list          # environments where the PDE is checked
+    normalization_target: object   # t -> expected mass; at t = 0, the
+                                   # weight of the delta initial condition
     norm_t_list: tuple
+    mass: object                   # (t, phi=None) -> integral of the kernel,
+                                   # times phi(offset from the source)
+    evaluate: object               # pointwise evaluator
+    potential: Expr = E.ZERO
     delta_t_list: tuple = (1e-2, 1e-3, 1e-4)
-    note: str = ""
-    # verification hooks (entry-specific closures)
-    _residual: object = None       # () -> max residual
-    _mass: object = None           # t -> computed mass
-    _delta: object = None          # (t, phi) -> integral against phi
-    _delta_target: object = None   # phi -> expected limit value
-    delta_center: float = 0.0      # where the kernel concentrates as t -> 0
     delta_width: float = 0.5       # test-bump width for the delta limit
-    evaluate: object = None        # numerically stable pointwise evaluator
+    note: str = ""
     evaluate_src: object = None    # (x, t, y) with movable source, if cheap
-
-    def describe(self):
-        return {"name": self.name, "equation": self.equation,
-                "constants": {k: v for k, v in self.constants.items()},
-                "kernel": E.to_text(self.expr), "note": self.note}
-
-
-# ---------------------------------------------------------------------------
-# generic residual machinery
-
-def _residual_1d(K, afun, bfun, cfun, xs, ts, env_extra=None):
-    """max |K_t - a K_xx - b K_x - c K| / (1 + |K_t|) on the grid."""
-    Kt = E.differentiate(K, "t")
-    Kx = E.differentiate(K, "x")
-    Kxx = E.differentiate(Kx, "x")
-    worst = 0.0
-    for t in ts:
-        for x in xs:
-            env = {"x": x, "t": t}
-            if env_extra:
-                env.update(env_extra)
-            kt = E.evaluate(Kt, env)
-            r = (kt - afun(x) * E.evaluate(Kxx, env)
-                 - bfun(x) * E.evaluate(Kx, env)
-                 - cfun(x) * E.evaluate(K, env))
-            worst = max(worst, abs(r) / (1.0 + abs(kt)))
-    return worst
-
-
-def _grid(lo, hi, n):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +154,24 @@ def _build_heat_1d(c):
     def ev(x, t):
         return E.evaluate(Kb, {"x": x, "t": t})
 
+    def mass(t, phi=None):
+        return _mass_quad(lambda x: ev(x, t), phi, y,
+                          y - 40 * math.sqrt(t) - 2,
+                          y + 40 * math.sqrt(t) + 2, [y])
+
     return KernelEntry(
         name="heat_1d",
         description="fundamental solution of the heat equation",
-        constants=dict(c), expr=Kb, variables=("x", "t"),
+        constants=dict(c), expr=Kb,
         equation="u_t = u_xx", domain=(-math.inf, math.inf),
+        diffusion={"x": (E.ONE, E.ZERO)},
+        residual_points=_grid_points(("t", "x"), _grid(0.1, 2.0, 7),
+                                     _grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: 1.0,
         norm_t_list=(0.01, 0.1, 1.0),
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0,
-            _grid(y - 3, y + 3, 9), _grid(0.1, 2.0, 7)),
-        _mass=lambda t: _quad(lambda x: ev(x, t),
-                              y - 40 * math.sqrt(t) - 2,
-                              y + 40 * math.sqrt(t) + 2, points=[y]),
-        _delta=lambda t, phi: _quad(lambda x: ev(x, t) * phi(x),
-                                    y - 40 * math.sqrt(t) - 2,
-                                    y + 40 * math.sqrt(t) + 2, points=[y]),
-        _delta_target=lambda phi: phi(y),
-        delta_center=y,
-        evaluate=ev,
-        evaluate_src=lambda xv, t, yv: (4 * math.pi * t) ** -0.5
-        * math.exp(-(xv - yv) ** 2 / (4 * t)))
+        mass=mass, evaluate=ev,
+        evaluate_src=lambda xv, t, yv: E.evaluate(K, {"x": xv, "t": t,
+                                                     "y": yv}))
 
 
 def _build_linear_potential(c):
@@ -189,25 +185,26 @@ def _build_linear_potential(c):
     def ev(x, t):
         return E.evaluate(Kb, {"x": x, "t": t})
 
+    def mass(t, phi=None):
+        # the bump confines the delta integral to a few widths of the source
+        if phi:
+            lo, hi = y - 3, y + 3
+        else:
+            lo, hi = y - 40 * math.sqrt(t) - 3, y + 40 * math.sqrt(t) + 3
+        return _mass_quad(lambda x: ev(x, t), phi, y, lo, hi, [y])
+
     return KernelEntry(
         name="linear_potential",
         description="heat kernel with linear potential",
-        constants=dict(c), expr=Kb, variables=("x", "t"),
+        constants=dict(c), expr=Kb,
         equation="u_t = u_xx + beta*x*u", domain=(-math.inf, math.inf),
+        diffusion={"x": (E.ONE, E.ZERO)}, potential=E.num(beta) * _X,
+        residual_points=_grid_points(("t", "x"), _grid(0.1, 1.0, 7),
+                                     _grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: math.exp(
             beta * beta * t ** 3 / 3 + beta * t * y),
         norm_t_list=(0.05, 0.2, 0.5),
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: 1.0, lambda x: 0.0, lambda x: beta * x,
-            _grid(y - 3, y + 3, 9), _grid(0.1, 1.0, 7)),
-        _mass=lambda t: _quad(lambda x: ev(x, t),
-                              y - 40 * math.sqrt(t) - 3,
-                              y + 40 * math.sqrt(t) + 3, points=[y]),
-        _delta=lambda t, phi: _quad(lambda x: ev(x, t) * phi(x),
-                                    y - 3, y + 3, points=[y]),
-        _delta_target=lambda phi: phi(y),
-        delta_center=y,
-        evaluate=ev)
+        mass=mass, evaluate=ev)
 
 
 def _mehler(c, trig):
@@ -247,21 +244,21 @@ def _mehler(c, trig):
     def ev(x, t):
         return E.evaluate(Kb, {"x": x, "t": t})
 
+    def mass(t, phi=None):
+        # the bump confines the delta integral to a few widths of the source
+        lo, hi, pts = (y - 3, y + 3, [y]) if phi else (y - 45, y + 45,
+                                                       [y, 0.0])
+        return _mass_quad(lambda x: ev(x, t), phi, y, lo, hi, pts)
+
     return KernelEntry(
         name=name, description="Mehler kernel (quadratic potential)",
-        constants=dict(c), expr=Kb, variables=("x", "t"),
+        constants=dict(c), expr=Kb,
         equation=equation, domain=(-math.inf, math.inf),
+        diffusion={"x": (E.ONE, E.ZERO)}, potential=E.num(sign) * _X * _X,
+        residual_points=_grid_points(("t", "x"), t_res,
+                                     _grid(-2.5, 2.5, 9)),
         normalization_target=target, norm_t_list=t_norm, note=note,
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: 1.0, lambda x: 0.0, lambda x: sign * x * x,
-            _grid(-2.5, 2.5, 9), t_res),
-        _mass=lambda t: _quad(lambda x: ev(x, t), y - 45, y + 45,
-                              points=[y, 0.0]),
-        _delta=lambda t, phi: _quad(lambda x: ev(x, t) * phi(x),
-                                    y - 3, y + 3, points=[y]),
-        _delta_target=lambda phi: phi(y),
-        delta_center=y,
-        evaluate=ev)
+        mass=mass, evaluate=ev)
 
 
 def _build_linear_potential_nd(c):
@@ -276,55 +273,27 @@ def _build_linear_potential_nd(c):
         % (s, yk, bk, bk, s, yk) for s, bk, yk in zip(xsyms, bs, ys))
     K = parse_expression("(4*pi*t)^(-%d/2) * exp(%s)" % (n, terms),
                          declared=set(xsyms) | {"t"})
+    source = dict(zip(xsyms, ys))
 
-    def ev_vec(xv, t):
-        env = {s: v for s, v in zip(xsyms, xv)}
-        env["t"] = t
-        return E.evaluate(K, env)
-
-    def residual():
-        Kt = E.differentiate(K, "t")
-        Kxx = [E.differentiate(E.differentiate(K, s), s) for s in xsyms]
-        rng = np.random.default_rng(_SEED)
-        worst = 0.0
-        for t in _grid(0.1, 0.8, 4):
-            for _ in range(12):
-                xv = [yk + rng.uniform(-2, 2) for yk in ys]
-                env = {s: v for s, v in zip(xsyms, xv)}
-                env["t"] = t
-                kt = E.evaluate(Kt, env)
-                pot = sum(bk * xk for bk, xk in zip(bs, xv))
-                r = kt - sum(E.evaluate(d, env) for d in Kxx) \
-                    - pot * E.evaluate(K, env)
-                worst = max(worst, abs(r) / (1.0 + abs(kt)))
-        return worst
-
-    def mass(t):
-        # the kernel factorizes; integrate one axis at a time
+    def mass(t, phi=None):
+        # the kernel factorizes: integrate one axis at a time through the
+        # source, then divide out the other axes' factors there
+        w = 4 if phi else 25        # the bump confines the delta integral
         total = 1.0
         for s, yk in zip(xsyms, ys):
-            def f1(xk, s=s, yk=yk):
-                env = {ss: yy for ss, yy in zip(xsyms, ys)}
-                env[s] = xk
-                env["t"] = t
-                # divide out the other (fixed-argument) factors later
-                return E.evaluate(K, env)
-            total *= _quad(lambda xk: f1(xk), yk - 25, yk + 25, points=[yk])
-        center = ev_vec(ys, t)
+            def f(xk, s=s):
+                return E.evaluate(K, dict(source, **{s: xk, "t": t}))
+            total *= _mass_quad(f, phi, yk, yk - w, yk + w, [yk])
+        center = E.evaluate(K, dict(source, t=t))
         return total / center ** (n - 1) if n > 1 else total
 
-    def delta(t, phi):
-        # product bump phi applied per axis via factorization
-        total = 1.0
-        for s, yk in zip(xsyms, ys):
-            def f1(xk, s=s):
-                env = {ss: yy for ss, yy in zip(xsyms, ys)}
-                env[s] = xk
-                env["t"] = t
-                return E.evaluate(K, env) * phi(xk - yk)
-            total *= _quad(lambda xk: f1(xk), yk - 4, yk + 4, points=[yk])
-        center = ev_vec(ys, t)
-        return total / center ** (n - 1) if n > 1 else total
+    rng = np.random.default_rng(_SEED)
+    points = []
+    for t in _grid(0.1, 0.8, 4):
+        for _ in range(12):
+            p = {s: yk + rng.uniform(-2, 2) for s, yk in zip(xsyms, ys)}
+            p["t"] = t
+            points.append(p)
 
     def target(t):
         return math.exp(sum(bk * bk * t ** 3 / 3 + bk * t * yk
@@ -333,15 +302,16 @@ def _build_linear_potential_nd(c):
     return KernelEntry(
         name="linear_potential_nd",
         description="n-dimensional heat kernel with linear potential",
-        constants=dict(c), expr=K, variables=xsyms + ("t",),
+        constants=dict(c), expr=K,
         equation="u_t = Lap u + (sum b_k x_k) u",
         domain=(-math.inf, math.inf),
+        diffusion={s: (E.ONE, E.ZERO) for s in xsyms},
+        potential=E.add(*(E.num(bk) * E.sym(s) for s, bk in zip(xsyms, bs))),
+        residual_points=points,
         normalization_target=target, norm_t_list=(0.05, 0.15, 0.3),
         note="n <= 4; separable product of one-dimensional kernels",
-        _residual=residual, _mass=mass, _delta=delta,
-        _delta_target=lambda phi: phi(0.0) ** n,
-        delta_center=0.0,
-        evaluate=ev_vec)
+        mass=mass, evaluate=lambda *xt: E.evaluate(
+            K, dict(zip(xsyms + ("t",), xt))))
 
 
 def _build_radial_gaussian(c):
@@ -357,31 +327,24 @@ def _build_radial_gaussian(c):
     def ev(x, t):
         return E.evaluate(Kb, {"x": x, "t": t})
 
-    def weighted(t, phi=None):
-        def f(x):
-            v = ev(x, t) * surf * x ** k
-            return v * phi(x) if phi else v
-        return _quad(f, 1e-12, 40 * math.sqrt(t) + 1, points=[math.sqrt(t)])
+    def mass(t, phi=None):
+        return _mass_quad(lambda x: ev(x, t) * surf * x ** k, phi, 0.0,
+                          1e-12, 40 * math.sqrt(t) + 1, [math.sqrt(t)])
 
     return KernelEntry(
         name="radial_gaussian",
         description="origin-source elementary kernel of the radial heat "
                     "equation",
-        constants=dict(c), expr=Kb, variables=("x", "t"),
+        constants=dict(c), expr=Kb,
         equation="u_t = u_xx + (k/x) u_x", domain=(0.0, math.inf),
+        diffusion={"x": (E.ONE, E.num(k) / _X)},
+        residual_points=_grid_points(("t", "x"), _grid(0.1, 1.0, 7),
+                                     _grid(0.2, 3.0, 9)),
         normalization_target=lambda t: 1.0,
         norm_t_list=(0.05, 0.2, 0.5),
         note="normalized against the surface measure S_{k} x^k dx of "
              "R^(k+1); delta limit concentrates at the origin",
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: 1.0, lambda x: k / x, lambda x: 0.0,
-            _grid(0.2, 3.0, 9), _grid(0.1, 1.0, 7)),
-        _mass=weighted,
-        _delta=lambda t, phi: weighted(t, phi),
-        _delta_target=lambda phi: phi(0.0),
-        delta_center=0.0,
-        delta_width=0.8,
-        evaluate=ev)
+        mass=mass, delta_width=0.8, evaluate=ev)
 
 
 def _build_radial(c):
@@ -414,31 +377,23 @@ def _build_radial(c):
         # conservation holds in the source variable: the kernel averages
         # initial data, so constants are preserved exactly
         w = 40 * math.sqrt(t) + 1
-
-        def f(yv):
-            v = ev2(x0, t, yv)
-            return v * phi(yv) if phi else v
-        return _quad(f, max(1e-12, x0 - w), x0 + w, points=[x0])
+        return _mass_quad(lambda yv: ev2(x0, t, yv), phi, x0,
+                          max(1e-12, x0 - w), x0 + w, [x0])
 
     return KernelEntry(
         name="radial",
         description="fundamental solution of the n-dimensional radial "
                     "heat equation (Bessel form)",
-        constants=dict(c), expr=Kb, variables=("x", "t", "y"),
+        constants=dict(c), expr=Kb,
         equation="u_t = u_xx + ((n-1)/x) u_x", domain=(0.0, math.inf),
+        diffusion={"x": (E.ONE, E.num(n - 1.0) / _X)},
+        residual_points=_grid_points(("t", "x", "y"), _grid(0.15, 0.8, 5),
+                                     _grid(0.3, 2.5, 9), [y]),
         normalization_target=lambda t: 1.0,
         norm_t_list=(0.05, 0.2, 0.5),
         note="integrates initial data over y: the exact unit mass is in "
              "the source variable at fixed x",
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: 1.0, lambda x: (n - 1.0) / x, lambda x: 0.0,
-            _grid(0.3, 2.5, 9), _grid(0.15, 0.8, 5),
-            env_extra={"y": y}),
-        _mass=mass,
-        _delta=lambda t, phi: mass(t, phi),
-        _delta_target=lambda phi: phi(x0),
-        delta_center=x0,
-        evaluate=lambda x, t: ev2(x, t, y))
+        mass=mass, evaluate=lambda x, t: ev2(x, t, y))
 
 
 def _build_second_canonical(c):
@@ -465,32 +420,25 @@ def _build_second_canonical(c):
 
     def mass(t, phi=None):
         w = 40 * math.sqrt(t) + 0.5
-
-        def f(x):
-            v = ev(x, t)
-            return v * phi(x) if phi else v
-        return _quad(f, max(1e-14, y - w), y + w, points=[y])
+        return _mass_quad(lambda x: ev(x, t), phi, y,
+                          max(1e-14, y - w), y + w, [y])
 
     return KernelEntry(
         name="second_canonical",
         description="fundamental solution of the second canonical form "
                     "(inverse-square potential)",
-        constants=dict(c), expr=Kb, variables=("x", "t"),
+        constants=dict(c), expr=Kb,
         equation="u_t = u_xx + (mu/x^2) u", domain=(0.0, math.inf),
+        diffusion={"x": (E.ONE, E.ZERO)}, potential=E.num(mu) / (_X * _X),
+        residual_points=_grid_points(("t", "x"), _grid(0.15, 0.8, 5),
+                                     _grid(0.3, 2.5, 9)),
         normalization_target=lambda t: 1.0,
         norm_t_list=(2.5e-7, 1e-7, 5e-8),
         delta_t_list=(1e-4, 1e-5, 1e-6),
         note="the mass is 1 only in the t -> 0 limit: for mu != 0 the "
              "half-line kernel loses mass at rate O(t/y^2), so the "
              "normalization check runs at very small times",
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: 1.0, lambda x: 0.0, lambda x: mu / (x * x),
-            _grid(0.3, 2.5, 9), _grid(0.15, 0.8, 5)),
-        _mass=mass,
-        _delta=lambda t, phi: mass(t, phi),
-        _delta_target=lambda phi: phi(y),
-        delta_center=y,
-        evaluate=ev)
+        mass=mass, evaluate=ev)
 
 
 def _build_black_scholes(c):
@@ -518,34 +466,26 @@ def _build_black_scholes(c):
         def f(w):
             yv = math.exp(w)
             v = math.exp(r * t) * ev(x, t, yv) * yv
-            return v * phi(yv) if phi else v
+            return v * phi(yv - x) if phi else v
         return _quad(f, w0 - wspan, w0 + wspan, points=[w0])
-
-    def residual():
-        # K solves the forward equation in (x, t) at fixed y
-        yv = 1.0
-        Kx = E.substitute(Kb, {"y": E.num(yv)})
-        return _residual_1d(
-            Kx, lambda xx: sigma * sigma * xx * xx / 2.0,
-            lambda xx: r * xx, lambda xx: -r,
-            _grid(0.5, 2.0, 9), _grid(0.1, 1.0, 7))
 
     return KernelEntry(
         name="black_scholes",
         description="forward Black-Scholes kernel",
-        constants=dict(c), expr=Kb, variables=("x", "t", "y"),
+        constants=dict(c), expr=Kb,
         equation="u_t = (sigma^2/2) x^2 u_xx + r x u_x - r u",
         domain=(0.0, math.inf),
+        # K solves the forward equation in (x, t) at fixed y
+        diffusion={"x": (E.num(sigma) * sigma * _X * _X / 2.0,
+                         E.num(r) * _X)},
+        potential=E.num(-r),
+        residual_points=_grid_points(("t", "x", "y"), _grid(0.1, 1.0, 7),
+                                     _grid(0.5, 2.0, 9), [1.0]),
         normalization_target=lambda t: 1.0,
         norm_t_list=(0.1, 0.5, 1.0),
         note="density in y; the probability check removes the exp(-rt) "
              "discount factor",
-        _residual=residual,
-        _mass=mass,
-        _delta=lambda t, phi: mass(t, phi),
-        _delta_target=lambda phi: phi(x),
-        delta_center=x,
-        evaluate=ev)
+        mass=mass, evaluate=ev)
 
 
 def _build_ou_fp(c):
@@ -562,41 +502,29 @@ def _build_ou_fp(c):
     def ev(x, t):
         return E.evaluate(Kb, {"x": x, "t": t})
 
-    def mean(t):
-        return y * math.exp(-b * t)
-
     def mass(t, phi=None):
-        m = mean(t)
+        m = y * math.exp(-b * t)
         w = 40 * math.sqrt(t) * sigma + 3
-
-        def f(x):
-            v = ev(x, t)
-            return v * phi(x) if phi else v
-        return _quad(f, m - w, m + w, points=[m])
+        return _mass_quad(lambda x: ev(x, t), phi, y, m - w, m + w, [m])
 
     return KernelEntry(
         name="ou_fp",
         description="Ornstein-Uhlenbeck transition density "
                     "(Fokker-Planck form)",
-        constants=dict(c), expr=Kb, variables=("x", "t"),
+        constants=dict(c), expr=Kb,
         equation="u_t = (sigma^2/2) u_xx + b x u_x + b u",
         domain=(-math.inf, math.inf),
+        diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
+        potential=E.num(b),
+        residual_points=_grid_points(("t", "x"), _grid(0.1, 1.5, 7),
+                                     _grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: 1.0,
         norm_t_list=(0.1, 0.5, 1.0),
         note="mean exp(-b t) y (the decaying sign passes the residual "
              "check)",
-        _residual=lambda: _residual_1d(
-            Kb, lambda x: sigma * sigma / 2.0, lambda x: b * x,
-            lambda x: b, _grid(y - 3, y + 3, 9), _grid(0.1, 1.5, 7)),
-        _mass=mass,
-        _delta=lambda t, phi: mass(t, phi),
-        _delta_target=lambda phi: phi(y),
-        delta_center=y,
-        evaluate=ev,
-        evaluate_src=lambda xv, t, yv: math.sqrt(b / (math.pi * sigma ** 2))
-        * (1 - math.exp(-2 * b * t)) ** -0.5
-        * math.exp(-b * (xv - yv * math.exp(-b * t)) ** 2
-                   / (sigma ** 2 * (1 - math.exp(-2 * b * t)))))
+        mass=mass, evaluate=ev,
+        evaluate_src=lambda xv, t, yv: E.evaluate(
+            K, {"x": xv, "t": t, "y": yv, "b": b, "sigma": sigma}))
 
 
 def _build_ou_nonfp(c):
@@ -625,38 +553,26 @@ def _build_ou_nonfp(c):
         # density in y on the half line; peak of the Gaussian-cosh profile
         y_star = math.sqrt(2.0) * x * math.exp(b * t) / sigma
         w = 40 * math.sqrt((math.exp(2 * b * t) - 1.0) / b) + 6
-
-        def f(yv):
-            v = ev(x, t, yv)
-            return v * phi(yv) if phi else v
-        return _quad(f, 0.0, y_star + w, points=[y_star])
-
-    def residual():
-        yv = 0.8
-        Kx = E.substitute(Kb, {"y": E.num(yv)})
-        return _residual_1d(
-            Kx, lambda xx: sigma * sigma / 2.0, lambda xx: b * xx,
-            lambda xx: 0.0, _grid(-2.0, 2.0, 9), _grid(0.1, 1.0, 7))
+        return _mass_quad(lambda yv: ev(x, t, yv), phi,
+                          math.sqrt(2.0) * x / sigma,
+                          0.0, y_star + w, [y_star])
 
     return KernelEntry(
         name="ou_nonfp",
         description="Ornstein-Uhlenbeck kernel, non-conservative form "
                     "(half-line cosh kernel)",
-        constants=dict(c), expr=Kb, variables=("x", "t", "y"),
+        constants=dict(c), expr=Kb,
         equation="u_t = (sigma^2/2) u_xx + b x u_x",
         domain=(0.0, math.inf),
+        diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
+        residual_points=_grid_points(("t", "x", "y"), _grid(0.1, 1.0, 7),
+                                     _grid(-2.0, 2.0, 9), [0.8]),
         normalization_target=lambda t: target_mass,
         norm_t_list=(0.1, 0.5, 1.0),
         note="stated for y on the half line only; the printed form "
              "integrates to sqrt(2)/sigma, which is the normalization "
              "target used here (equal to 1 when sigma = sqrt(2))",
-        _residual=residual,
-        _mass=mass,
-        _delta=lambda t, phi: mass(t, phi),
-        _delta_target=lambda phi:
-            target_mass * phi(math.sqrt(2.0) * x / sigma),
-        delta_center=math.sqrt(2.0) * x / sigma,
-        evaluate=ev)
+        mass=mass, evaluate=ev)
 
 
 def _build_heat2d_timedep(c):
@@ -673,21 +589,6 @@ def _build_heat2d_timedep(c):
     def ev(xv, yv, t):
         return E.evaluate(Kb, {"x": xv, "y": yv, "t": t})
 
-    def residual():
-        Kt = E.differentiate(Kb, "t")
-        Kxx = E.differentiate(E.differentiate(Kb, "x"), "x")
-        Kyy = E.differentiate(E.differentiate(Kb, "y"), "y")
-        worst = 0.0
-        for t in _grid(t0 + 0.1, t0 + 1.0, 5):
-            for xv in _grid(x0 - 1.5, x0 + 1.5, 5):
-                for yv in _grid(y0 - 1.5, y0 + 1.5, 5):
-                    env = {"x": xv, "y": yv, "t": t}
-                    kt = E.evaluate(Kt, env)
-                    r = kt - E.evaluate(Kxx, env) \
-                        - E.evaluate(Kyy, env) / (t * t)
-                    worst = max(worst, abs(r) / (1.0 + abs(kt)))
-        return worst
-
     def mass(t, phi=None):
         s = t - t0
         # ~18 Gaussian widths: wide enough for full mass, narrow enough
@@ -698,31 +599,29 @@ def _build_heat2d_timedep(c):
         def fy(yv):
             def fx(xv):
                 v = ev(xv, yv, t)
-                return v * phi(xv - x0, yv - y0) if phi else v
+                return v * (phi(xv - x0) * phi(yv - y0)) if phi else v
             return _gl_quad(fx, x0 - wx, x0 + wx)
         return _gl_quad(fy, y0 - wy, y0 + wy)
-
-    def delta(t, phi1):
-        return mass(t, lambda dx, dy: phi1(dx) * phi1(dy))
 
     return KernelEntry(
         name="heat2d_timedep",
         description="kernel of the 2-D heat equation with 1/t^2 "
                     "diffusion in y",
-        constants=dict(c), expr=Kb, variables=("x", "y", "t"),
+        constants=dict(c), expr=Kb,
         equation="u_t = u_xx + t^-2 u_yy  (t > t0)",
         domain=(-math.inf, math.inf),
+        diffusion={"x": (E.ONE, E.ZERO),
+                   "y": (E.sym("t") ** -2, E.ZERO)},
+        residual_points=_grid_points(
+            ("t", "x", "y"), _grid(t0 + 0.1, t0 + 1.0, 5),
+            _grid(x0 - 1.5, x0 + 1.5, 5), _grid(y0 - 1.5, y0 + 1.5, 5)),
         normalization_target=lambda t: 1.0,
         norm_t_list=(t0 + 0.1, t0 + 0.5, t0 + 1.0),
         delta_t_list=(t0 + 1e-2, t0 + 1e-3, t0 + 1e-4),
+        delta_width=1.0,
         note="both exponent terms divided by 4(t - t0): that variant has "
              "unit mass and passes the delta-limit test",
-        _residual=residual,
-        _mass=mass,
-        _delta=delta,
-        _delta_target=lambda phi1: phi1(0.0) ** 2,
-        delta_width=1.0,
-        evaluate=ev)
+        mass=mass, evaluate=ev)
 
 
 _CATALOG = {
@@ -769,37 +668,49 @@ def kernel(name, constants=None):
 # ---------------------------------------------------------------------------
 # uniform verification
 
-def verify_pde_residual(entry, grid=None):
-    """Max scaled PDE residual of the closed form (symbolic derivatives)."""
-    return entry._residual()
+def _pde_residual(K, diffusion, potential, points):
+    """max |K_t - sum(a K_ss + b K_s) - c K| / (1 + |K_t|) over the points,
+    with symbolic derivatives; terms with a zero coefficient are skipped."""
+    terms = []
+    for s, (a, b) in diffusion.items():
+        Ks = E.differentiate(K, s)
+        terms += [(a, E.differentiate(Ks, s)), (b, Ks)]
+    terms.append((potential, K))
+    terms = [(coef, d) for coef, d in terms if not E.is_num(coef, 0)]
+    Kt = E.differentiate(K, "t")
+    worst = 0.0
+    for env in points:
+        kt = E.evaluate(Kt, env)
+        r = kt
+        for coef, d in terms:
+            r -= E.evaluate(coef, env) * E.evaluate(d, env)
+        worst = max(worst, abs(r) / (1.0 + abs(kt)))
+    return worst
 
 
-def verify_normalization(entry, t_list=None):
-    """|computed mass / target - 1| at each requested time."""
+def verify_pde_residual(entry):
+    """Max scaled PDE residual of the closed form at its sample points."""
+    return _pde_residual(entry.expr, entry.diffusion, entry.potential,
+                         entry.residual_points)
+
+
+def verify_normalization(entry):
+    """|computed mass / target - 1| at each normalization time."""
     out = []
-    for t in (t_list or entry.norm_t_list):
+    for t in entry.norm_t_list:
         target = entry.normalization_target(t)
-        out.append(abs(entry._mass(t) - target) / abs(target))
+        out.append(abs(entry.mass(t) - target) / abs(target))
     return out
 
 
-def verify_delta_limit(entry, width=None, t_list=None):
-    """Deviation of the smoothed kernel from the bump value at the source,
-    at a decreasing sequence of times."""
-    width = width or entry.delta_width
-    phi = _bump(0.0, width) if entry.name in ("linear_potential_nd",
-                                              "heat2d_timedep") else None
-    out = []
-    for t in (t_list or entry.delta_t_list):
-        if phi is not None:
-            got = entry._delta(t, phi)
-            want = entry._delta_target(phi)
-        else:
-            bump = _bump(entry.delta_center, width)
-            got = entry._delta(t, bump)
-            want = entry._delta_target(bump)
-        out.append(abs(got - want))
-    return out
+def verify_delta_limit(entry):
+    """Deviation of the kernel integrated against a test bump around the
+    source from the weight of the delta initial condition, at a decreasing
+    sequence of times.  The bump is 1 at the source, so that weight is the
+    normalization target at t = 0."""
+    bump = _bump(entry.delta_width)
+    want = entry.normalization_target(0.0)
+    return [abs(entry.mass(t, bump) - want) for t in entry.delta_t_list]
 
 
 def verify_entry(name, constants=None):
@@ -966,45 +877,34 @@ def biorthogonality(m, n, t=1.0):
 
 def invariant_solution_checks():
     """Residuals of the printed elementary invariant solutions."""
-    x, t = E.sym("x"), E.sym("t")
+    heat = {"x": (E.ONE, E.ZERO)}
+    inverse_square = E.div(E.num(-2.0), E.mul(_X, _X))
     report = {}
-
-    def resid_1d(u, cfun, xs, ts):
-        ut = E.differentiate(u, "t")
-        uxx = E.differentiate(E.differentiate(u, "x"), "x")
-        worst = 0.0
-        for tv in ts:
-            for xv in xs:
-                env = {"x": xv, "t": tv}
-                r = (E.evaluate(ut, env) - E.evaluate(uxx, env)
-                     - cfun(xv) * E.evaluate(u, env))
-                worst = max(worst, abs(r)
-                            / (1.0 + abs(E.evaluate(ut, env))))
-        return worst
 
     # scale-invariant elementary solution, mu = -2(a+1)(2a+1), a = -3/2
     u = parse_expression("x^2 * t^(-5/2) * exp(-(x^2/(4*t)))")
-    report["elementary_scale_invariant"] = resid_1d(
-        u, lambda xv: -2.0 / (xv * xv), _grid(0.4, 2.5, 9),
-        _grid(0.2, 1.0, 5))
+    half_line = _grid_points(("t", "x"), _grid(0.2, 1.0, 5),
+                             _grid(0.4, 2.5, 9))
+    report["elementary_scale_invariant"] = _pde_residual(
+        u, heat, inverse_square, half_line)
     a = -1.25
     mu = -2.0 * (a + 1.0) * (2 * a + 1.0)
     u2 = parse_expression("x^(3/2) * t^(-2) * exp(-(x^2/(4*t)))")
-    report["elementary_scale_invariant_a=-5/4"] = resid_1d(
-        u2, lambda xv: mu / (xv * xv), _grid(0.4, 2.5, 9),
-        _grid(0.2, 1.0, 5))
+    report["elementary_scale_invariant_a=-5/4"] = _pde_residual(
+        u2, heat, E.div(E.num(mu), E.mul(_X, _X)), half_line)
     report["constraint_mu"] = abs(mu - (-2 * (a + 1) * (2 * a + 1)))
 
     # trigonometric solution at mu = -2
     for tag, src in (("cos", "exp(-t)*(cos(x) - sin(x)/x)"),
                      ("sin", "exp(-t)*(sin(x) + cos(x)/x)")):
         u3 = parse_expression(src)
-        report["trigonometric_mu=-2_" + tag] = resid_1d(
-            u3, lambda xv: -2.0 / (xv * xv), _grid(0.4, 2.8, 9),
-            _grid(0.1, 1.0, 5))
+        report["trigonometric_mu=-2_" + tag] = _pde_residual(
+            u3, heat, inverse_square,
+            _grid_points(("t", "x"), _grid(0.1, 1.0, 5), _grid(0.4, 2.8, 9)))
 
     # heat polynomial solves the heat equation
     u4 = heat_polynomial(3).expr
-    report["heat_polynomial_u3"] = resid_1d(
-        u4, lambda xv: 0.0, _grid(-2.0, 2.0, 7), _grid(0.1, 1.0, 5))
+    report["heat_polynomial_u3"] = _pde_residual(
+        u4, heat, E.ZERO,
+        _grid_points(("t", "x"), _grid(0.1, 1.0, 5), _grid(-2.0, 2.0, 7)))
     return report

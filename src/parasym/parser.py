@@ -22,16 +22,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as E
+from .expr import ParasymError
 
 
-class SyntaxError(Exception):  # noqa: A001 - contract name; carries position
+class SyntaxError(ParasymError):  # noqa: A001 - contract name; carries position
     def __init__(self, message, line, col):
         super().__init__("%s (line %d, col %d)" % (message, line, col))
         self.line = line
         self.col = col
 
 
-class UndeclaredIdentifier(Exception):
+class UndeclaredIdentifier(ParasymError):
     def __init__(self, name, line=None, col=None):
         pos = "" if line is None else " (line %d, col %d)" % (line, col)
         super().__init__("undeclared identifier %r%s" % (name, pos))

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 
-from .expr import DomainError
+from .expr import DomainError, ParasymError
 
 
-class OutOfValidatedRange(Exception):
+class OutOfValidatedRange(ParasymError):
     """Argument outside the range this implementation is validated for."""
 
 

@@ -33,16 +33,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .expr import Expr
-from .invariants import (InvariantTriple, ParabolicEquation, chebyshev_points,
+from .expr import Expr, ParasymError, chebyshev_points
+from .invariants import (InvariantTriple, ParabolicEquation,
                          compute_invariants, probe_window)
 
 
-class TableMismatch(Exception):
+class TableMismatch(ParasymError):
     """A commutator-table line could not be reproduced."""
 
 
-class RankDeficiency(Exception):
+class RankDeficiency(ParasymError):
     """Boundary-subalgebra constraint system is degenerate."""
 
 

@@ -29,23 +29,19 @@ from functools import lru_cache
 from scipy.integrate import quad
 
 from . import expr as E
-from .expr import Expr
-from .invariants import (Fn1, InvariantTriple, ParabolicEquation, base_point,
-                         chebyshev_points, compute_invariants, normalize,
-                         probe_window, quadrature_fn1)
+from .expr import Expr, ParasymError, chebyshev_points
+from .invariants import (DegenerateTransform, Fn1, InvariantTriple,
+                         ParabolicEquation, base_point, compute_invariants,
+                         normalize, probe_window, quadrature_fn1)
 from .classify import SymmetryClassification, classify
 
 
-class NotReducible(Exception):
+class NotReducible(ParasymError):
     """Equation is not 6-dimensional: no transformation to the heat equation."""
 
 
-class SingularOnInterval(Exception):
+class SingularOnInterval(ParasymError):
     """No admissible Moebius branch free of singularities on the interval."""
-
-
-class DegenerateTransform(Exception):
-    """T' <= 0 or another Jacobian factor degenerated at a requested time."""
 
 
 T = "t"

@@ -18,6 +18,7 @@ from parasym import expr as E
 from parasym import kernels as KK
 from parasym import symmetry as S
 from parasym.classify import classify
+from parasym.cli import CORPUS_EXPECT as CORPUS
 from parasym.invariants import ParabolicEquation, compute_invariants
 from parasym.parser import parse_expression as P, parse_file
 from parasym.transform import verify_pullback
@@ -37,26 +38,6 @@ def criterion(n, name):
 
 def load(stem):
     return ParabolicEquation.from_program(parse_file(EQDIR / (stem + ".eq")))
-
-
-# pinned verdicts for the shipped equation corpus
-CORPUS = {
-    "heat": (6, {"c2": 0.0, "c1": 0.0, "c0": 0.0}),
-    "brownian": (6, {"c2": 0.0, "c1": 0.0, "c0": 1.0}),
-    "quartic_diffusion": (6, {"c2": 0.0, "c1": 0.0, "c0": 0.0}),
-    "squared_diffusion": (6, {"c2": 0.0, "c1": 0.0, "c0": -0.25}),
-    "power_gamma3": (4, {"mu": 0.1875}),
-    "radial": (4, {"mu": -3.75}),
-    "radial_k2": (6, {"c2": 0.0, "c1": 0.0, "c0": 0.0}),
-    "tanh_drift": (6, {"c2": 0.0, "c1": 0.0, "c0": -0.25}),
-    "linear_drift": (6, {"c2": -0.25, "c1": 0.0, "c0": -0.5}),
-    "black_scholes": (6, {"c2": 0.0, "c1": 0.0, "c0": -0.06125}),
-    "cir_reducible": (6, {"c2": -0.0625, "c1": 0.0, "c0": 0.25}),
-    "cir_generic": (4, {"mu": 0.25}),
-    "divergence_brownian": (6, {"c2": 0.0, "c1": 0.0, "c0": -1.0}),
-    "harmonic_potential": (6, {"c2": -1.0, "c1": 0.0, "c0": 0.0}),
-    "generic_dim2": (2, {}),
-}
 
 
 def test_criterion_1_corpus_classification():

@@ -82,6 +82,18 @@ class TestAnalyze:
         assert rc == 1
         assert "line" in err
 
+    @pytest.mark.parametrize("text", [
+        "var x\na = 1\nb = 1e6*x\nc = 0\n",                 # SingularOnInterval
+        "var x\na = x^2\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # DomainError
+    ])
+    def test_analysis_error_is_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "case.eq"
+        path.write_text(text)
+        rc, _, err = run(capsys, "analyze", str(path))
+        assert rc == 1
+        assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_human_summary(self, capsys):
         rc, out, _ = run(capsys, "analyze", eqpath("brownian"))
         assert rc == 0

@@ -54,6 +54,50 @@ class TestCatalogVerification:
         assert rep["pass"]
 
 
+class TestGenericVerifier:
+    """Check values of the generic verifier against closed forms."""
+
+    def test_heat2d_delta_limit(self):
+        # Gaussians of variance 2s in x and 2s/(t0 t) in y, s = t - t0,
+        # against the product bump exp(-d^2/(2 w^2)) of width w = 1
+        t0, w2 = 0.5, 1.0
+        entry = K.kernel("heat2d_timedep", {"t0": t0})
+        want = []
+        for t in entry.delta_t_list:
+            vx = 2 * (t - t0)
+            vy = 2 * (t - t0) / (t0 * t)
+            want.append(1.0 - w2 / math.sqrt((w2 + vx) * (w2 + vy)))
+        got = K.verify_delta_limit(entry)
+        assert got == pytest.approx(want, rel=0, abs=1e-7)
+
+    def test_linear_potential_nd_delta_limit(self):
+        # per axis, int exp(-A d^2 + B d) dd = sqrt(pi/A) exp(B^2/(4A)) with
+        # A = 1/(4t) + 1/(2 w^2), B = b t/2, and the factor
+        # exp(b t y + b^2 t^3/12) of the offset-free exponent terms
+        b, y, w = (1.0, 0.7), (0.3, -0.2), 0.5
+        entry = K.kernel("linear_potential_nd", {"n": 2, "b": b, "y": y})
+        want = []
+        for t in entry.delta_t_list:
+            A = 1 / (4 * t) + 1 / (2 * w * w)
+            prod = 1.0
+            for bk, yk in zip(b, y):
+                B = bk * t / 2
+                prod *= (math.sqrt(math.pi / A / (4 * math.pi * t))
+                         * math.exp(B * B / (4 * A) + bk * t * yk
+                                    + bk * bk * t ** 3 / 12))
+            want.append(abs(prod - 1.0))
+        got = K.verify_delta_limit(entry)
+        assert got == pytest.approx(want, rel=0, abs=1e-7)
+
+    def test_second_canonical_normalization(self):
+        # mass = 1 + mu t / y^2 + O((t/y^2)^2) on the half line
+        mu, y = -2.0, 1.0
+        entry = K.kernel("second_canonical", {"mu": mu, "y": y})
+        want = [abs(mu) * t / (y * y) for t in entry.norm_t_list]
+        got = K.verify_normalization(entry)
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
 class TestCrossChecks:
     def test_mehler_matches_transformed_heat_kernel(self):
         spread, _scale = K.mehler_transform_consistency()
