@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import expr as E
@@ -112,7 +113,8 @@ def normalize(eq):
 
     Returns (a, b, c, flipped) with a > 0 on the probe window.
     Raises NonparabolicError if a vanishes or changes sign at the 32 sample
-    points, UnsupportedCoefficient on time dependence or unbound symbols.
+    points, or is a polynomial with a root inside the open domain;
+    UnsupportedCoefficient on time dependence or unbound symbols.
     """
     a, b, c = eq.bound_coefficients()
     for e in (a, b, c):
@@ -134,11 +136,35 @@ def normalize(eq):
         signs.add(v > 0)
     if len(signs) != 1:
         raise NonparabolicError("a changes sign on the domain")
+    root = _interior_root(a, eq.domain)
+    if root is not None:
+        raise NonparabolicError("a vanishes at x=%g" % root)
     flipped = not signs.pop()
     if flipped:
         # backward equation: t -> -t
         a, b, c = (E.simplify(E.mul(E.MINUS_ONE, e)) for e in (a, b, c))
     return a, b, c, flipped
+
+
+# A computed root of multiplicity m is off by about eps^(1/m): double roots
+# come out as complex pairs or real pairs about 1e-8 apart.
+ROOT_TOL = 1e-6
+
+
+def _interior_root(a, domain):
+    """A real root of a inside the open domain when a is a polynomial with
+    numeric coefficients, else None.  Roots within ROOT_TOL of the real
+    axis count as real, and roots within ROOT_TOL of an endpoint as the
+    endpoint."""
+    poly = _numeric_poly(a)
+    if poly is None:
+        return None
+    lo, hi = domain
+    for r in np.roots([float(c) for c in reversed(poly)]):
+        x, tol = float(r.real), ROOT_TOL * max(1.0, abs(r))
+        if abs(r.imag) <= tol and lo + tol < x < hi - tol:
+            return x + 0.0                    # -0.0 prints as "-0"
+    return None
 
 
 def fokker_planck_equation(p, q, domain=(-math.inf, math.inf), bindings=None):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from scipy.integrate import quad
 
@@ -248,7 +247,7 @@ def _linpoly(e, var):
     """[const, slope] when e is a degree<=1 polynomial with var-free coeffs."""
     coeffs = E.as_polynomial(e, var)
     if coeffs is None or len(coeffs) > 2:
-        return _numpoly_any(e, var)
+        return None
     vals = []
     for c in coeffs:
         if E.free_symbols(c) - set(E.DEFAULT_BINDINGS):
@@ -257,10 +256,6 @@ def _linpoly(e, var):
     if len(vals) == 1:
         vals.append(0.0)
     return None if vals[1] == 0 else vals
-
-
-def _numpoly_any(e, var):
-    return None
 
 
 def _anti_poly(poly, x):
@@ -297,6 +292,8 @@ class HeatTransform:
 
     Built from a dim-6 classification; `source_point` seeds omega for
     fundamental-solution construction (omega(0) = -I(y), omega'(0) = 0).
+    The factors of t alone and of x alone are computed once per distinct
+    point and kept on the instance, so they live as long as it does.
     """
 
     def __init__(self, cls, inv, mode="default", t_interval=None,
@@ -335,28 +332,36 @@ class HeatTransform:
         else:
             self.G = quadrature_fn1(integrand, inv.domain,
                                     base_point(inv.domain))
+        self._t_records = {}
+        self._x_records = {}
 
     # -- scalar pieces ----------------------------------------------------
-    def t_tilde(self, t):
-        return self.mobius(t)
+    def _at_t(self, t):
+        """(T, sqrt T', A, omega, omega', nu) at t."""
+        rec = self._t_records.get(t)
+        if rec is None:
+            rec = self._t_records[t] = self._time_factors(t)
+        return rec
 
-    def _dT(self, t):
-        d1 = self.mobius.d(t, 1)
-        if d1 <= 0:
-            raise DegenerateTransform("T'(%g) = %g <= 0" % (t, d1))
-        return d1
+    def _at_x(self, x):
+        """(I, G) at x."""
+        rec = self._x_records.get(x)
+        if rec is None:
+            rec = self._x_records[x] = (self.inv.I(x), self.G(x))
+        return rec
 
-    def A(self, t):
-        return self.mobius.d(t, 2) / (8.0 * self._dT(t))
-
-    def omega(self, t):
-        return E.evaluate(self.omega_expr, {T: t})
-
-    def domega(self, t):
-        return E.evaluate(self.domega_expr, {T: t}) \
+    def _time_factors(self, t):
+        mob = self.mobius
+        dT = mob.d(t, 1)
+        if dT <= 0:
+            raise DegenerateTransform("T'(%g) = %g <= 0" % (t, dT))
+        A = mob.d(t, 2) / (8.0 * dT)
+        w = E.evaluate(self.omega_expr, {T: t})
+        dw = E.evaluate(self.domega_expr, {T: t}) \
             if self.domega_expr is not E.ZERO else 0.0
+        nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * self._Q(t))
+        return mob(t), math.sqrt(dT), A, w, dw, nu
 
-    @lru_cache(maxsize=4096)
     def _Q(self, t):
         """int_0^t of the nu-exponent integrand."""
         if self._nu_int_poly is not None:
@@ -368,20 +373,18 @@ class HeatTransform:
         val, _ = quad(f, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
         return val
 
-    def nu(self, t):
-        w = self.omega(t)
-        return self._dT(t) ** -0.25 * math.exp(
-            -self.A(t) * w * w - 0.25 * self._Q(t))
+    def t_tilde(self, t):
+        return self._at_t(t)[0]
 
     def x_tilde(self, x, t):
-        return math.sqrt(self._dT(t)) * (self.inv.I(x) + self.omega(t))
+        _, sqrt_dT, _, w, _, _ = self._at_t(t)
+        return sqrt_dT * (self._at_x(x)[0] + w)
 
     def theta(self, x, t):
-        Iv = self.inv.I(x)
-        At = self.A(t)
-        expo = (-0.5 * self.G(x) - At * Iv * Iv
-                - 0.5 * (self.domega(t) + 4.0 * At * self.omega(t)) * Iv)
-        return self.nu(t) * math.exp(expo)
+        _, _, At, w, dw, nu = self._at_t(t)
+        Iv, Gv = self._at_x(x)
+        expo = (-0.5 * Gv - At * Iv * Iv - 0.5 * (dw + 4.0 * At * w) * Iv)
+        return nu * math.exp(expo)
 
     def describe(self):
         parts = {

@@ -2,8 +2,10 @@
 
 import json
 import os
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from parasym import cli
 
@@ -84,7 +86,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("text", [
         "var x\na = 1\nb = 1e6*x\nc = 0\n",                 # SingularOnInterval
-        "var x\na = x^2\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # DomainError
+        "var x\na = x^2\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # NonparabolicError
     ])
     def test_analysis_error_is_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "case.eq"
@@ -93,6 +95,19 @@ class TestAnalyze:
         assert rc == 1
         assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_interior_zero_of_a_named_without_quadrature(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = x^2\nb = 0\nc = 0\n"
+                        "domain = (-inf, inf)\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = run(capsys, "analyze", str(path))
+        assert rc == 1
+        assert err.splitlines() == ["error: %s: a vanishes at x=0" % path]
+        assert not [w for w in caught
+                    if issubclass(w.category, IntegrationWarning)]
 
     def test_human_summary(self, capsys):
         rc, out, _ = run(capsys, "analyze", eqpath("brownian"))

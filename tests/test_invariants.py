@@ -82,6 +82,24 @@ class TestNormalization:
         with pytest.raises(NonparabolicError):
             normalize(eq("x"))  # a changes sign on (-inf, inf)
 
+    @pytest.mark.parametrize("a, domain, where", [
+        ("x^2", (-math.inf, math.inf), "x=0"),
+        ("x^2 - 100", (-math.inf, math.inf), "x=-10"),   # outside the window
+        ("(3*x - 1)^2", (-math.inf, math.inf), "x=0.333333"),
+        ("(x - 1/2)^4", (0.0, 1.0), "x=0.5"),
+    ])
+    def test_interior_zero_of_polynomial_a_rejected(self, a, domain, where):
+        with pytest.raises(NonparabolicError, match=where):
+            compute_invariants(eq(a, domain=domain))
+
+    @pytest.mark.parametrize("a, domain", [
+        ("x^2", (0.0, math.inf)),
+        ("(1 - x^2)^2", (-1.0, 1.0)),
+        ("x^2 + 1", (-math.inf, math.inf)),
+    ])
+    def test_endpoint_zero_of_a_accepted(self, a, domain):
+        normalize(eq(a, domain=domain))
+
     def test_time_dependent_coefficient_rejected(self):
         with pytest.raises(UnsupportedCoefficient):
             normalize(ParabolicEquation(P("1 + t"), P("0"), P("0")))

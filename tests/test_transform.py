@@ -1,18 +1,25 @@
 """Heat-equation reductions: Schwarzian time maps, multiplier assembly,
 and pullback of reference heat solutions."""
 
+import gc
 import math
+import os
+import weakref
 
 import pytest
 
 from parasym import expr as E
 from parasym.classify import classify
-from parasym.invariants import ParabolicEquation, compute_invariants
-from parasym.parser import parse_expression as P
-from parasym.transform import (HEAT_SOLUTIONS, NotReducible,
-                               build_heat_transform, map_solution,
-                               pde_residual, solve_schwarzian,
+from parasym.invariants import (DegenerateTransform, ParabolicEquation,
+                                compute_invariants)
+from parasym.parser import parse_expression as P, parse_file
+from parasym.transform import (HEAT_SOLUTIONS, HeatTransform, MobiusMap,
+                               NotReducible, build_heat_transform,
+                               map_solution, pde_residual, solve_schwarzian,
                                verify_pullback)
+
+EQDIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "equations")
 
 
 def eq(a, b="0", c="0", domain=(-math.inf, math.inf)):
@@ -140,3 +147,81 @@ class TestErrors:
         d = ht.describe()
         assert {"T", "omega", "branch", "q2", "q1", "q0"} <= set(d)
         assert d["q0"] == pytest.approx(-1.0)
+
+
+class TestFactorRecords:
+    """theta, x~ and t~ read per-t and per-x records; the records hold the
+    same floats as the formula in the module docstring."""
+
+    # name -> (equation, build options, Moebius branch, symbolic I)
+    CASES = {
+        "exponential": (lambda: ParabolicEquation.from_program(
+            parse_file(os.path.join(EQDIR, "linear_drift.eq"))), {},
+            "exponential", True),
+        "trigonometric": (lambda: eq("1", "0", "x^2"), {},
+                          "trigonometric", True),
+        "quadrature_I": (lambda: eq("1 + x^2", "0", "-3/(4*(1 + x^2))"), {},
+                         "rational", False),
+        # omega' != 0 and the nu integral by quadrature
+        "source_seeded": (lambda: eq("1", "0", "-(x^2)"),
+                          {"mode": "kernel", "source_point": 0.5},
+                          "exponential", True),
+    }
+
+    @staticmethod
+    def points(ht):
+        lo, hi = ht.t_interval
+        ts = [lo + (hi - lo) * f for f in (0.2, 1 / 3, 0.5, 0.77)]
+        xs = (-math.sqrt(2.0), -1 / 7, 0.0, math.e / 4, math.pi / 1.5)
+        return [(x, t) for x in xs for t in ts]
+
+    @staticmethod
+    def values(ht, points):
+        return [(ht.theta(x, t), ht.x_tilde(x, t), ht.t_tilde(t))
+                for x, t in points]
+
+    @staticmethod
+    def docstring_values(ht, points):
+        out = []
+        for x, t in points:
+            dT = ht.mobius.d(t, 1)
+            A = ht.mobius.d(t, 2) / (8.0 * dT)
+            w = E.evaluate(ht.omega_expr, {"t": t})
+            dw = E.evaluate(ht.domega_expr, {"t": t})
+            nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * ht._Q(t))
+            Iv = ht.inv.I(x)
+            expo = -0.5 * ht.G(x) - A * Iv * Iv - 0.5 * (dw + 4.0 * A * w) * Iv
+            out.append((nu * math.exp(expo), math.sqrt(dT) * (Iv + w),
+                        ht.mobius(t)))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_records_hold_exact_values(self, name):
+        make, opts, branch, symbolic_I = self.CASES[name]
+        fresh, inv, _ = transform_for(make(), **opts)
+        assert (fresh.mobius.branch, inv.symbolic_I) == (branch, symbolic_I)
+        pts = self.points(fresh)
+        got = self.values(fresh, pts)
+        warmed, _, _ = transform_for(make(), **opts)
+        self.values(warmed, pts[::-1])
+        assert self.values(warmed, pts) == got
+        assert self.docstring_values(fresh, pts) == got
+
+    def test_degenerate_time_raises_and_is_not_recorded(self):
+        _, inv, cls = transform_for(eq("1"))
+        reversed_time = MobiusMap((-1.0, 0.0, 0.0, 1.0), "rational", 0.0,
+                                  (-0.5, 0.5))          # T = -t, T' = -1
+        bad = HeatTransform(cls, inv, mobius=reversed_time)
+        for _ in range(2):
+            with pytest.raises(DegenerateTransform):
+                bad.x_tilde(0.3, 0.1)
+        assert not bad._t_records
+
+    def test_transform_is_freed_after_verification(self):
+        e = eq("1", "x")
+        ht, _, _ = transform_for(e)
+        verify_pullback(e, ht=ht, n=5)
+        ref = weakref.ref(ht)
+        del ht
+        gc.collect()
+        assert ref() is None
