@@ -68,25 +68,25 @@ def _snap(v, tol=1e-7):
 
 
 def _samples(inv, config, i_offset=0.0):
+    """(I, K) at the probe points.  Raises DomainError at the first point
+    where I or K is undefined: the fit never silently drops a point."""
     lo, hi = probe_window(inv.domain)
     xs = chebyshev_points(lo, hi, config.n_points)
-    Iv, Kv, keep = [], [], []
+    Iv, Kv = [], []
     for x in xs:
         try:
-            iv = inv.I(x) + i_offset
-            kv = E.evaluate(inv.K, {"x": x})
-        except E.DomainError:
-            continue
-        Iv.append(iv)
-        Kv.append(kv)
-        keep.append(x)
-    if len(Iv) < config.n_points // 2:
-        raise IllConditionedFit("too few evaluable probe points")
+            Iv.append(inv.I(x) + i_offset)
+        except E.DomainError as exc:
+            raise E.DomainError("I undefined at x=%g: %s" % (x, exc)) from exc
+        try:
+            Kv.append(E.evaluate(inv.K, {"x": x}))
+        except E.DomainError as exc:
+            raise E.DomainError("K undefined at x=%g: %s" % (x, exc)) from exc
     Iv = np.array(Iv)
     Kv = np.array(Kv)
     if Iv.max() - Iv.min() < 1e-8 * (1.0 + np.abs(Iv).max()):
         raise IllConditionedFit("I nearly constant on the probe grid")
-    return np.array(keep), Iv, Kv
+    return Iv, Kv
 
 
 def _fit_quadratic(Iv, Kv):
@@ -152,7 +152,7 @@ def classify(inv, config=None, i_offset=0.0):
     if isinstance(inv, ParabolicEquation):
         inv = compute_invariants(inv)
     config = config or ClassifyConfig()
-    _, Iv, Kv = _samples(inv, config, i_offset)
+    Iv, Kv = _samples(inv, config, i_offset)
     scale = 1.0 + float(np.abs(Kv).max())
 
     coef6, resid6 = _fit_quadratic(Iv, Kv)

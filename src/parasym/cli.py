@@ -101,10 +101,7 @@ def _classification_section(cls):
     return out
 
 
-def _transform_section(cls, inv):
-    if cls.dim != 6:
-        return None
-    ht = build_heat_transform(cls, inv)
+def _transform_section(ht):
     d = ht.describe()
     sec = {"branch": d["branch"], "T": d["T"], "omega": d["omega"],
            "q2": _round(d["q2"]), "q1": _round(d["q1"]),
@@ -162,12 +159,13 @@ def cmd_analyze(args):
         inv = compute_invariants(eq)
         config = ClassifyConfig(tol=args.tol_classify)
         cls = classify(inv, config)
-        transform = _transform_section(cls, inv)
+        ht = build_heat_transform(cls, inv) if cls.dim == 6 else None
+        transform = _transform_section(ht) if ht is not None else None
         gens, gen_warnings = _generator_section(cls, inv, args.grid, args.seed)
         warnings.extend(gen_warnings)
         verification = {}
-        if cls.dim == 6:
-            pb = verify_pullback(eq)
+        if ht is not None:
+            pb = verify_pullback(eq, ht)
             worst = max(pb.values())
             verification["pullback_residuals"] = {k: _round(v)
                                                   for k, v in sorted(pb.items())}
@@ -346,7 +344,8 @@ def cmd_selftest(args):
                     ok = False
                     detail += " %s=%r (want %g)" % (k, got, v)
             if ok and cls.dim == 6:
-                worst = max(verify_pullback(eq).values())
+                ht = build_heat_transform(cls, inv)
+                worst = max(verify_pullback(eq, ht).values())
                 detail += ", pullback %.1e" % worst
                 ok = worst <= 1e-6
             if ok and cls.dim in (4, 6):

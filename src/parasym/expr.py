@@ -11,6 +11,8 @@ coefficient extraction and fall back to deterministic-point sampling.
 
 from __future__ import annotations
 
+import builtins
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -47,7 +49,7 @@ class Expr:
     FUNCTIONS | 'besseli' (internal, not parseable).
     """
 
-    __slots__ = ("kind", "args", "value", "_hash", "_key")
+    __slots__ = ("kind", "args", "value", "_hash", "_key", "_fn")
 
     def __init__(self, kind, args=(), value=None):
         object.__setattr__(self, "kind", kind)
@@ -55,6 +57,7 @@ class Expr:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_fn", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -553,22 +556,73 @@ def differentiate(e, var="x", order=1):
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# A tree is compiled, on its first evaluation, into one Python function of
+# the environment, kept in the root node's `_fn` slot.  The generated code is
+# straight-line, one assignment per node, so deep trees stay within the
+# parser's nesting limit and the evaluation order is explicit: children left
+# to right, except that a quotient checks its denominator before it computes
+# its numerator.  It does the float arithmetic of a direct recursive walk
+# operation for operation: sums by math.fsum, products as a left fold,
+# constants converted once with float().  Equal subtrees and repeated
+# symbols are computed once, at their first place in that order: the
+# arithmetic is deterministic, so the copies would give the same floats.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
 _FN_EVAL = {
     "exp": math.exp, "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "arctan": math.atan,
+    "arctan": math.atan, "log": math.log, "sqrt": math.sqrt,
+    "arctanh": math.atanh, "abs": abs,
 }
+
+# (condition on the argument, message) of the guarded functions
+_FN_GUARD = {
+    "log": ("%s <= 0.0", "log of non-positive"),
+    "sqrt": ("%s < 0.0", "sqrt of negative"),
+    "arctanh": ("abs(%s) >= 1.0", "arctanh outside (-1,1)"),
+}
+
+# stages of a node in _compile, besides the number of a sum's terms taken
+_EXPAND, _DENOMINATOR, _DONE = -1, -2, -3
+
+
+def _partial_sum(terms):
+    """Raise the OverflowError math.fsum raises part-way through `terms`.
+    A sum of inf and -inf fails only at the end of all the terms."""
+    try:
+        math.fsum(terms)
+    except ValueError:
+        pass
+
+
+# The generated functions share these globals and never write to them, so a
+# function refers to nothing but its code and defaults, and dies with its node.
+_CODE_GLOBALS = dict(
+    {"_" + k: f for k, f in _FN_EVAL.items()},
+    __builtins__=builtins, _fsum=math.fsum, _DomainError=DomainError,
+    _Unbound=UnboundIdentifier, _ExprError=ExprError,
+    _partial_sum=_partial_sum)
+
+
+# The local names of generated code ("t0", "t1", ...) stay interned for the
+# life of the process.  Freed with each function and interned again by the
+# next compile, they would churn the interpreter's table of interned strings
+# until it doubled (about 1 MB more peak RSS over a thousand analyses).
+_LOCAL_NAMES = set()
 
 
 def evaluate(e, bindings=None):
     env = dict(DEFAULT_BINDINGS)
     if bindings:
         env.update(bindings)
+    f = e._fn
+    if f is None:
+        f = _compile(e)
+        object.__setattr__(e, "_fn", f)
     try:
-        v = _ev(e, env)
+        v = f(env)
     except OverflowError as exc:
         raise DomainError(str(exc)) from exc
     if not math.isfinite(v):
@@ -576,63 +630,154 @@ def evaluate(e, bindings=None):
     return v
 
 
-def _ev(e, env):
-    k = e.kind
-    if k == "num":
-        return float(e.value)
-    if k == "sym":
-        try:
-            return float(env[e.value])
-        except KeyError:
-            raise UnboundIdentifier(e.value) from None
-    if k == "add":
-        return math.fsum(_ev(a, env) for a in e.args)
-    if k == "mul":
-        r = 1.0
-        for a in e.args:
-            r *= _ev(a, env)
-        return r
-    if k == "pow":
-        b = _ev(e.args[0], env)
-        ex = _ev(e.args[1], env)
-        if b == 0.0 and ex < 0:
-            raise DomainError("0^negative")
-        if b < 0:
-            # allow integer exponents only
-            if ex != round(ex):
-                raise DomainError("negative base with fractional exponent")
-            return b ** int(round(ex))
-        return b ** ex
-    if k == "neg":
-        return -_ev(e.args[0], env)
-    if k == "div":
-        d = _ev(e.args[1], env)
-        if d == 0.0:
-            raise DomainError("division by zero")
-        return _ev(e.args[0], env) / d
-    if k == "log":
-        u = _ev(e.args[0], env)
-        if u <= 0.0:
-            raise DomainError("log of non-positive")
-        return math.log(u)
-    if k == "sqrt":
-        u = _ev(e.args[0], env)
-        if u < 0.0:
-            raise DomainError("sqrt of negative")
-        return math.sqrt(u)
-    if k == "abs":
-        return abs(_ev(e.args[0], env))
-    if k == "arctanh":
-        u = _ev(e.args[0], env)
-        if abs(u) >= 1.0:
-            raise DomainError("arctanh outside (-1,1)")
-        return math.atanh(u)
-    if k == "besseli":
-        from . import special
-        return special.iv(_ev(e.args[0], env), _ev(e.args[1], env))
-    if k in _FN_EVAL:
-        return _FN_EVAL[k](_ev(e.args[0], env))
-    raise ExprError("cannot evaluate node kind %r" % k)
+def _compile(root):
+    """One function env -> float computing `root` as described above."""
+    lines = []      # the body, one physical line each
+    ref = {}        # id(node) -> local name, or the float of a constant
+    sym_ref = {}    # symbol name -> local name
+    seen = {}       # (kind, operand texts) -> local name; checks emitted
+    defaults = {}   # default-argument name -> value, for non-literal values
+    prefixes = []   # (body lines before it, terms) of each partial sum
+    count = itertools.count()
+
+    def local():
+        return "t%d" % next(count)
+
+    def const(v):
+        name = "k%d" % len(defaults)
+        defaults[name] = v
+        return name
+
+    def emit(line, *guard):
+        if guard:
+            check = "if %s: raise _DomainError(%r)" % guard
+            if check not in seen:         # the same check on the same value
+                seen[check] = None
+                lines.append(check)
+        if line:
+            lines.append(line)
+
+    def text(node):
+        v = ref[id(node)]
+        return repr(v) if isinstance(v, float) else v
+
+    stack = [(root, _EXPAND)]
+    while stack:
+        e, stage = stack.pop()
+        k = e.kind
+        if stage == _EXPAND:
+            if id(e) in ref:
+                continue
+            if k == "num":
+                try:
+                    v = float(e.value)
+                except OverflowError:     # raised where the walk reaches it
+                    ref[id(e)] = t = local()
+                    emit("%s = float(%s)" % (t, const(e.value)))
+                    continue
+                ref[id(e)] = v if math.isfinite(v) else const(v)
+            elif k == "sym":
+                t = sym_ref.get(e.value)
+                if t is None:
+                    t = sym_ref[e.value] = local()
+                    lines.append("try: %s = float(env[%r])" % (t, e.value))
+                    lines.append("except KeyError: raise _Unbound(%r) from None"
+                                 % e.value)
+                ref[id(e)] = t
+            elif k == "div":
+                stack += [(e, _DENOMINATOR), (e.args[1], _EXPAND)]
+            elif k == "add":
+                # a sum takes its terms one by one: after each, it may
+                # overflow before the next term is computed
+                stack.append((e, _DONE))
+                for i in range(len(e.args) - 1, 1, -1):
+                    stack += [(e.args[i], _EXPAND), (e, i)]
+                stack += [(a, _EXPAND) for a in reversed(e.args[:2])]
+            elif k in ("mul", "pow", "neg", "besseli") or k in _FN_EVAL:
+                stack.append((e, _DONE))
+                stack += [(a, _EXPAND) for a in reversed(e.args)]
+            else:
+                ref[id(e)] = "None"
+                lines.append("raise _ExprError(%r)"
+                             % ("cannot evaluate node kind %r" % k))
+            continue
+        if stage == _DENOMINATOR:         # checked before the numerator
+            emit(None, "%s == 0.0" % text(e.args[1]), "division by zero")
+            stack += [(e, _DONE), (e.args[0], _EXPAND)]
+            continue
+        if stage != _DONE:                # the first `stage` terms of a sum
+            terms = ("partial sum", *(text(a) for a in e.args[:stage]))
+            if terms not in seen:
+                seen[terms] = None
+                prefixes.append((len(lines), terms[1:]))
+            continue
+        if k == "mul" and len(e.args) < 2:
+            ref[id(e)] = ref[id(e.args[0])] if e.args else 1.0
+            continue
+        a = [text(c) for c in e.args]
+        key = (k, *a)
+        if key in seen:                   # an equal subtree computed before
+            ref[id(e)] = seen[key]
+            continue
+        ref[id(e)] = seen[key] = t = local()
+        if k == "add":
+            emit("%s = _fsum((%s))" % (t, "".join(x + ", " for x in a)))
+        elif k == "mul":
+            emit("%s = %s" % (t, " * ".join(a)))
+        elif k == "neg":
+            emit("%s = -%s" % (t, a[0]))
+        elif k == "div":
+            emit("%s = %s / %s" % (t, a[0], a[1]))
+        elif k == "pow":
+            _emit_pow(emit, t, a[0], ref[id(e.args[1])], a[1])
+        elif k == "besseli":
+            from . import special
+            emit("%s = %s(%s, %s)" % (t, const(special.iv), a[0], a[1]))
+        elif k in _FN_GUARD:
+            cond, msg = _FN_GUARD[k]
+            emit("%s = _%s(%s)" % (t, k, a[0]), cond % a[0], msg)
+        else:
+            emit("%s = _%s(%s)" % (t, k, a[0]))
+    src = ["def f(env%s):" % "".join(", %s=%s" % (n, n) for n in defaults)]
+    if prefixes:
+        # An error raised on body line n (source line n + 3) comes after
+        # every partial sum taken before that line; one of those that
+        # overflows would have been raised first.
+        src.append("    try:")
+        src += ["        " + line for line in lines]
+        src.append("    except Exception as exc:")
+        src.append("        n = exc.__traceback__.tb_lineno - 3")
+        src += ["        if n >= %d: _partial_sum((%s))"
+                % (at, "".join(x + ", " for x in terms))
+                for at, terms in prefixes]
+        src.append("        raise")
+    else:
+        src += ["    " + line for line in lines]
+    src.append("    return %s\n" % text(root))
+    ns = dict(defaults)
+    exec(compile("\n".join(src), "<parasym.expr %s>" % root.kind, "exec"),
+         _CODE_GLOBALS, ns)
+    f = ns["f"]
+    _LOCAL_NAMES.update(f.__code__.co_varnames)
+    return f
+
+
+def _emit_pow(emit, t, b, c, x):
+    """t = b ** x with the real-domain guards, where c is the exponent's
+    local name or its float.  Every value is a Python float, and for those
+    b ** x equals b ** int(x) at an integral x."""
+    if b.startswith("-"):
+        b = "(%s)" % b                    # a negative literal base
+    if isinstance(c, float):              # decide the exponent's part now
+        if c < 0:
+            emit(None, "%s == 0.0" % b, "0^negative")
+        if c != round(c):
+            emit(None, "%s < 0" % b, "negative base with fractional exponent")
+    else:
+        emit(None, "%s == 0.0 and %s < 0" % (b, x), "0^negative")
+        emit(None, "%s < 0 and %s != round(%s)" % (b, x, x),
+             "negative base with fractional exponent")
+    emit("%s = %s ** %s" % (t, b, x))
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
 
 
 def _gl_quad(f, lo, hi):
-    x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * _GL_WEIGHTS
+    # Python floats, not numpy scalars: the same IEEE sums, done faster
+    x = (0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)).tolist()
+    w = (0.5 * (hi - lo) * _GL_WEIGHTS).tolist()
     return float(sum(wi * f(xi) for xi, wi in zip(x, w)))
 
 

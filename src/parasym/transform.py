@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from scipy.integrate import quad
 
@@ -430,7 +431,8 @@ HEAT_SOLUTIONS = (
 def pde_residual(eq, ufun, n=21, t_interval=(0.05, 0.45), window=None,
                  hx=None, ht=None):
     """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid,
-    derivatives by 4th-order central differences."""
+    derivatives by 4th-order central differences.  `eq` is a
+    ParabolicEquation, or anything with normalized a, b, c and a domain."""
     if isinstance(eq, ParabolicEquation):
         a, b, c, _ = normalize(eq)
         domain = eq.domain
@@ -480,16 +482,23 @@ def _d2(f, x, h):
 
 def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
     """Map each reference heat solution through the transform and measure the
-    PDE residual of the result.  Returns {name: residual}."""
-    inv = compute_invariants(eq)
+    PDE residual of the result.  Returns {name: residual}.
+
+    Raises DomainError when a pulled-back solution overflows on the grid."""
     if ht is None:
-        cls = classify(inv)
-        ht = build_heat_transform(cls, inv)
+        inv = compute_invariants(eq)
+        ht = build_heat_transform(classify(inv), inv)
+    a, b, c, _ = normalize(eq)
+    forward = SimpleNamespace(a=a, b=b, c=c, domain=eq.domain)
     lo, hi = ht.t_interval
     span = hi - lo
     t_int = (lo + 0.25 * span, hi - 0.25 * span)
     out = {}
     for name, sol in solutions:
         u = map_solution(ht, sol)
-        out[name] = pde_residual(eq, u, n=n, t_interval=t_int)
+        try:
+            out[name] = pde_residual(forward, u, n=n, t_interval=t_int)
+        except OverflowError as exc:
+            raise E.DomainError("pullback of the heat solution %s: %s"
+                                % (name, exc)) from exc
     return out

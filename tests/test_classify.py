@@ -8,7 +8,9 @@ import pytest
 from parasym.classify import (ClassifyConfig, IllConditionedFit,
                               SymmetryClassification, check_fp_logdiffusion,
                               classify)
-from parasym.invariants import ParabolicEquation, compute_invariants
+from parasym.expr import DomainError, chebyshev_points
+from parasym.invariants import (ParabolicEquation, compute_invariants,
+                                probe_window)
 from parasym.parser import parse_expression as P
 
 
@@ -109,6 +111,13 @@ class TestDegenerateInput:
                          domain=inv.domain, flipped=False)
         with pytest.raises(IllConditionedFit):
             classify(inv2)
+
+    def test_undefined_K_names_the_first_probe_point(self):
+        x0 = chebyshev_points(*probe_window((-math.inf, math.inf)), 64)[0]
+        with pytest.raises(DomainError) as exc:
+            classify(eq("1", "0", "log(x)"))
+        assert str(exc.value) == ("K undefined at x=%g: log of non-positive"
+                                  % x0)
 
 
 class TestLogDiffusionFamily:

@@ -87,6 +87,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("text", [
         "var x\na = 1\nb = 1e6*x\nc = 0\n",                 # SingularOnInterval
         "var x\na = x^2\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # NonparabolicError
+        "var x\na = 1e-12\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # DomainError
+        "var x\na = 1\nb = 0\nc = log(x)\ndomain = (-inf, inf)\n",  # DomainError
     ])
     def test_analysis_error_is_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "case.eq"

@@ -1,12 +1,16 @@
 """Expression-tree construction, simplification, differentiation,
 evaluation, zero-testing and polynomial matching."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parasym import expr as E
+from parasym import special
 from parasym.parser import parse_expression as P
 
 
@@ -140,3 +144,204 @@ class TestSerialization:
         for x, t in [(0.3, 0.2), (1.5, 0.9)]:
             assert E.evaluate(e, {"x": x, "t": t}) == pytest.approx(
                 E.evaluate(e2, {"x": x, "t": t}), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against a reference tree walker
+
+_MATH = {
+    "exp": math.exp, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+    "arctan": math.atan,
+}
+
+
+def _walk(e, env):
+    """Reference: direct recursive evaluation of one node."""
+    k = e.kind
+    if k == "num":
+        return float(e.value)
+    if k == "sym":
+        try:
+            return float(env[e.value])
+        except KeyError:
+            raise E.UnboundIdentifier(e.value) from None
+    if k == "add":
+        return math.fsum(_walk(a, env) for a in e.args)
+    if k == "mul":
+        r = 1.0
+        for a in e.args:
+            r *= _walk(a, env)
+        return r
+    if k == "pow":
+        b = _walk(e.args[0], env)
+        ex = _walk(e.args[1], env)
+        if b == 0.0 and ex < 0:
+            raise E.DomainError("0^negative")
+        if b < 0:
+            if ex != round(ex):
+                raise E.DomainError("negative base with fractional exponent")
+            return b ** int(round(ex))
+        return b ** ex
+    if k == "neg":
+        return -_walk(e.args[0], env)
+    if k == "div":
+        d = _walk(e.args[1], env)
+        if d == 0.0:
+            raise E.DomainError("division by zero")
+        return _walk(e.args[0], env) / d
+    if k == "log":
+        u = _walk(e.args[0], env)
+        if u <= 0.0:
+            raise E.DomainError("log of non-positive")
+        return math.log(u)
+    if k == "sqrt":
+        u = _walk(e.args[0], env)
+        if u < 0.0:
+            raise E.DomainError("sqrt of negative")
+        return math.sqrt(u)
+    if k == "abs":
+        return abs(_walk(e.args[0], env))
+    if k == "arctanh":
+        u = _walk(e.args[0], env)
+        if abs(u) >= 1.0:
+            raise E.DomainError("arctanh outside (-1,1)")
+        return math.atanh(u)
+    if k == "besseli":
+        return special.iv(_walk(e.args[0], env), _walk(e.args[1], env))
+    if k in _MATH:
+        return _MATH[k](_walk(e.args[0], env))
+    raise E.ExprError("cannot evaluate node kind %r" % k)
+
+
+def _reference(e, bindings):
+    env = dict(E.DEFAULT_BINDINGS, **bindings)
+    try:
+        v = _walk(e, env)
+    except OverflowError as exc:
+        raise E.DomainError(str(exc)) from exc
+    if not math.isfinite(v):
+        raise E.DomainError("non-finite result")
+    return v
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except Exception as exc:  # compared by type and message
+        return ("raises", type(exc), str(exc))
+    return ("value", type(v), v, math.copysign(1.0, v))
+
+
+_leaves = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).map(E.num),
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e308, -3.0]).map(E.num),
+    st.sampled_from(["x", "y", "z", "pi"]).map(E.sym),
+)
+
+
+def _nodes(children):
+    unary = st.sampled_from(("neg",) + E.FUNCTIONS)
+    return st.one_of(
+        st.lists(children, max_size=4).map(lambda a: E.Expr("add", a)),
+        st.lists(children, max_size=4).map(lambda a: E.Expr("mul", a)),
+        st.tuples(children, children).map(lambda a: E.Expr("pow", a)),
+        st.tuples(children, children).map(lambda a: E.Expr("div", a)),
+        st.tuples(unary, children).map(lambda a: E.Expr(a[0], (a[1],))),
+        st.tuples(st.integers(0, 2), children).map(
+            lambda a: E.besseli(E.num(a[0]), E.Expr("abs", (a[1],)))),
+        # one object, or an equal copy, in two places: computed once
+        children.map(lambda a: E.Expr("div", (a, a))),
+        children.map(lambda a: E.Expr("mul", (a, E.Expr("add", (a, a))))),
+        children.map(lambda a: E.Expr("div", (_rebuilt(a), a))),
+        children.map(lambda a: E.Expr("add", (a, E.neg(_rebuilt(a))))),
+        # different operations on equal operands stay apart
+        st.tuples(unary, unary, children).map(lambda u: E.Expr("add", (
+            E.Expr(u[0], (u[2],)), E.Expr(u[1], (_rebuilt(u[2]),))))),
+        st.tuples(children, children).map(lambda p: E.Expr("add", [
+            E.Expr(k, p) for k in ("mul", "add", "pow", "div")])),
+    )
+
+
+def _rebuilt(e):
+    """An equal tree made of new nodes."""
+    return E.Expr(e.kind, [_rebuilt(a) for a in e.args], e.value)
+
+
+_trees = st.recursive(_leaves, _nodes, max_leaves=24)
+_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0]),
+                    st.floats(-50.0, 50.0))
+
+
+class TestCompiledEvaluator:
+    @given(_trees, _values, _values, st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_reference_walker(self, e, x, y, bind_z):
+        env = {"x": x, "y": y}
+        if bind_z:
+            env["z"] = -2.5
+        want = _outcome(_reference, e, env)
+        assert _outcome(E.evaluate, e, env) == want
+        # the second call runs the stored function
+        assert _outcome(E.evaluate, e, env) == want
+
+    @pytest.mark.parametrize("e, env, kind, message", [
+        # the denominator is checked before the numerator is computed
+        (E.div(E.log_("x"), "y"), {"x": -1.0, "y": 0.0}, E.DomainError,
+         "division by zero"),
+        (E.div(E.log_("x"), "y"), {"x": -1.0, "y": 1.0}, E.DomainError,
+         "log of non-positive"),
+        (E.add(E.sqrt_("x"), "w"), {"x": -1.0}, E.DomainError,
+         "sqrt of negative"),
+        # a sum overflows part-way before its next term is computed
+        (E.add("x", "x", E.log_("y")), {"x": 1e308, "y": -1.0},
+         E.DomainError, "intermediate overflow in fsum"),
+        (E.add("x", "x", E.log_("y")), {"x": 1.0, "y": -1.0},
+         E.DomainError, "log of non-positive"),
+        (E.add("w", E.sqrt_("x")), {"x": -1.0}, E.UnboundIdentifier, "w"),
+        (E.exp_("x"), {"x": 1000.0}, E.DomainError, "math range error"),
+        (E.pow_("x", "y"), {"x": -2.0, "y": 0.5}, E.DomainError,
+         "negative base with fractional exponent"),
+        (E.pow_("x", -0.5), {"x": 0.0}, E.DomainError, "0^negative"),
+        (E.pow_("x", E.num(Fraction(10) ** 400)), {"x": 2.0}, E.DomainError,
+         "integer division result too large for a float"),
+    ])
+    def test_first_error_in_evaluation_order(self, e, env, kind, message):
+        with pytest.raises(kind) as exc:
+            E.evaluate(e, env)
+        assert str(exc.value) == message
+        assert _outcome(E.evaluate, e, env) == _outcome(_reference, e, env)
+
+    def test_signed_zeros_are_different_constants(self):
+        x = E.sym("x")
+        e = E.mul(E.mul(x, E.num(-0.0)), E.mul(x, E.num(0.0)))
+        v = E.evaluate(e, {"x": 1.0})
+        assert v == 0.0 and math.copysign(1.0, v) == -1.0
+
+    def test_deep_tree(self):
+        e, want = E.sym("x"), 0.25
+        for i in range(600):
+            e = E.Expr("add", (E.Expr("mul", (E.num(Fraction(1, 2)), e)),
+                               E.num(i % 3)))
+            want = math.fsum((0.5 * want, float(i % 3)))
+        assert E.evaluate(e, {"x": 0.25}) == want
+
+    def test_compiled_functions_do_not_accumulate(self):
+        def run(n, offset):
+            for i in range(offset, offset + n):
+                E.evaluate(E.neg(E.num(i)))
+
+        gc_was_enabled = gc.isenabled()
+        gc.disable()                      # garbage in cycles would stay
+        try:
+            run(500, 0)
+            tracemalloc.start()
+            try:
+                run(5000, 500)
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        assert retained < 64 * 1024
