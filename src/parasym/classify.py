@@ -61,6 +61,10 @@ class SymmetryClassification:
 
 
 def _snap(v, tol=1e-7):
+    """0 within 1e-7 (1 + |v|), else the nearest fraction of denominator
+    <= 10^6 within tol (1 + |v|), else v."""
+    if abs(v) <= 1e-7 * (1.0 + abs(v)):
+        return 0.0
     fr = Fraction(v).limit_denominator(1_000_000)
     if abs(float(fr) - v) <= tol * (1.0 + abs(v)):
         return float(fr)
@@ -161,7 +165,10 @@ def classify(inv, config=None, i_offset=0.0):
         sym = _symbolic_quadratic(inv)
         if sym is not None and i_offset == 0.0:
             fit_mode = "symbolic"
-        c0, c1, c2 = (_snap(v) for v in coef6)
+        # the generators built from these constants must pass the 1e-8
+        # determining check, which a fraction within 1e-7 of an accurate fit
+        # can fail (drift b = 0.567 x: c2 = -95/1182, 4e-10 off)
+        c0, c1, c2 = (_snap(v, 1e-12) for v in coef6)
         return SymmetryClassification(
             dim=6, constants={"c2": c2, "c1": c1, "c0": c0},
             residual=resid6, fit_mode=fit_mode)

@@ -111,7 +111,7 @@ def _transform_section(ht):
     return sec
 
 
-def _generator_section(cls, inv, grid_n, seed):
+def _generator_section(cls, inv, grid_n):
     if cls.dim not in (4, 6):
         return None, []
     warnings = []
@@ -128,7 +128,7 @@ def _generator_section(cls, inv, grid_n, seed):
     c = cls.constants
     expected = S.published_table(cls.dim, c.get("c2", 0.0),
                                  c.get("c1", 0.0), c.get("c0", 0.0))
-    rep = S.verify_table(basis, expected)
+    rep = S.verify_table(table, expected)
     flagged = []
     for (i, j, exp, got, diff) in rep.flagged:
         flagged.append({"pair": "%d,%d" % (i, j),
@@ -161,7 +161,7 @@ def cmd_analyze(args):
         cls = classify(inv, config)
         ht = build_heat_transform(cls, inv) if cls.dim == 6 else None
         transform = _transform_section(ht) if ht is not None else None
-        gens, gen_warnings = _generator_section(cls, inv, args.grid, args.seed)
+        gens, gen_warnings = _generator_section(cls, inv, args.grid)
         warnings.extend(gen_warnings)
         verification = {}
         if ht is not None:

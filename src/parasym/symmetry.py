@@ -15,10 +15,18 @@ where (tau, rho, sigma) solve
     rho''  +  4 c2 rho  = -3 c1 tau',      (rho = 0 for dim 4)
     sigma' = -tau''/4 + c0 tau' + c1 rho.
 
-The emitted bases integrate this system in closed form per sign of c2; the
-published table of structure constants is transcribed as data and compared
-against symbolically computed brackets, with any line that cannot be
-reproduced reported as a flagged discrepancy rather than an error.
+The emitted bases integrate this system in closed form per sign of c2.  The
+bracket of two such fields is again one, and its triple follows from the
+two triples alone (no I, a or c enter):
+
+    tau   = tau_v tau_w' - tau_w tau_v',
+    rho   = tau_v rho_w' - tau_w rho_v' + (rho_v tau_w' - rho_w tau_v')/2,
+    sigma = tau_v sigma_w' - tau_w sigma_v' - (rho_v rho_w' - rho_w rho_v')/2,
+
+with M = u d_u the triple (0, 0, 1).  The structure constants come from
+these triples, and the published table, transcribed as data, is compared
+against them, with any line that cannot be reproduced reported as a flagged
+discrepancy rather than an error.
 
 Coefficient expressions use the extra symbol `Ivar` for I(x); differentiation
 in x applies the chain rule d(Ivar)/dx = 1/sqrt(a), which keeps residuals at
@@ -68,12 +76,6 @@ class VectorField:
         if self.inv is not None:
             env[IVAR] = self.inv.I(x) + self.i_offset
         return env
-
-    def components(self, x, t):
-        env = self.env(x, t)
-        return (E.evaluate(self.tau, env) if self.tau is not E.ZERO else 0.0,
-                E.evaluate(self.xi, env) if self.xi is not E.ZERO else 0.0,
-                E.evaluate(self.phi, env) if self.phi is not E.ZERO else 0.0)
 
     def describe(self):
         return {"label": self.label, "tau": E.to_text(self.tau),
@@ -236,11 +238,13 @@ def check_determining(eq_or_inv, vf, n=16, t_interval=(0.05, 0.45)):
     ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
     worst = {"deteq1": 0.0, "deteq2": 0.0, "xieq": 0.0}
     for x in xs:
+        # a, b, c, their derivatives and I depend on x only
+        env = vf.env(x, ts[0])
+        ev = lambda e: E.evaluate(e, env) if e is not E.ZERO else 0.0
+        av, bv, cv = ev(a), ev(b), ev(c)
+        apv, appv, bpv, cpv = ev(ap), ev(app), ev(bp), ev(cp)
         for t in ts:
-            env = vf.env(x, t)
-            ev = lambda e: E.evaluate(e, env) if e is not E.ZERO else 0.0
-            av, bv, cv = ev(a), ev(b), ev(c)
-            apv, appv, bpv, cpv = ev(ap), ev(app), ev(bp), ev(cp)
+            env[T] = t
             tdv, xv, xtv = ev(taud), ev(vf.xi), ev(xi_t)
             pxv, pxxv, ptv = ev(phi_x), ev(phi_xx), ev(phi_t)
             terms1 = (8 * av * av * pxv,
@@ -262,57 +266,17 @@ def check_determining(eq_or_inv, vf, n=16, t_interval=(0.05, 0.45)):
 
 
 # ---------------------------------------------------------------------------
-# Lie brackets
+# commutator tables
 
-def lie_bracket(v, w):
-    """[v, w] computed symbolically component-wise."""
-    inv = v.inv or w.inv
-
-    def act(f, e):
-        """Apply f = tau d_t + xi d_x to scalar Expr e."""
-        parts = []
-        if f.tau is not E.ZERO and E.contains_symbol(e, T):
-            parts.append(E.mul(f.tau, _dt(e)))
-        if f.xi is not E.ZERO:
-            dxe = _dx(e, inv)
-            if dxe is not E.ZERO:
-                parts.append(E.mul(f.xi, dxe))
-        return Expr("add", parts) if parts else E.ZERO
-
-    tau_b = E.simplify(E.add(act(v, w.tau), E.neg(act(w, v.tau))))
-    xi_b = E.simplify(E.add(act(v, w.xi), E.neg(act(w, v.xi))))
-    phi_b = E.simplify(E.add(act(v, w.phi), E.neg(act(w, v.phi))))
-    return VectorField(tau=tau_b, xi=xi_b, phi=phi_b,
-                       label="[%s,%s]" % (v.label, w.label),
-                       inv=inv, i_offset=v.i_offset)
+BRACKET_TIMES = [0.07 + 0.34 * j / 9 for j in range(10)]
 
 
-def _sample_grid(inv, nx=6, nt=4, t_interval=(0.07, 0.41)):
-    lo, hi = probe_window(inv.domain)
-    xs = chebyshev_points(lo, hi, nx)
-    t0, t1 = t_interval
-    ts = [t0 + (t1 - t0) * j / (nt - 1) for j in range(nt)]
-    return [(x, t) for x in xs for t in ts]
-
-
-def _field_vector(vf, grid):
-    vals = []
-    for x, t in grid:
-        vals.extend(vf.components(x, t))
-    return np.array(vals)
-
-
-def decompose(vf, basis, grid=None):
-    """Least-squares decomposition of vf in the basis over a sampling grid.
-    Returns (coefficients, relative residual)."""
-    inv = basis[0].inv
-    grid = grid or _sample_grid(inv)
-    A = np.column_stack([_field_vector(b, grid) for b in basis])
-    y = _field_vector(vf, grid)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    scale = 1.0 + float(np.abs(y).max())
-    resid = float(np.max(np.abs(A @ coef - y))) / scale
-    return coef, resid
+def _triple_values(vf):
+    """(tau, rho, sigma, tau', rho', sigma') of vf at BRACKET_TIMES, as an
+    array of shape (len(BRACKET_TIMES), 6)."""
+    exprs = list(vf.scalars) + [_dt(e) for e in vf.scalars]
+    return np.array([[E.evaluate(e, {T: t}) if e is not E.ZERO else 0.0
+                      for e in exprs] for t in BRACKET_TIMES])
 
 
 @dataclass
@@ -331,24 +295,33 @@ class CommutatorTable:
         return sgn * self.structure.get((i, j), {}).get(k, 0.0)
 
 
-def commutator_table(basis, grid=None):
-    """Structure constants of the emitted basis by symbolic brackets plus
-    sampled least-squares decomposition."""
-    inv = basis[0].inv
-    grid = grid or _sample_grid(inv)
-    structure = {}
-    worst = 0.0
+def commutator_table(basis):
+    """Structure constants of the emitted basis: each bracket's scalar triple
+    from the two triples (module docstring), decomposed by least squares on
+    the stacked basis triples at BRACKET_TIMES."""
+    vals = [_triple_values(vf) for vf in basis]
+    A = np.column_stack([v[:, :3].ravel() for v in vals])
     n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = lie_bracket(basis[i], basis[j])
-            coef, resid = decompose(br, basis, grid)
-            worst = max(worst, resid)
-            entry = {k + 1: float(c) for k, c in enumerate(coef)
-                     if abs(c) > 1e-9}
-            if entry:
-                structure[(i + 1, j + 1)] = entry
-    return CommutatorTable(dim=len(basis), constants={},
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = []
+    for i, j in pairs:
+        tv, rv, sv, tv1, rv1, sv1 = vals[i].T
+        tw, rw, sw, tw1, rw1, sw1 = vals[j].T
+        brackets.append(np.column_stack([
+            tv * tw1 - tw * tv1,
+            tv * rw1 - tw * rv1 + (rv * tw1 - rw * tv1) / 2,
+            tv * sw1 - tw * sv1 - (rv * rw1 - rw * rv1) / 2]).ravel())
+    Y = np.column_stack(brackets)
+    coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
+    scale = 1.0 + np.abs(Y).max(axis=0)
+    worst = float(np.max(np.abs(A @ coef - Y).max(axis=0) / scale))
+    structure = {}
+    for col, (i, j) in enumerate(pairs):
+        entry = {k + 1: float(c) for k, c in enumerate(coef[:, col])
+                 if abs(c) > 1e-9}
+        if entry:
+            structure[(i + 1, j + 1)] = entry
+    return CommutatorTable(dim=n, constants={},
                            structure=structure, residual=worst)
 
 
@@ -376,8 +349,8 @@ def published_table(dim, c2, c1, c0):
     """The published structure constants for the matching basis family.
 
     Known publication typos are reproduced verbatim here; verify_table
-    treats the symbolically computed bracket as ground truth and flags any
-    line it cannot reproduce.
+    treats the bracket computed from the scalar triples as ground truth and
+    flags any line it cannot reproduce.
     """
     k = math.sqrt(abs(c2)) if c2 != 0 else 0.0
     if dim == 4:
@@ -441,17 +414,15 @@ class TableReport:
         return not self.flagged
 
 
-def verify_table(basis, expected, tol=1e-7, grid=None):
-    """Compare computed brackets with an expected CommutatorTable.
+def verify_table(computed, expected, tol=1e-7):
+    """Compare a computed CommutatorTable with an expected one.
 
     Lines that match within tol go to report.matched; mismatching lines are
-    collected in report.flagged (not raised): the symbolically computed
-    bracket is the ground truth and several published table lines contain
-    typos.
+    collected in report.flagged (not raised): the computed bracket is the
+    ground truth and several published table lines contain typos.
     """
-    computed = commutator_table(basis, grid)
     matched, flagged = [], []
-    n = len(basis)
+    n = computed.dim
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             exp = expected.structure.get((i, j), {})

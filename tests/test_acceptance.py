@@ -127,7 +127,8 @@ def test_criterion_4_commutator_tables_over_random_bindings():
             assert cls.dim == int(fam[3])
             basis = S.emit_basis(cls, inv)
             cc = cls.constants
-            rep = S.verify_table(basis, S.published_table(
+            table = S.commutator_table(basis)
+            rep = S.verify_table(table, S.published_table(
                 cls.dim, cc.get("c2", 0.0), cc.get("c1", 0.0),
                 cc.get("c0", 0.0)), tol=1e-7)
             assert rep.bracket_residual <= 1e-7, fam

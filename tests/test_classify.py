@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from parasym import symmetry as S
 from parasym.classify import (ClassifyConfig, IllConditionedFit,
                               SymmetryClassification, check_fp_logdiffusion,
                               classify)
@@ -44,6 +45,21 @@ class TestDimensionSix:
         assert cls.dim == 6
         assert cls.constants["c0"] == pytest.approx(
             -ell ** 2 / (2 * sigma ** 2) - r, abs=1e-9)
+
+    def test_drift_constants_are_not_snapped_off_the_fit(self):
+        # b = 0.567 x: the nearest fraction to c2 with denominator <= 10^6,
+        # -95/1182, lies 4e-10 from -beta^2/4, and generators built from it
+        # fail the 1e-8 determining check
+        beta = 0.567
+        inv = compute_invariants(eq("1", "0.567*x"))
+        cls = classify(inv)
+        assert cls.dim == 6
+        want = {"c2": -beta ** 2 / 4, "c1": 0.0, "c0": -beta / 2}
+        for k, v in want.items():
+            assert abs(cls.constants[k] - v) <= 1e-13, k
+        worst = max(S.check_determining(inv, vf)["max"]
+                    for vf in S.emit_basis(cls, inv))
+        assert worst <= 1e-8
 
     def test_cir_reducible_branch(self):
         # sigma = 2, f = 1 - x: 3 sigma^2 - 8 a0 sigma + 4 a0^2 = 0 at a0 = 1

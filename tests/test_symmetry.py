@@ -4,14 +4,21 @@ boundary-condition subalgebras."""
 import dataclasses
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parasym import expr as E
 from parasym import symmetry as S
 from parasym.classify import classify
-from parasym.invariants import ParabolicEquation, compute_invariants
-from parasym.parser import parse_expression as P
+from parasym.cli import CORPUS_EXPECT
+from parasym.expr import chebyshev_points
+from parasym.invariants import (ParabolicEquation, compute_invariants,
+                                probe_window)
+from parasym.parser import parse_expression as P, parse_file
+
+EQDIR = Path(__file__).resolve().parent.parent / "equations"
 
 
 def setup_case(a, b="0", c="0", domain=(-math.inf, math.inf)):
@@ -20,6 +27,98 @@ def setup_case(a, b="0", c="0", domain=(-math.inf, math.inf)):
     cls = classify(inv)
     basis = S.emit_basis(cls, inv)
     return e, inv, cls, basis
+
+
+def random_binding_potentials():
+    """20 dim-6 potentials -(c2 x^2 + c1 x + c0) over random bindings."""
+    rng = random.Random(20250823)
+    out = []
+    for _ in range(20):
+        c1 = rng.uniform(-2.0, 2.0)
+        c0 = rng.uniform(-2.0, 2.0)
+        c2 = rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.25, 2.0)
+        out.append("-(%r)*x^2 - (%r)*x - (%r)" % (c2, c1, c0))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference structure constants: brackets taken symbolically on the
+# (tau, xi, phi) coefficients over {x, t, Ivar}, sampled on an x-t grid and
+# decomposed there by least squares
+
+def lie_bracket(v, w):
+    """[v, w] computed symbolically component-wise."""
+    inv = v.inv or w.inv
+
+    def act(f, e):
+        """Apply f = tau d_t + xi d_x to scalar Expr e."""
+        parts = []
+        if f.tau is not E.ZERO and E.contains_symbol(e, S.T):
+            parts.append(E.mul(f.tau, S._dt(e)))
+        if f.xi is not E.ZERO:
+            dxe = S._dx(e, inv)
+            if dxe is not E.ZERO:
+                parts.append(E.mul(f.xi, dxe))
+        return E.Expr("add", parts) if parts else E.ZERO
+
+    return S.VectorField(
+        tau=E.simplify(E.add(act(v, w.tau), E.neg(act(w, v.tau)))),
+        xi=E.simplify(E.add(act(v, w.xi), E.neg(act(w, v.xi)))),
+        phi=E.simplify(E.add(act(v, w.phi), E.neg(act(w, v.phi)))),
+        inv=inv, i_offset=v.i_offset)
+
+
+def components(vf, x, t):
+    env = vf.env(x, t)
+    return [E.evaluate(e, env) if e is not E.ZERO else 0.0
+            for e in (vf.tau, vf.xi, vf.phi)]
+
+
+def reference_structure(basis):
+    lo, hi = probe_window(basis[0].inv.domain)
+    grid = [(x, 0.07 + (0.41 - 0.07) * j / 3)
+            for x in chebyshev_points(lo, hi, 6) for j in range(4)]
+
+    def sampled(vf):
+        return np.array([v for x, t in grid for v in components(vf, x, t)])
+
+    A = np.column_stack([sampled(vf) for vf in basis])
+    structure = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            y = sampled(lie_bracket(basis[i], basis[j]))
+            coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+            entry = {k + 1: float(c) for k, c in enumerate(coef)
+                     if abs(c) > 1e-9}
+            if entry:
+                structure[(i + 1, j + 1)] = entry
+    return structure
+
+
+def _corpus_case(stem):
+    inv = compute_invariants(ParabolicEquation.from_program(
+        parse_file(EQDIR / (stem + ".eq"))))
+    return S.emit_basis(classify(inv), inv)
+
+
+def _coefficient_case(a, b="0", c="0", domain=(-math.inf, math.inf)):
+    return setup_case(a, b, c, domain)[3]
+
+
+DIFFERENTIAL_CASES = (
+    [pytest.param(_corpus_case, (stem,), id="corpus-" + stem)
+     for stem, (dim, _) in sorted(CORPUS_EXPECT.items()) if dim in (4, 6)]
+    + [pytest.param(_coefficient_case, ("1", "0", pot), id="binding-%d" % n)
+       for n, pot in enumerate(random_binding_potentials())]
+    # dim 4, the last three in a shifted gauge (I + s, s = 2, -1, 3)
+    + [pytest.param(_coefficient_case, (a, b, c, (lo, math.inf)),
+                    id="dim4-%s-%s-%s" % (a, b, c))
+       for a, b, c, lo in [("x^6", "0", "0", 0.0), ("1", "5/x", "0", 0.0),
+                           ("x", "1 - x", "0", 0.0),
+                           ("1", "3/x", "0.7*x^2 - 0.2", 0.0),
+                           ("1", "3/(x+2)", "0", -2.0),
+                           ("1", "3/(x-1)", "0.7*(x-1)^2", 1.0),
+                           ("1", "5/(x+3)", "-0.5*(x+3)^2 + 0.3", -3.0)]])
 
 
 class TestDeterminingEquations:
@@ -80,25 +179,36 @@ class TestBrackets:
     def test_bracket_of_commuting_pair(self):
         # time translation and the u-scaling M commute
         _, inv, _, basis = setup_case("1")
-        br = S.lie_bracket(basis[0], basis[-1])
+        br = lie_bracket(basis[0], basis[-1])
         for x in (-1.0, 0.5):
             for t in (0.1, 0.4):
-                assert max(abs(v) for v in br.components(x, t)) <= 1e-12
+                assert max(abs(v) for v in components(br, x, t)) <= 1e-12
+
+    @pytest.mark.parametrize("build,args", DIFFERENTIAL_CASES)
+    def test_table_matches_sampled_symbolic_brackets(self, build, args):
+        basis = build(*args)
+        want = reference_structure(basis)
+        got = S.commutator_table(basis).structure
+        assert set(got) == set(want)
+        for ij, entry in want.items():
+            assert set(got[ij]) == set(entry), ij
+            for k, c in entry.items():
+                assert abs(got[ij][k] - c) <= 1e-12 * (1.0 + abs(c)), (ij, k)
 
 
 class TestPublishedTables:
     def test_heat_family_matches(self):
         _, _, cls, basis = setup_case("1")
         expected = S.published_table(6, 0.0, 0.0, 0.0)
-        rep = S.verify_table(basis, expected)
+        rep = S.verify_table(S.commutator_table(basis), expected)
         assert rep.ok
         assert len(rep.matched) == 15
 
     def test_exponential_family_matches(self):
         _, _, cls, basis = setup_case("1", "0", "-(x^2)")
         c = cls.constants
-        rep = S.verify_table(basis, S.published_table(6, c["c2"], c["c1"],
-                                                      c["c0"]))
+        rep = S.verify_table(S.commutator_table(basis), S.published_table(
+            6, c["c2"], c["c1"], c["c0"]))
         assert rep.ok
 
     def test_linear_potential_flags_known_line(self):
@@ -106,16 +216,16 @@ class TestPublishedTables:
         # symbolic bracket gives c1
         _, _, cls, basis = setup_case("1", "0", "-x")
         c = cls.constants
-        rep = S.verify_table(basis, S.published_table(6, c["c2"], c["c1"],
-                                                      c["c0"]))
+        rep = S.verify_table(S.commutator_table(basis), S.published_table(
+            6, c["c2"], c["c1"], c["c0"]))
         flagged_pairs = {(i, j) for (i, j, *_rest) in rep.flagged}
         assert flagged_pairs == {(1, 5)}
 
     def test_trigonometric_family_flags_sign_lines(self):
         _, _, cls, basis = setup_case("1", "0", "x^2")
         c = cls.constants
-        rep = S.verify_table(basis, S.published_table(6, c["c2"], c["c1"],
-                                                      c["c0"]))
+        rep = S.verify_table(S.commutator_table(basis), S.published_table(
+            6, c["c2"], c["c1"], c["c0"]))
         flagged_pairs = {(i, j) for (i, j, *_rest) in rep.flagged}
         assert flagged_pairs == {(1, 4), (1, 5), (3, 4), (3, 5), (4, 5)}
 
@@ -124,7 +234,8 @@ class TestPublishedTables:
             a, b, c = coeffs
             _, _, cls, basis = setup_case(a, b, c, domain=(0.0, math.inf))
             cc = cls.constants
-            rep = S.verify_table(basis, S.published_table(
+            table = S.commutator_table(basis)
+            rep = S.verify_table(table, S.published_table(
                 4, cc.get("c2", 0.0), 0.0, cc.get("c0", 0.0)))
             assert rep.ok
 
@@ -133,22 +244,18 @@ class TestPublishedTables:
         _, _, _, basis = setup_case("1")
         wrong = S.published_table(6, 0.0, 0.0, 0.0)
         wrong.structure[(1, 2)] = {1: 5.0}
-        rep = S.verify_table(basis, wrong)
+        rep = S.verify_table(S.commutator_table(basis), wrong)
         assert not rep.ok
 
 
 class TestRandomBindings:
     def test_scalar_families_reproduce_tables_over_bindings(self):
-        rng = random.Random(20250823)
         checked = 0
-        for _ in range(20):
-            c1 = rng.uniform(-2.0, 2.0)
-            c0 = rng.uniform(-2.0, 2.0)
-            c2 = rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.25, 2.0)
-            pot = "-(%r)*x^2 - (%r)*x - (%r)" % (c2, c1, c0)
+        for pot in random_binding_potentials():
             _, inv, cls, basis = setup_case("1", "0", pot)
             assert cls.dim == 6
-            rep = S.verify_table(basis, S.published_table(
+            table = S.commutator_table(basis)
+            rep = S.verify_table(table, S.published_table(
                 6, cls.constants["c2"], cls.constants["c1"],
                 cls.constants["c0"]))
             assert rep.bracket_residual <= 1e-7
