@@ -17,6 +17,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -302,11 +303,13 @@ CORPUS_EXPECT = {
     "radial_k2": (6, {"c2": 0.0, "c1": 0.0, "c0": 0.0}),
     "tanh_drift": (6, {"c2": 0.0, "c1": 0.0, "c0": -0.25}),
     "linear_drift": (6, {"c2": -0.25, "c1": 0.0, "c0": -0.5}),
+    "linear_drift_steep": (6, {"c2": -1.0, "c1": 0.0, "c0": 1.0}),
     "black_scholes": (6, {"c2": 0.0, "c1": 0.0, "c0": -0.06125}),
     "cir_reducible": (6, {"c2": -0.0625, "c1": 0.0, "c0": 0.25}),
     "cir_generic": (4, {"mu": 0.25}),
     "divergence_brownian": (6, {"c2": 0.0, "c1": 0.0, "c0": -1.0}),
     "harmonic_potential": (6, {"c2": -1.0, "c1": 0.0, "c0": 0.0}),
+    "harmonic_stiff": (6, {"c2": -1.21, "c1": 1.0, "c0": 0.0}),
     "generic_dim2": (2, {}),
 }
 
@@ -413,9 +416,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built by the first main() call and reused: a
+    parser is a web of cyclic references, garbage once dropped."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args, extra = ap.parse_known_args(argv)
+    args, extra = _parser().parse_known_args(argv)
     if args.command == "analyze":
         if extra:
             print("error: unrecognized arguments: %s" % " ".join(extra),

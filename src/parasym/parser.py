@@ -265,7 +265,7 @@ def parse(source):
             p.expect("eq")
             e = _statement_expr(p, declared)
             try:
-                constants[name.text] = E.evaluate(e, constants)
+                constants[name.text] = _constant(e, constants)
             except E.ExprError as exc:
                 raise SyntaxError("const %s is not a constant: %s" % (name.text, exc),
                                   name.line, name.col) from exc
@@ -318,26 +318,36 @@ def _checked_expression(p, declared):
     return e
 
 
+def _constant(e, env):
+    """Value of a constant expression.  A number node is read directly
+    rather than compiled for a single evaluation; anything else, and a
+    number with no finite float value, goes through E.evaluate."""
+    if e.kind == "num":
+        try:
+            v = float(e.value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    return E.evaluate(e, env)
+
+
 def _bound(p, declared, constants):
-    e = _checked_expression(p, declared)
+    e = E.simplify(_checked_expression(p, declared))
     env = dict(constants)
     env["inf"] = math.inf
-    try:
-        return E.evaluate(E.simplify(e), env)
-    except E.DomainError:
-        # +-inf is a legal bound but evaluate rejects non-finite results
-        v = _eval_allow_inf(E.simplify(e), env)
-        return v
+    return _eval_allow_inf(e, env)
 
 
 def _eval_allow_inf(e, env):
+    """+-inf is a legal bound, but evaluate rejects non-finite results."""
     if e.kind == "sym" and e.value == "inf":
         return math.inf
     if e.kind == "mul" and len(e.args) == 2 and E.is_num(e.args[0], -1):
         return -_eval_allow_inf(e.args[1], env)
     if e.kind == "neg":
         return -_eval_allow_inf(e.args[0], env)
-    return E.evaluate(e, env)
+    return _constant(e, env)
 
 
 # ---------------------------------------------------------------------------

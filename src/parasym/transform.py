@@ -18,6 +18,22 @@ omega'' - 4 q2 omega = -2 q1, and
 If u~ solves the heat equation u~_t = u~_xx then u = u~/theta solves the
 original equation; the pullback residual test below is the ground truth for
 all sign conventions used here.
+
+Every factor has a closed-form derivative, so the pullback's derivatives come
+from the chain rule.  Write E = -G/2 - A I^2 - (omega' + 4 A omega) I/2 (the
+exponent of theta), m = e^{-E}/nu and X = x~; with the jet (v, v_X, v_XX,
+v_T) of the heat solution v = u~ at (X, T(t)),
+
+    u_x  = m (v_X X_x - v E_x),
+    u_xx = m (v_XX X_x^2 + v_X X_xx - 2 v_X X_x E_x + v (E_x^2 - E_xx)),
+    u_t  = m (v_X X_t + v_T T' - v (E_t + (ln nu)')),
+
+where X_x = sqrt(T') I', X_t = sqrt(T') (4 A (I + omega) + omega'),
+I' = 1/sqrt(a), G' = J/sqrt(a), A' = (T''' T' - T''^2)/(8 T'^2),
+omega'' = 4 q2 omega - 2 q1 and
+
+    (ln nu)' = -T''/(4 T') - A' omega^2 - 2 A omega omega'
+               - (4 q2 omega^2 + omega'^2 - 4 q0)/4.
 """
 
 from __future__ import annotations
@@ -333,22 +349,29 @@ class HeatTransform:
         else:
             self.G = quadrature_fn1(integrand, inv.domain,
                                     base_point(inv.domain))
+        self._d2I = E.differentiate(inv.I.derivative)
+        self._d2G = E.differentiate(integrand)
         self._t_records = {}
         self._x_records = {}
 
     # -- scalar pieces ----------------------------------------------------
     def _at_t(self, t):
-        """(T, sqrt T', A, omega, omega', nu) at t."""
+        """(T, sqrt T', A, omega, omega', nu, T', A', omega'', (ln nu)') at
+        t."""
         rec = self._t_records.get(t)
         if rec is None:
             rec = self._t_records[t] = self._time_factors(t)
         return rec
 
     def _at_x(self, x):
-        """(I, G) at x."""
+        """(I, G, I', I'', G', G'') at x."""
         rec = self._x_records.get(x)
         if rec is None:
-            rec = self._x_records[x] = (self.inv.I(x), self.G(x))
+            env = {"x": x}
+            rec = self._x_records[x] = (
+                self.inv.I(x), self.G(x),
+                self.inv.I.d(x), E.evaluate(self._d2I, env),
+                self.G.d(x), E.evaluate(self._d2G, env))
         return rec
 
     def _time_factors(self, t):
@@ -356,12 +379,18 @@ class HeatTransform:
         dT = mob.d(t, 1)
         if dT <= 0:
             raise DegenerateTransform("T'(%g) = %g <= 0" % (t, dT))
-        A = mob.d(t, 2) / (8.0 * dT)
+        d2T, d3T = mob.d(t, 2), mob.d(t, 3)
+        A = d2T / (8.0 * dT)
+        dA = (d3T * dT - d2T * d2T) / (8.0 * dT * dT)
         w = E.evaluate(self.omega_expr, {T: t})
         dw = E.evaluate(self.domega_expr, {T: t}) \
             if self.domega_expr is not E.ZERO else 0.0
+        q2, q1, _ = self.q
+        d2w = 4.0 * q2 * w - 2.0 * q1
         nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * self._Q(t))
-        return mob(t), math.sqrt(dT), A, w, dw, nu
+        dlog_nu = (-d2T / (4.0 * dT) - dA * w * w - 2.0 * A * w * dw
+                   - 0.25 * E.evaluate(self.nu_integrand, {T: t}))
+        return mob(t), math.sqrt(dT), A, w, dw, nu, dT, dA, d2w, dlog_nu
 
     def _Q(self, t):
         """int_0^t of the nu-exponent integrand."""
@@ -378,14 +407,36 @@ class HeatTransform:
         return self._at_t(t)[0]
 
     def x_tilde(self, x, t):
-        _, sqrt_dT, _, w, _, _ = self._at_t(t)
+        _, sqrt_dT, _, w, *_ = self._at_t(t)
         return sqrt_dT * (self._at_x(x)[0] + w)
 
     def theta(self, x, t):
-        _, _, At, w, dw, nu = self._at_t(t)
-        Iv, Gv = self._at_x(x)
+        _, _, At, w, dw, nu, *_ = self._at_t(t)
+        Iv, Gv, *_ = self._at_x(x)
         expo = (-0.5 * Gv - At * Iv * Iv - 0.5 * (dw + 4.0 * At * w) * Iv)
         return nu * math.exp(expo)
+
+    def pullback_jet(self, v_jet):
+        """(x, t) -> (u, u_x, u_xx, u_t) of u = v(x~, t~)/theta, by the chain
+        rule of the module docstring, where v_jet(X, T) gives (v, v_X, v_XX,
+        v_T) of a heat solution v."""
+        def jet(x, t):
+            Tt, s, A, w, dw, nu, dT, dA, d2w, dlog_nu = self._at_t(t)
+            Iv, Gv, dI, d2I, dG, d2G = self._at_x(x)
+            v, vX, vXX, vT = v_jet(s * (Iv + w), Tt)
+            B = dw + 4.0 * A * w
+            Ex = -0.5 * dG - 2.0 * A * Iv * dI - 0.5 * B * dI
+            Exx = -0.5 * d2G - 2.0 * A * (dI * dI + Iv * d2I) - 0.5 * B * d2I
+            Et = -dA * Iv * Iv - 0.5 * (d2w + 4.0 * (dA * w + A * dw)) * Iv
+            m = math.exp(0.5 * Gv + A * Iv * Iv + 0.5 * B * Iv) / nu
+            Xx, Xxx = s * dI, s * d2I
+            Xt = s * (4.0 * A * (Iv + w) + dw)
+            return (m * v,
+                    m * (vX * Xx - v * Ex),
+                    m * (vXX * Xx * Xx + vX * Xxx - 2.0 * vX * Xx * Ex
+                         + v * (Ex * Ex - Exx)),
+                    m * (vX * Xt + vT * dT - v * (Et + dlog_nu)))
+        return jet
 
     def describe(self):
         parts = {
@@ -420,19 +471,27 @@ def map_solution(ht, u_tilde):
 # ---------------------------------------------------------------------------
 # pullback verification
 
+def _exp_jet(x, t):
+    v = math.exp(x + t)
+    return v, v, v, v
+
+
+# heat solutions v(X, T) as jets (v, v_X, v_XX, v_T)
 HEAT_SOLUTIONS = (
-    ("1", lambda x, t: 1.0),
-    ("x", lambda x, t: x),
-    ("x^2+2t", lambda x, t: x * x + 2.0 * t),
-    ("exp(x+t)", lambda x, t: math.exp(x + t)),
+    ("1", lambda x, t: (1.0, 0.0, 0.0, 0.0)),
+    ("x", lambda x, t: (x, 1.0, 0.0, 0.0)),
+    ("x^2+2t", lambda x, t: (x * x + 2.0 * t, 2.0 * x, 2.0, 2.0)),
+    ("exp(x+t)", _exp_jet),
 )
 
 
-def pde_residual(eq, ufun, n=21, t_interval=(0.05, 0.45), window=None,
-                 hx=None, ht=None):
-    """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid,
-    derivatives by 4th-order central differences.  `eq` is a
-    ParabolicEquation, or anything with normalized a, b, c and a domain."""
+def pde_residual(eq, ufun=None, n=21, t_interval=(0.05, 0.45), window=None,
+                 hx=None, ht=None, jet=None):
+    """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid.
+    `jet(x, t)` gives (u, u_x, u_xx, u_t) exactly; a plain callable `ufun`
+    is differentiated by 4th-order central differences with steps hx and
+    ht.  `eq` is a ParabolicEquation, or anything with normalized a, b, c
+    and a domain."""
     if isinstance(eq, ParabolicEquation):
         a, b, c, _ = normalize(eq)
         domain = eq.domain
@@ -440,10 +499,26 @@ def pde_residual(eq, ufun, n=21, t_interval=(0.05, 0.45), window=None,
         a, b, c, domain = eq.a, eq.b, eq.c, eq.domain
     lo, hi = window or probe_window(domain)
     t0, t1 = t_interval
-    ht = ht or 0.01 * (t1 - t0)
+    if jet is None:
+        jet = _difference_jet(ufun, domain, hx, ht or 0.01 * (t1 - t0))
     worst = 0.0
     for i in range(n):
         x = lo + (hi - lo) * i / (n - 1)
+        av = E.evaluate(a, {"x": x})
+        bv = E.evaluate(b, {"x": x})
+        cv = E.evaluate(c, {"x": x})
+        for j in range(n):
+            t = t0 + (t1 - t0) * j / (n - 1)
+            uv, ux, uxx, ut = jet(x, t)
+            resid = ut - av * uxx - bv * ux - cv * uv
+            scale = abs(ut) + abs(av * uxx) + abs(bv * ux) + abs(cv * uv) \
+                + abs(uv) + 1.0
+            worst = max(worst, abs(resid) / scale)
+    return worst
+
+
+def _difference_jet(ufun, domain, hx, ht):
+    def jet(x, t):
         # step adapted to the local scale: stay well away from singular
         # domain endpoints where u may have large higher derivatives
         if hx is None:
@@ -455,20 +530,11 @@ def pde_residual(eq, ufun, n=21, t_interval=(0.05, 0.45), window=None,
             hx_loc = 0.02 * L
         else:
             hx_loc = hx
-        av = E.evaluate(a, {"x": x})
-        bv = E.evaluate(b, {"x": x})
-        cv = E.evaluate(c, {"x": x})
-        for j in range(n):
-            t = t0 + (t1 - t0) * j / (n - 1)
-            ut = _d1(lambda s: ufun(x, s), t, ht)
-            ux = _d1(lambda s: ufun(s, t), x, hx_loc)
-            uxx = _d2(lambda s: ufun(s, t), x, hx_loc)
-            uv = ufun(x, t)
-            resid = ut - av * uxx - bv * ux - cv * uv
-            scale = abs(ut) + abs(av * uxx) + abs(bv * ux) + abs(cv * uv) \
-                + abs(uv) + 1.0
-            worst = max(worst, abs(resid) / scale)
-    return worst
+        return (ufun(x, t),
+                _d1(lambda s: ufun(s, t), x, hx_loc),
+                _d2(lambda s: ufun(s, t), x, hx_loc),
+                _d1(lambda s: ufun(x, s), t, ht))
+    return jet
 
 
 def _d1(f, x, h):
@@ -482,7 +548,8 @@ def _d2(f, x, h):
 
 def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
     """Map each reference heat solution through the transform and measure the
-    PDE residual of the result.  Returns {name: residual}.
+    PDE residual of the result from its exact jet.  `solutions` holds (name,
+    v_jet) pairs as in HEAT_SOLUTIONS.  Returns {name: residual}.
 
     Raises DomainError when a pulled-back solution overflows on the grid."""
     if ht is None:
@@ -494,10 +561,10 @@ def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
     span = hi - lo
     t_int = (lo + 0.25 * span, hi - 0.25 * span)
     out = {}
-    for name, sol in solutions:
-        u = map_solution(ht, sol)
+    for name, v_jet in solutions:
         try:
-            out[name] = pde_residual(forward, u, n=n, t_interval=t_int)
+            out[name] = pde_residual(forward, n=n, t_interval=t_int,
+                                     jet=ht.pullback_jet(v_jet))
         except OverflowError as exc:
             raise E.DomainError("pullback of the heat solution %s: %s"
                                 % (name, exc)) from exc

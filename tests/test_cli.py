@@ -1,5 +1,6 @@
 """CLI subcommands, JSON report schema, determinism, and exit codes."""
 
+import gc
 import json
 import os
 import warnings
@@ -168,3 +169,31 @@ class TestReportCompleteness:
         rep = json.loads(out)
         for coeff in ("a", "b", "c"):
             assert set(rep["input"][coeff]) == {"text", "sexpr"}
+
+
+class TestArgumentParser:
+    @staticmethod
+    def from_argparse(obj):
+        return "argparse" in (type(obj).__module__,
+                              getattr(obj, "__module__", None))
+
+    def test_repeated_calls_leave_no_argparse_garbage(self, capsys):
+        argvs = (["kernels", "list"],
+                 ["--json", "analyze", eqpath("generic_dim2")])
+        for argv in argvs:
+            cli.main(argv)
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                for argv in argvs:
+                    cli.main(argv)
+            gc.collect()
+            left = [type(o).__name__ for o in gc.garbage
+                    if self.from_argparse(o)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert left == []

@@ -123,3 +123,29 @@ class TestPrograms:
         f.write_text("var x\na = 1\nb = 0\nc = 0\n")
         prog = parser.parse_file(str(f))
         assert E.is_num(prog.assignments["a"], 1)
+
+
+class TestConstantFolding:
+    def test_number_constants_and_bounds_are_read_not_compiled(self,
+                                                              monkeypatch):
+        text = ("var x\nconst k = 3/7\nconst m = 0.1\na = 1\nb = k*x\n"
+                "c = m\ndomain = %s\n")
+        domains = {"(-2/3, 1e3)": (-2 / 3, 1e3),
+                   "(-inf, inf)": (-math.inf, math.inf)}
+        want = [parse(text % d) for d in domains]
+        calls = []
+        evaluate = E.evaluate
+        monkeypatch.setattr(E, "evaluate",
+                            lambda e, env=None: calls.append(e) or
+                            evaluate(e, env))
+        got = [parse(text % d) for d in domains]
+        assert calls == []
+        for g, w, domain in zip(got, want, domains.values()):
+            assert g.constants == w.constants == {"k": 3 / 7, "m": 0.1}
+            assert g.domain == w.domain == domain
+
+    def test_derived_constants_and_infinite_bounds_still_evaluate(self):
+        prog = parse("var x\nconst k = 2\nconst m = k*pi\na = 1\nb = 0\n"
+                     "c = m\ndomain = (-inf, k)\n")
+        assert prog.constants["m"] == 2 * math.pi
+        assert prog.domain == (-math.inf, 2.0)

@@ -1,6 +1,7 @@
 """Heat-equation reductions: Schwarzian time maps, multiplier assembly,
 and pullback of reference heat solutions."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -10,12 +11,14 @@ import pytest
 
 from parasym import expr as E
 from parasym.classify import classify
+from parasym.cli import CORPUS_EXPECT
 from parasym.invariants import (DegenerateTransform, ParabolicEquation,
-                                compute_invariants)
+                                compute_invariants, normalize, probe_window)
 from parasym.parser import parse_expression as P, parse_file
 from parasym.transform import (HEAT_SOLUTIONS, HeatTransform, MobiusMap,
-                               NotReducible, build_heat_transform,
-                               map_solution, pde_residual, solve_schwarzian,
+                               NotReducible, _difference_jet,
+                               build_heat_transform, map_solution,
+                               pde_residual, solve_schwarzian,
                                verify_pullback)
 
 EQDIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -24,6 +27,14 @@ EQDIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def eq(a, b="0", c="0", domain=(-math.inf, math.inf)):
     return ParabolicEquation(P(a), P(b), P(c), domain=domain)
+
+
+def corpus_eq(stem):
+    return ParabolicEquation.from_program(
+        parse_file(os.path.join(EQDIR, stem + ".eq")))
+
+
+DIM6_CORPUS = sorted(s for s, (dim, _) in CORPUS_EXPECT.items() if dim == 6)
 
 
 def transform_for(e, mode="default", **kw):
@@ -83,6 +94,62 @@ class TestPullback:
         # x^2 (without the +2t partner) is not a heat solution
         bad = pde_residual(eq("1"), lambda x, t: x * x)
         assert bad >= 1e-3
+
+
+class TestExactDerivatives:
+    """The chain-rule jet of a pulled-back heat solution against finite
+    differences of the same pulled-back function, and against transforms
+    built from wrong constants."""
+
+    @pytest.mark.parametrize("stem", DIM6_CORPUS)
+    def test_jet_agrees_with_small_step_differences(self, stem):
+        e = corpus_eq(stem)
+        ht, _, _ = transform_for(e)
+        a, b, c, _ = normalize(e)
+        lo, hi = ht.t_interval
+        t0, t1 = lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)
+        x0, x1 = probe_window(e.domain)
+        n = 11
+        grid = [(x0 + (x1 - x0) * i / (n - 1), t0 + (t1 - t0) * j / (n - 1))
+                for i in range(n) for j in range(n)]
+        # each derivative's difference as it enters the residual, and the
+        # difference of the two residuals, over the residual's scale
+        worst_term = worst_sum = 0.0
+        for _, v_jet in HEAT_SOLUTIONS:
+            exact = ht.pullback_jet(v_jet)
+            u = map_solution(ht, lambda X, T: v_jet(X, T)[0])
+            fd = _difference_jet(u, e.domain, 0.002, 0.001 * (t1 - t0))
+            for x, t in grid:
+                av, bv, cv = (E.evaluate(f, {"x": x}) for f in (a, b, c))
+                uv, ux, uxx, ut = exact(x, t)
+                _, dx, dxx, dt = fd(x, t)
+                scale = abs(ut) + abs(av * uxx) + abs(bv * ux) \
+                    + abs(cv * uv) + abs(uv) + 1.0
+                terms = (ut - dt, av * (uxx - dxx), bv * (ux - dx))
+                worst_term = max(worst_term, max(map(abs, terms)) / scale)
+                worst_sum = max(worst_sum,
+                                abs(terms[0] - terms[1] - terms[2]) / scale)
+        # differences are truncation error of the stencils: largest (1.0e-6
+        # per term, 3.9e-7 summed) on divergence_brownian next to x = 1
+        assert worst_sum <= 1e-6
+        assert worst_term <= 1e-5
+
+    @pytest.mark.parametrize("stem", DIM6_CORPUS)
+    def test_corpus_residual_is_rounding_level(self, stem):
+        assert max(verify_pullback(corpus_eq(stem)).values()) <= 1e-12
+
+    @pytest.mark.parametrize("key", ["c0", "c1", "c2"])
+    @pytest.mark.parametrize("stem", ["linear_drift", "harmonic_potential",
+                                      "brownian"])
+    def test_wrong_constants_are_caught(self, stem, key):
+        e = corpus_eq(stem)
+        inv = compute_invariants(e)
+        cls = classify(inv)
+        consts = dict(cls.constants)
+        consts[key] += 1e-3
+        ht = build_heat_transform(dataclasses.replace(cls, constants=consts),
+                                  inv)
+        assert max(verify_pullback(e, ht).values()) >= 1e-5
 
 
 class TestKnownClosedForms:
