@@ -382,7 +382,10 @@ def cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built by the first main() call and reused: a
+    parser is a web of cyclic references, garbage once dropped."""
     ap = argparse.ArgumentParser(
         prog="parasym",
         description="Lie point-symmetry classification of 1-D linear "
@@ -416,15 +419,8 @@ def build_parser():
     return ap
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built by the first main() call and reused: a
-    parser is a web of cyclic references, garbage once dropped."""
-    return build_parser()
-
-
 def main(argv=None):
-    args, extra = _parser().parse_known_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     if args.command == "analyze":
         if extra:
             print("error: unrecognized arguments: %s" % " ".join(extra),

@@ -485,22 +485,17 @@ HEAT_SOLUTIONS = (
 )
 
 
-def pde_residual(eq, ufun=None, n=21, t_interval=(0.05, 0.45), window=None,
-                 hx=None, ht=None, jet=None):
-    """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid.
-    `jet(x, t)` gives (u, u_x, u_xx, u_t) exactly; a plain callable `ufun`
-    is differentiated by 4th-order central differences with steps hx and
-    ht.  `eq` is a ParabolicEquation, or anything with normalized a, b, c
-    and a domain."""
+def pde_residual(eq, jet, n=21, t_interval=(0.05, 0.45)):
+    """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid,
+    where `jet(x, t)` gives (u, u_x, u_xx, u_t).  `eq` is a
+    ParabolicEquation, or anything with normalized a, b, c and a domain."""
     if isinstance(eq, ParabolicEquation):
         a, b, c, _ = normalize(eq)
         domain = eq.domain
     else:
         a, b, c, domain = eq.a, eq.b, eq.c, eq.domain
-    lo, hi = window or probe_window(domain)
+    lo, hi = probe_window(domain)
     t0, t1 = t_interval
-    if jet is None:
-        jet = _difference_jet(ufun, domain, hx, ht or 0.01 * (t1 - t0))
     worst = 0.0
     for i in range(n):
         x = lo + (hi - lo) * i / (n - 1)
@@ -515,35 +510,6 @@ def pde_residual(eq, ufun=None, n=21, t_interval=(0.05, 0.45), window=None,
                 + abs(uv) + 1.0
             worst = max(worst, abs(resid) / scale)
     return worst
-
-
-def _difference_jet(ufun, domain, hx, ht):
-    def jet(x, t):
-        # step adapted to the local scale: stay well away from singular
-        # domain endpoints where u may have large higher derivatives
-        if hx is None:
-            L = 1.0
-            if math.isfinite(domain[0]):
-                L = min(L, x - domain[0])
-            if math.isfinite(domain[1]):
-                L = min(L, domain[1] - x)
-            hx_loc = 0.02 * L
-        else:
-            hx_loc = hx
-        return (ufun(x, t),
-                _d1(lambda s: ufun(s, t), x, hx_loc),
-                _d2(lambda s: ufun(s, t), x, hx_loc),
-                _d1(lambda s: ufun(x, s), t, ht))
-    return jet
-
-
-def _d1(f, x, h):
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-
-def _d2(f, x, h):
-    return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)
-            + 16 * f(x - h) - f(x - 2 * h)) / (12 * h * h)
 
 
 def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
@@ -563,8 +529,8 @@ def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
     out = {}
     for name, v_jet in solutions:
         try:
-            out[name] = pde_residual(forward, n=n, t_interval=t_int,
-                                     jet=ht.pullback_jet(v_jet))
+            out[name] = pde_residual(forward, ht.pullback_jet(v_jet), n=n,
+                                     t_interval=t_int)
         except OverflowError as exc:
             raise E.DomainError("pullback of the heat solution %s: %s"
                                 % (name, exc)) from exc
