@@ -24,23 +24,19 @@ import numpy as np
 
 from . import expr as E
 from .expr import ParasymError, chebyshev_points
-from .invariants import (InvariantTriple, ParabolicEquation,
-                         compute_invariants, fokker_planck_equation,
-                         probe_window)
+from .invariants import (ParabolicEquation, compute_invariants,
+                         fokker_planck_equation, probe_window)
 
 
 class IllConditionedFit(ParasymError):
     """I is nearly constant on the probe grid — degenerate domain."""
 
 
-@dataclass
-class ClassifyConfig:
-    n_points: int = 64
-    tol: float = 1e-7
-    mu_floor: float = 1e-8
-    shift_range: tuple = (-10.0, 10.0)
-    coarse_points: int = 41
-    golden_iters: int = 80
+N_POINTS = 64                  # probe points of the (I, K) fits
+MU_FLOOR = 1e-8                # |mu| at or below this is not a dim-4 verdict
+SHIFT_RANGE = (-10.0, 10.0)    # search range of the dim-4 gauge shift s
+COARSE_POINTS = 41             # coarse shift grid before the golden search
+GOLDEN_ITERS = 80              # golden-section steps inside that cell
 
 
 @dataclass
@@ -50,14 +46,6 @@ class SymmetryClassification:
     shift: float | None = None
     residual: float = math.inf
     fit_mode: str = "numeric"
-
-    def as_dict(self):
-        out = {"dim": self.dim, "fit_mode": self.fit_mode,
-               "residual": self.residual}
-        out.update({k: float(v) for k, v in self.constants.items()})
-        if self.shift is not None:
-            out["shift"] = float(self.shift)
-        return out
 
 
 def _snap(v, tol=1e-7):
@@ -71,11 +59,11 @@ def _snap(v, tol=1e-7):
     return float(v)
 
 
-def _samples(inv, config, i_offset=0.0):
+def _samples(inv, i_offset):
     """(I, K) at the probe points.  Raises DomainError at the first point
     where I or K is undefined: the fit never silently drops a point."""
     lo, hi = probe_window(inv.domain)
-    xs = chebyshev_points(lo, hi, config.n_points)
+    xs = chebyshev_points(lo, hi, N_POINTS)
     Iv, Kv = [], []
     for x in xs:
         try:
@@ -113,13 +101,13 @@ def _fit_l4(Iv, Kv, s):
     return coef, resid
 
 
-def _golden_min(f, lo, hi, iters):
+def _golden_min(f, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -147,20 +135,20 @@ def _symbolic_quadratic(inv):
     return vals  # [c0, c1, c2]
 
 
-def classify(inv, config=None, i_offset=0.0):
+def classify(inv, tol=1e-7, i_offset=0.0):
     """Classify from an InvariantTriple (or a ParabolicEquation).
 
-    `i_offset` adds a constant to the I gauge; the verdict must not depend
-    on it (shift-invariance property).
+    A fit is accepted when its worst residual is at most `tol` times
+    1 + max |K|.  `i_offset` adds a constant to the I gauge; the verdict
+    must not depend on it (shift-invariance property).
     """
     if isinstance(inv, ParabolicEquation):
         inv = compute_invariants(inv)
-    config = config or ClassifyConfig()
-    Iv, Kv = _samples(inv, config, i_offset)
+    Iv, Kv = _samples(inv, i_offset)
     scale = 1.0 + float(np.abs(Kv).max())
 
     coef6, resid6 = _fit_quadratic(Iv, Kv)
-    if resid6 <= config.tol * scale:
+    if resid6 <= tol * scale:
         fit_mode = "numeric"
         sym = _symbolic_quadratic(inv)
         if sym is not None and i_offset == 0.0:
@@ -173,23 +161,23 @@ def classify(inv, config=None, i_offset=0.0):
             dim=6, constants={"c2": c2, "c1": c1, "c0": c0},
             residual=resid6, fit_mode=fit_mode)
 
-    lo, hi = config.shift_range
+    lo, hi = SHIFT_RANGE
 
     def res(s):
         return _fit_l4(Iv, Kv, s)[1]
 
-    coarse = np.linspace(lo, hi, config.coarse_points)
+    coarse = np.linspace(lo, hi, COARSE_POINTS)
     rvals = [res(s) for s in coarse]
     i_best = int(np.argmin(rvals))
-    step = (hi - lo) / (config.coarse_points - 1)
+    step = (hi - lo) / (COARSE_POINTS - 1)
     s_lo = coarse[max(0, i_best - 1)]
     s_hi = coarse[min(len(coarse) - 1, i_best + 1)]
     if s_lo == s_hi:
         s_lo, s_hi = s_lo - step, s_hi + step
-    s_best = _golden_min(res, s_lo, s_hi, config.golden_iters)
+    s_best = _golden_min(res, s_lo, s_hi)
     coef4, resid4 = _fit_l4(Iv, Kv, s_best)
-    if coef4 is not None and resid4 <= config.tol * scale \
-            and abs(coef4[0]) > config.mu_floor:
+    if coef4 is not None and resid4 <= tol * scale \
+            and abs(coef4[0]) > MU_FLOOR:
         mu, c2, c0 = (_snap(v) for v in coef4)
         return SymmetryClassification(
             dim=4, constants={"mu": mu, "c2": c2, "c0": c0},
@@ -199,7 +187,7 @@ def classify(inv, config=None, i_offset=0.0):
         dim=2, residual=min(resid6, resid4), fit_mode="numeric")
 
 
-def check_fp_logdiffusion(A, B, config=None):
+def check_fp_logdiffusion(A, B):
     """Classify u_t + [(4 x^2 ln x) u_x + (A x + B x ln x) u]_x = 0 on (0, 1).
 
     Its semi-invariant in the source's time orientation is
@@ -223,7 +211,7 @@ def check_fp_logdiffusion(A, B, config=None):
     q = E.simplify(E.neg(E.add(E.mul(E.num(A), x),
                                E.mul(E.num(B), x, E.log_(x)))))
     eq = fokker_planck_equation(p, q, domain=(0.0, 1.0))
-    cls = classify(eq, config)
+    cls = classify(eq)
     if "c0" in cls.constants:
         cls.constants["c0"] = -cls.constants["c0"]
     return cls

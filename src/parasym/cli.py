@@ -21,13 +21,14 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 
 from . import __version__
 from . import expr as E
 from . import kernels as KN
 from . import symmetry as S
-from .classify import ClassifyConfig, classify
+from .classify import classify
 from .expr import ParasymError
 from .invariants import ParabolicEquation, compute_invariants, probe_window
 from .parser import parse_file
@@ -45,12 +46,12 @@ def _expr_dict(e):
     return {"text": E.to_text(e), "sexpr": E.to_sexpr(e)}
 
 
-def _round(v, nd=12):
-    """Round for byte-stable JSON across platforms."""
+def _round(v):
+    """Round to 12 decimals for byte-stable JSON across platforms."""
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return round(v, nd)
+        return round(v, 12)
     return v
 
 
@@ -152,31 +153,24 @@ def _generator_section(cls, inv, grid_n):
     return sec, warnings
 
 
-def cmd_analyze(args):
-    warnings = []
-    try:
-        prog = parse_file(args.file)
-        eq = ParabolicEquation.from_program(prog)
-        inv = compute_invariants(eq)
-        config = ClassifyConfig(tol=args.tol_classify)
-        cls = classify(inv, config)
-        ht = build_heat_transform(cls, inv) if cls.dim == 6 else None
-        transform = _transform_section(ht) if ht is not None else None
-        gens, gen_warnings = _generator_section(cls, inv, args.grid)
-        warnings.extend(gen_warnings)
-        verification = {}
-        if ht is not None:
-            pb = verify_pullback(eq, ht)
-            worst = max(pb.values())
-            verification["pullback_residuals"] = {k: _round(v)
-                                                  for k, v in sorted(pb.items())}
-            if worst > args.tol_residual:
-                warnings.append("pullback residual %.3g exceeds %.3g"
-                                % (worst, args.tol_residual))
-    except (ParasymError, OSError) as exc:
-        print("error: %s: %s" % (args.file, exc), file=sys.stderr)
-        return 1
-
+def analyze_report(args):
+    """The `analyze` report of args.file and the classification it rests
+    on.  Raises ParasymError or OSError."""
+    prog = parse_file(args.file)
+    eq = ParabolicEquation.from_program(prog)
+    inv = compute_invariants(eq)
+    cls = classify(inv, args.tol_classify)
+    ht = build_heat_transform(cls, inv) if cls.dim == 6 else None
+    gens, warnings = _generator_section(cls, inv, args.grid)
+    verification = None
+    if ht is not None:
+        pb = verify_pullback(eq, ht)
+        worst = max(pb.values())
+        verification = {"pullback_residuals": {k: _round(v)
+                                               for k, v in sorted(pb.items())}}
+        if worst > args.tol_residual:
+            warnings.append("pullback residual %.3g exceeds %.3g"
+                            % (worst, args.tol_residual))
     cfg = {"tol_classify": args.tol_classify,
            "tol_residual": args.tol_residual,
            "grid": args.grid, "seed": args.seed}
@@ -195,16 +189,22 @@ def cmd_analyze(args):
         },
         "invariants": _invariant_section(inv),
         "classification": _classification_section(cls),
-        "transform": transform,
+        "transform": _transform_section(ht) if ht is not None else None,
         "generators": gens,
-        "verification": verification or None,
+        "verification": verification,
         "warnings": warnings,
     }
+    return report, cls
 
-    lines = ["%s: symmetry algebra dimension %d" % (args.file, cls.dim)]
+
+def _analyze_lines(report, cls):
+    """The text summary of an `analyze` report."""
+    lines = ["%s: symmetry algebra dimension %d"
+             % (report["input"]["path"], cls.dim)]
     if cls.constants:
         lines.append("  constants: " + ", ".join(
             "%s = %g" % (k, v) for k, v in sorted(cls.constants.items())))
+    transform, gens = report["transform"], report["generators"]
     if transform:
         lines.append("  reducible to the heat equation: T = %s (%s branch)"
                      % (transform["T"], transform["branch"]))
@@ -215,9 +215,24 @@ def cmd_analyze(args):
         if gens["published_table"]["flagged"]:
             lines.append("  flagged %d published commutator line(s)"
                          % len(gens["published_table"]["flagged"]))
-    for w in warnings:
-        lines.append("  warning: " + w)
-    _emit(report, args.json, lines)
+    return lines + ["  warning: " + w for w in report["warnings"]]
+
+
+def cmd_analyze(args):
+    if not (args.tol_classify > 0 and args.tol_residual > 0):
+        print("error: --tol-classify and --tol-residual must be positive",
+              file=sys.stderr)
+        return 1
+    if args.grid < 2:
+        print("error: --grid must be at least 2, got %d" % args.grid,
+              file=sys.stderr)
+        return 1
+    try:
+        report, cls = analyze_report(args)
+    except (ParasymError, OSError) as exc:
+        print("error: %s: %s" % (args.file, exc), file=sys.stderr)
+        return 1
+    _emit(report, args.json, _analyze_lines(report, cls))
     if cls.dim == 2 and args.require_nontrivial:
         return 2
     return 0
@@ -315,7 +330,6 @@ CORPUS_EXPECT = {
 
 
 def _corpus_dir():
-    import os
     here = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     cand = os.path.join(here, "equations")
@@ -325,7 +339,6 @@ def _corpus_dir():
 
 
 def cmd_selftest(args):
-    import os
     rows = []
 
     def row(name, ok, detail=""):
@@ -336,9 +349,9 @@ def cmd_selftest(args):
     for stem, (want_dim, want_consts) in sorted(CORPUS_EXPECT.items()):
         path = os.path.join(corpus, stem + ".eq")
         try:
-            eq = ParabolicEquation.from_program(parse_file(path))
-            inv = compute_invariants(eq)
-            cls = classify(inv)
+            # the report `parasym analyze FILE` prints, at its defaults
+            report, cls = analyze_report(
+                build_parser().parse_args(["analyze", path]))
             ok = cls.dim == want_dim
             detail = "dim %d" % cls.dim
             for k, v in want_consts.items():
@@ -346,14 +359,14 @@ def cmd_selftest(args):
                 if got is None or abs(got - v) > 1e-7 * (1.0 + abs(v)):
                     ok = False
                     detail += " %s=%r (want %g)" % (k, got, v)
-            if ok and cls.dim == 6:
-                ht = build_heat_transform(cls, inv)
-                worst = max(verify_pullback(eq, ht).values())
+            if ok and report["verification"]:
+                worst = max(report["verification"]
+                            ["pullback_residuals"].values())
                 detail += ", pullback %.1e" % worst
                 ok = worst <= 1e-6
-            if ok and cls.dim in (4, 6):
-                basis = S.emit_basis(cls, inv)
-                worst = max(S.check_determining(inv, v)["max"] for v in basis)
+            if ok and report["generators"]:
+                worst = max(g["determining_residual"]
+                            for g in report["generators"]["basis"])
                 detail += ", deteq %.1e" % worst
                 ok = worst <= 1e-8
             row("analyze " + stem, ok, detail)
@@ -394,8 +407,8 @@ def build_parser():
     ap.add_argument("--json", action="store_true",
                     help="emit a JSON report instead of a text summary")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed recorded in reports and used for any "
-                         "randomized sampling (default %d)" % DEFAULT_SEED)
+                    help="seed recorded in the analyze report; no result "
+                         "depends on it (default %d)" % DEFAULT_SEED)
     sub = ap.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="classify an equation file")
@@ -421,25 +434,31 @@ def build_parser():
 
 def main(argv=None):
     args, extra = build_parser().parse_known_args(argv)
-    if args.command == "analyze":
-        if extra:
-            print("error: unrecognized arguments: %s" % " ".join(extra),
-                  file=sys.stderr)
-            return 1
-        return cmd_analyze(args)
-    if args.command == "kernels":
-        if args.verb == "verify" and not args.name:
-            print("error: kernels verify needs a catalog entry name",
-                  file=sys.stderr)
-            return 1
-        return cmd_kernels(args, extra)
-    if args.command == "selftest":
-        if extra:
-            print("error: unrecognized arguments: %s" % " ".join(extra),
-                  file=sys.stderr)
-            return 1
-        return cmd_selftest(args)
-    return 1
+    verify = args.command == "kernels" and args.verb == "verify"
+    if args.command == "kernels" and args.verb == "list" and args.name:
+        extra = [args.name] + extra
+    if extra and not verify:      # only `kernels verify` takes --NAME VALUE
+        print("error: unrecognized arguments: %s" % " ".join(extra),
+              file=sys.stderr)
+        return 1
+    if verify and not args.name:
+        print("error: kernels verify needs a catalog entry name",
+              file=sys.stderr)
+        return 1
+    try:
+        if args.command == "analyze":
+            code = cmd_analyze(args)
+        elif args.command == "kernels":
+            code = cmd_kernels(args, extra)
+        else:
+            code = cmd_selftest(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: send what is left to os.devnull, so the
+        # interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -912,42 +912,43 @@ def _sample_interval(interval):
     return lo + 0.05 * w, hi - 0.05 * w
 
 
-def _auto_bindings(e, var, bindings, rng):
+def _auto_bindings(e, bindings, rng):
     env = dict(bindings or {})
-    for name in sorted(free_symbols(e) - {var} - set(env) - set(DEFAULT_BINDINGS)):
+    for name in sorted(free_symbols(e) - {"x"} - set(env) - set(DEFAULT_BINDINGS)):
         env[name] = rng.uniform(0.5, 2.0)
     return env
 
 
-def is_zero(e, var="x", interval=(-3.0, 3.0), bindings=None, tol=1e-9):
-    """Decide whether e is identically zero on the interval.
+def is_zero(e, interval=(-3.0, 3.0), bindings=None):
+    """Decide whether e is identically zero in x on the interval.
 
     Polynomial normalization first; otherwise sampling at 7 deterministic
-    points plus 50 random confirmation points (fixed seed).
+    points plus 50 random confirmation points (fixed seed), where |e| must
+    stay within 1e-9 of the size of the terms that cancel.
     """
     e = simplify(e)
     if e.kind == "num":
         return e.value == 0
-    coeffs = as_polynomial(e, var)
+    coeffs = as_polynomial(e, "x")
     if coeffs is not None and all(c.kind == "num" for c in coeffs):
         return all(c.value == 0 for c in coeffs)
     rng = random.Random(_SAMPLE_SEED)
-    env = _auto_bindings(e, var, bindings, rng)
+    env = _auto_bindings(e, bindings, rng)
     lo, hi = _sample_interval(interval)
     # descending nodes: the sampled checks and fits keep this probe order
     pts = chebyshev_points(lo, hi, 7)[::-1]
     pts += [rng.uniform(lo, hi) for _ in range(50)]
     scale = 1.0
     checked = 0
-    for x in pts:
-        env[var] = x
+    for p in pts:
+        env["x"] = p
         try:
             v = evaluate(e, env)
             scale = max(scale, _magnitude(e, env))
         except DomainError:
             continue
         checked += 1
-        if abs(v) > tol * scale:
+        if abs(v) > 1e-9 * scale:
             return False
     return checked >= 7
 
@@ -968,43 +969,42 @@ def _magnitude(e, env):
         return 1.0
 
 
-def match_polynomial(e, var, degree, x="x", interval=(-3.0, 3.0),
-                     bindings=None, tol=1e-9):
+def match_polynomial(e, var, degree, interval=(-3.0, 3.0), bindings=None):
     """Coefficients [c0..c_degree] with e == sum c_i var^i identically, else None.
 
-    `var` may be any expression in the spatial variable `x`.  Exact path when
+    `var` may be any expression in the spatial variable x.  Exact path when
     both are polynomial in x; otherwise least-squares over 7 sample points
-    confirmed at 50 more.
+    confirmed at 50 more, to 1e-9 of the values' size.
     """
     e = simplify(e)
     var = simplify(to_expr(var))
-    if not contains_symbol(e, x):
+    if not contains_symbol(e, "x"):
         return [e] + [ZERO] * degree
     # exact path: e polynomial in var when var is the bare variable
-    if var.kind == "sym" and var.value == x:
-        coeffs = as_polynomial(e, x)
+    if var.kind == "sym" and var.value == "x":
+        coeffs = as_polynomial(e, "x")
         if coeffs is not None:
             if len(coeffs) > degree + 1:
-                if all(is_zero(c, x, interval, bindings, tol)
+                if all(is_zero(c, interval, bindings)
                        for c in coeffs[degree + 1:]):
                     coeffs = coeffs[:degree + 1]
                 else:
                     return None
             return coeffs + [ZERO] * (degree + 1 - len(coeffs))
-    return _match_poly_sampled(e, var, degree, x, interval, bindings, tol)
+    return _match_poly_sampled(e, var, degree, interval, bindings)
 
 
-def _match_poly_sampled(e, var, degree, x, interval, bindings, tol):
+def _match_poly_sampled(e, var, degree, interval, bindings):
     import numpy as np
 
     rng = random.Random(_SAMPLE_SEED + 1)
-    env = _auto_bindings(e, x, bindings, rng)
+    env = _auto_bindings(e, bindings, rng)
     lo, hi = _sample_interval(interval)
 
     def probe(pts):
         rows, vals, scale = [], [], 1.0
         for p in pts:
-            env[x] = p
+            env["x"] = p
             try:
                 v = evaluate(var, env)
                 w = evaluate(e, env)
@@ -1025,15 +1025,16 @@ def _match_poly_sampled(e, var, degree, x, interval, bindings, tol):
         return None
     resid = max(float(np.max(np.abs(A @ coef - yv))),
                 float(np.max(np.abs(A2 @ coef - y2))))
-    if resid > tol * max(scale, scale2):
+    if resid > 1e-9 * max(scale, scale2):
         return None
     return [_rationalize(float(c)) for c in coef]
 
 
-def _rationalize(c, tol=1e-9):
-    """Snap a float to a small exact rational when that is clearly right."""
+def _rationalize(c):
+    """Snap a float to a small exact rational when that is clearly right
+    (within 1e-9 (1 + |c|))."""
     fr = Fraction(c).limit_denominator(1_000_000)
-    if abs(float(fr) - c) <= tol * (1.0 + abs(c)):
+    if abs(float(fr) - c) <= 1e-9 * (1.0 + abs(c)):
         return num(fr)
     return num(c)
 

@@ -36,7 +36,7 @@ class UnsupportedCoefficient(ParasymError):
 
 
 class DegenerateTransform(ParasymError):
-    """A Jacobian factor (T', X_x, or theta) vanished or degenerated."""
+    """The time map's derivative T' is not positive at a probed time."""
 
 
 VAR = "x"
@@ -59,7 +59,6 @@ class ParabolicEquation:
     b: Expr
     c: Expr
     domain: tuple = (-math.inf, math.inf)
-    time_direction: str = "forward"
     bindings: dict = field(default_factory=dict)
 
     def bound_coefficients(self):
@@ -80,8 +79,7 @@ class ParabolicEquation:
         sub = {} if var == VAR else {var: E.sym(VAR)}
         a, b, c = (E.substitute(prog.assignments[k], sub) for k in ("a", "b", "c"))
         domain = prog.domain or (-math.inf, math.inf)
-        td = "forward"
-        return ParabolicEquation(a, b, c, domain, td, dict(prog.constants))
+        return ParabolicEquation(a, b, c, domain, dict(prog.constants))
 
 
 def probe_window(domain):
@@ -167,50 +165,40 @@ def _interior_root(a, domain):
     return None
 
 
-def fokker_planck_equation(p, q, domain=(-math.inf, math.inf), bindings=None):
+def fokker_planck_equation(p, q, domain=(-math.inf, math.inf)):
     """u_t = (p u_x)_x + (q u)_x as a ParabolicEquation:
     a = p, b = p' + q, c = q'."""
     p = E.to_expr(p)
     q = E.to_expr(q)
     b = E.simplify(E.add(E.differentiate(p, VAR), q))
     c = E.differentiate(q, VAR)
-    return ParabolicEquation(E.simplify(p), b, c, domain, "forward",
-                             dict(bindings or {}))
+    return ParabolicEquation(E.simplify(p), b, c, domain)
 
 
 # ---------------------------------------------------------------------------
 # one-variable function values (symbolic or sampled)
 
 class Fn1:
-    """A function of one variable: symbolic Expr, or a quadrature sampler
-    of a known derivative anchored at x_ref.  Pure: concurrent evaluation
-    equals serial evaluation."""
+    """A function of x with a symbolic derivative: a symbolic Expr, or a
+    quadrature sampler of the derivative anchored at x_ref.  Pure:
+    concurrent evaluation equals serial evaluation."""
 
-    def __init__(self, expr=None, sampler=None, derivative=None, x_ref=None,
-                 var=VAR):
+    def __init__(self, derivative, expr=None, sampler=None, x_ref=None):
         if expr is None and sampler is None:
             raise ValueError("Fn1 needs an expression or a sampler")
         self.expr = expr
         self._sampler = sampler
         self.derivative = derivative
         self.x_ref = x_ref
-        self.var = var
-
-    @property
-    def symbolic(self):
-        return self.expr is not None
 
     def __call__(self, x):
         if self.expr is not None:
-            return E.evaluate(self.expr, {self.var: float(x)})
+            return E.evaluate(self.expr, {VAR: float(x)})
         return self._sampler(float(x))
 
     def d(self, x):
         """First derivative value."""
-        if self.derivative is not None:
-            return E.evaluate(self.derivative, {self.var: float(x)})
-        h = 1e-6 * max(1.0, abs(x))
-        return (self(x + h) - self(x - h)) / (2 * h)
+        return E.evaluate(self.derivative, {VAR: float(x)})
 
     def __repr__(self):
         if self.expr is not None:
@@ -218,15 +206,16 @@ class Fn1:
         return "Fn1<quadrature from x_ref=%g>" % self.x_ref
 
 
-def quadrature_fn1(derivative_expr, domain, x_ref, var=VAR):
-    """Antiderivative of `derivative_expr` from x_ref by adaptive quadrature
-    (abs tol 1e-10), insetting 1e-8 from singular domain endpoints."""
+def quadrature_fn1(derivative_expr, domain, x_ref):
+    """Antiderivative in x of `derivative_expr` from x_ref by adaptive
+    quadrature (abs tol 1e-10), insetting 1e-8 from singular domain
+    endpoints."""
     lo, hi = domain
     inset_lo = lo + 1e-8 if math.isfinite(lo) else -math.inf
     inset_hi = hi - 1e-8 if math.isfinite(hi) else math.inf
 
     def f(x):
-        return E.evaluate(derivative_expr, {var: x})
+        return E.evaluate(derivative_expr, {VAR: x})
 
     @lru_cache(maxsize=65536)
     def sampler(x):
@@ -234,7 +223,7 @@ def quadrature_fn1(derivative_expr, domain, x_ref, var=VAR):
         val, _err = quad(f, x_ref, x, epsabs=1e-10, epsrel=1e-10, limit=200)
         return val
 
-    return Fn1(sampler=sampler, derivative=derivative_expr, x_ref=x_ref, var=var)
+    return Fn1(derivative_expr, sampler=sampler, x_ref=x_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +295,8 @@ def _sqrt_try(a, window):
 # ---------------------------------------------------------------------------
 # antiderivative pattern table for 1/s
 
-def _numeric_poly(e, var=VAR):
-    coeffs = E.as_polynomial(e, var)
+def _numeric_poly(e):
+    coeffs = E.as_polynomial(e, VAR)
     if coeffs is None:
         return None
     out = []
@@ -448,114 +437,10 @@ def compute_invariants(eq):
     recip = E.simplify(E.div(E.ONE, s))
     F = antiderivative_recip(s, window)
     if F is not None:
-        I = Fn1(expr=F, derivative=recip)
+        I = Fn1(recip, expr=F)
     else:
         I = quadrature_fn1(recip, eq.domain, base_point(eq.domain))
     return InvariantTriple(I=I, J=J, K=K, symbolic_I=F is not None,
                            sqrt_a=s, a=a, b=b, c=c, domain=eq.domain,
                            flipped=flipped)
 
-
-# ---------------------------------------------------------------------------
-# equivalence-transformation oracle
-
-class Fn2:
-    """Function of (x, t): symbolic Expr over {x, t} or a plain callable.
-    Derivatives are symbolic when an Expr is given, else 2nd-order central
-    differences at h = 1e-5."""
-
-    _H = 1e-5
-
-    def __init__(self, expr=None, f=None):
-        if expr is None and f is None:
-            raise ValueError("Fn2 needs an expression or a callable")
-        self.expr = E.simplify(E.to_expr(expr)) if expr is not None else None
-        self._f = f
-
-    def __call__(self, x, t):
-        if self.expr is not None:
-            return E.evaluate(self.expr, {"x": x, "t": t})
-        return self._f(x, t)
-
-    def _fd(self, x, t, dx, dt):
-        h = self._H
-        if dx == 1 and dt == 0:
-            return (self(x + h, t) - self(x - h, t)) / (2 * h)
-        if dx == 0 and dt == 1:
-            return (self(x, t + h) - self(x, t - h)) / (2 * h)
-        if dx == 2 and dt == 0:
-            return (self(x + h, t) - 2 * self(x, t) + self(x - h, t)) / (h * h)
-        raise ValueError("unsupported derivative order")
-
-    def d(self, x, t, dx=0, dt=0):
-        if self.expr is not None:
-            e = self.expr
-            if dx:
-                e = E.differentiate(e, "x", dx)
-            if dt:
-                e = E.differentiate(e, "t", dt)
-            return E.evaluate(e, {"x": x, "t": t})
-        return self._fd(x, t, dx, dt)
-
-
-def transformed_coefficients(eq, T, X, theta):
-    """Numeric samplers (a~, b~, c~)(x, t) for the equivalence transformation
-    t~ = T(t), x~ = X(x,t), u~ = theta(x,t) u:
-
-        a~ = X_x^2/T' * a
-        b~ = X_x/T' * [b - 2a theta_x/theta + a X_xx/X_x - X_t/X_x]
-        c~ = 1/T' * [c - b theta_x/theta + 2a (theta_x/theta)^2
-                     - a theta_xx/theta + theta_t/theta]
-
-    Verification oracle only; raises DegenerateTransform when a Jacobian
-    factor vanishes at a probed point.
-    """
-    a, b, c, _ = normalize(eq)
-
-    def coeff(x):
-        return (E.evaluate(a, {VAR: x}), E.evaluate(b, {VAR: x}),
-                E.evaluate(c, {VAR: x}))
-
-    def jacobians(x, t):
-        Tp = T.d(t)
-        Xx = X.d(x, t, dx=1)
-        th = theta(x, t)
-        if abs(Tp) < 1e-12 or abs(Xx) < 1e-12 or abs(th) < 1e-12:
-            raise DegenerateTransform(
-                "T'=%g, X_x=%g, theta=%g at (x=%g, t=%g)" % (Tp, Xx, th, x, t))
-        return Tp, Xx, th
-
-    def a_t(x, t):
-        av, _, _ = coeff(x)
-        Tp, Xx, _ = jacobians(x, t)
-        return Xx * Xx / Tp * av
-
-    def b_t(x, t):
-        av, bv, _ = coeff(x)
-        Tp, Xx, th = jacobians(x, t)
-        gx = theta.d(x, t, dx=1) / th
-        return Xx / Tp * (bv - 2 * av * gx + av * X.d(x, t, dx=2) / Xx
-                          - X.d(x, t, dt=1) / Xx)
-
-    def c_t(x, t):
-        av, bv, cv = coeff(x)
-        Tp, _, th = jacobians(x, t)
-        gx = theta.d(x, t, dx=1) / th
-        return (cv - bv * gx + 2 * av * gx * gx
-                - av * theta.d(x, t, dx=2) / th
-                + theta.d(x, t, dt=1) / th) / Tp
-
-    return a_t, b_t, c_t
-
-
-def numeric_invariant_K(afun, bfun, cfun, x, h=1e-4):
-    """K at x from numeric coefficient samplers, via central differences."""
-    def s(z):
-        return math.sqrt(afun(z))
-
-    def J(z):
-        sp = (s(z + h) - s(z - h)) / (2 * h)
-        return sp - bfun(z) / s(z)
-
-    Jp = (J(x + h) - J(x - h)) / (2 * h)
-    return 0.5 * s(x) * Jp - 0.25 * J(x) ** 2 + cfun(x)

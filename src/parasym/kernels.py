@@ -35,7 +35,7 @@ from scipy import integrate
 from . import expr as E
 from .expr import Expr, ParasymError
 from .special import ive
-from .invariants import ParabolicEquation
+from .invariants import ParabolicEquation, compute_invariants
 from .classify import classify
 from .transform import build_heat_transform, map_solution
 from .parser import parse_expression
@@ -263,11 +263,17 @@ def _mehler(c, trig):
 
 
 def _build_linear_potential_nd(c):
+    if c["n"] not in (1, 2, 3, 4):
+        raise ConstraintViolation("linear_potential_nd needs an integer n "
+                                  "in 1..4, got %r" % (c["n"],))
     n = int(c["n"])
-    if not 1 <= n <= 4:
-        raise ConstraintViolation("linear_potential_nd needs 1 <= n <= 4")
-    bs = tuple(float(v) for v in c["b"])[:n]
-    ys = tuple(float(v) for v in c["y"])[:n]
+    bs, ys = (v if isinstance(v, tuple) else (v,) for v in (c["b"], c["y"]))
+    if min(len(bs), len(ys)) < n:
+        raise ConstraintViolation("linear_potential_nd with n = %d needs %d "
+                                  "comma-separated values of b and of y"
+                                  % (n, n))
+    bs = tuple(float(v) for v in bs)[:n]
+    ys = tuple(float(v) for v in ys)[:n]
     xsyms = tuple("x%d" % (k + 1) for k in range(n))
     terms = " + ".join(
         "-((%s - (%r))^2/(4*t)) + (%r)^2*t^3/12 + (%r)*t*(%s + (%r))/2"
@@ -733,22 +739,22 @@ def verify_entry(name, constants=None):
 # ---------------------------------------------------------------------------
 # cross checks
 
-def mehler_transform_consistency(y=0.5, n=12):
-    """map_solution(harmonic transform, u~=1) against the catalog Mehler
-    kernel: the pointwise ratio must be constant.  Returns (ratio spread,
-    ratio)."""
+def mehler_transform_consistency():
+    """map_solution(harmonic transform, u~=1) with source point 0.5 against
+    the catalog Mehler kernel: the pointwise ratio must be constant.
+    Returns (ratio spread, ratio)."""
+    y = 0.5
     eq = ParabolicEquation(a=E.ONE, b=E.ZERO,
                            c=E.neg(E.pow_(E.sym("x"), 2)),
                            domain=(-math.inf, math.inf))
-    cls = classify(eq)
-    from .invariants import compute_invariants
     inv = compute_invariants(eq)
-    ht = build_heat_transform(cls, inv, mode="kernel", source_point=y)
+    ht = build_heat_transform(classify(inv), inv, mode="kernel",
+                              source_point=y)
     u = map_solution(ht, lambda xt, tt: 1.0)
     entry = kernel("mehler_hyperbolic", {"y": y})
     ratios = []
     for t in _grid(0.15, 0.45, 3):
-        for x in _grid(-1.5, 1.5, n // 3):
+        for x in _grid(-1.5, 1.5, 4):
             ratios.append(u(x, t) / entry.evaluate(x, t))
     ratios = np.array(ratios)
     mean = float(ratios.mean())
@@ -756,11 +762,11 @@ def mehler_transform_consistency(y=0.5, n=12):
     return spread, mean
 
 
-def radial_from_canonical_consistency(ns=(2, 4, 5)):
+def radial_from_canonical_consistency():
     """Pointwise identity radial_n = (x/y)^((1-n)/2) * second_canonical with
-    mu = -(n-1)(n-3)/4.  Returns max relative deviation."""
+    mu = -(n-1)(n-3)/4, for n = 2, 4, 5.  Returns max relative deviation."""
     worst = 0.0
-    for n in ns:
+    for n in (2, 4, 5):
         mu = -(n - 1) * (n - 3) / 4.0
         y = 1.0
         rad = kernel("radial", {"n": float(n), "y": y})
@@ -773,15 +779,16 @@ def radial_from_canonical_consistency(ns=(2, 4, 5)):
     return worst
 
 
-def semigroup_check(name, n_samples=5):
-    """Chapman-Kolmogorov spot check for kernels with a movable source."""
+def semigroup_check(name):
+    """Chapman-Kolmogorov spot check, at 5 seeded draws of (x, t, s, y), for
+    kernels with a movable source."""
     k = kernel(name).evaluate_src
     if k is None:
         raise ConstraintViolation(
             "%s has no movable-source evaluator" % name)
     rng = np.random.default_rng(_SEED)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(5):
         t = rng.uniform(0.1, 0.6)
         s = rng.uniform(0.1, 0.6)
         y = rng.uniform(-1.0, 1.0)
@@ -809,15 +816,16 @@ def _log_evaluate(e, env):
     return math.log(E.evaluate(e, env))
 
 
-def varadhan_check(x=2.5, t_list=(1e-2, 1e-3)):
-    """-4 t ln K(x,t,0) -> x^2 as t drops.
+def varadhan_check():
+    """-4 t ln K(x,t,0) -> x^2 as t drops, at x = 2.5 and t = 1e-2, 1e-3.
 
     The prefactor contributes a 2t ln(1/(4 pi t)) / x^2 relative error, so
     the probe sits away from the source point; at that distance the kernel
     value underflows for small t and ln K is taken in the log domain."""
+    x = 2.5
     entry = kernel("heat_1d", {"y": 0.0})
     return [abs(-4 * t * _log_evaluate(entry.expr, {"x": x, "t": t}) - x * x)
-            / (x * x) for t in t_list]
+            / (x * x) for t in (1e-2, 1e-3)]
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +833,6 @@ def varadhan_check(x=2.5, t_list=(1e-2, 1e-3)):
 
 @dataclass
 class HeatPolynomial:
-    degree: int
     coefficients: dict             # (i, j) -> Fraction, term x^i t^j
     expr: Expr
 
@@ -847,7 +854,7 @@ def heat_polynomial(n):
     x, t = E.sym("x"), E.sym("t")
     terms = [E.mul(E.num(c), E.pow_(x, E.num(i)), E.pow_(t, E.num(j)))
              for (i, j), c in sorted(coeffs.items())]
-    return HeatPolynomial(degree=n, coefficients=coeffs,
+    return HeatPolynomial(coefficients=coeffs,
                           expr=E.simplify(Expr("add", terms)))
 
 
@@ -863,16 +870,14 @@ def associated_function(n):
     return v
 
 
-def biorthogonality(m, n, t=1.0):
-    """Integral u_m(x,-t) v_n(x,t) dx by Gauss-Hermite; the exact value is
+def biorthogonality(m, n):
+    """Integral u_m(x,-1) v_n(x,1) dx by Gauss-Hermite; the exact value is
     2^n n! when m == n and 0 otherwise."""
     um, un = heat_polynomial(m), heat_polynomial(n)
     s_nodes, s_weights = np.polynomial.hermite.hermgauss(40)
     total = 0.0
-    rt = math.sqrt(t)
     for s, w in zip(s_nodes, s_weights):
-        x = 2.0 * rt * s
-        total += w * um(x, -t) * un(x, -t)
+        total += w * um(2.0 * s, -1.0) * un(2.0 * s, -1.0)
     return total * math.pi ** -0.5
 
 

@@ -33,12 +33,9 @@ class SyntaxError(ParasymError):  # noqa: A001 - contract name; carries position
 
 
 class UndeclaredIdentifier(ParasymError):
-    def __init__(self, name, line=None, col=None):
-        pos = "" if line is None else " (line %d, col %d)" % (line, col)
-        super().__init__("undeclared identifier %r%s" % (name, pos))
-        self.name = name
-        self.line = line
-        self.col = col
+    def __init__(self, name, line, col):
+        super().__init__("undeclared identifier %r (line %d, col %d)"
+                         % (name, line, col))
 
 
 @dataclass
@@ -149,10 +146,10 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect(self, kind, text=None):
+    def expect(self, kind):
         t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise SyntaxError("expected %s, got %r" % (text or kind, t.text or "end of input"),
+        if t.kind != kind:
+            raise SyntaxError("expected %s, got %r" % (kind, t.text or "end of input"),
                               t.line, t.col)
         return t
 

@@ -36,18 +36,13 @@ machine precision even when I itself is quadrature-defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
-from .invariants import (InvariantTriple, ParabolicEquation,
-                         compute_invariants, probe_window)
-
-
-class TableMismatch(ParasymError):
-    """A commutator-table line could not be reproduced."""
+from .invariants import InvariantTriple, probe_window
 
 
 class RankDeficiency(ParasymError):
@@ -66,7 +61,6 @@ class VectorField:
     xi: Expr
     phi: Expr
     label: str = ""
-    provenance: str = ""
     scalars: tuple = None      # (tau, rho, sigma) Exprs in t when structured
     inv: InvariantTriple = None
     i_offset: float = 0.0
@@ -198,28 +192,22 @@ def emit_basis(cls, inv):
                     scalars=(E.ZERO, E.ZERO, E.ONE), inv=inv,
                     i_offset=i_offset)
     fields.append(m)
-    for f in fields:
-        f.provenance = "dim%d,c2%s" % (cls.dim,
-                                       "0" if c2 == 0 else
-                                       ("n" if c2 < 0 else "p"))
     return fields
 
 
 # ---------------------------------------------------------------------------
 # determining equations
 
-def check_determining(eq_or_inv, vf, n=16, t_interval=(0.05, 0.45)):
+def check_determining(inv, vf, n=16):
     """Residuals of the two determining equations and the xi equation on an
-    n-by-n grid, scaled by the magnitude of the participating terms.
+    n-by-n grid (n >= 2) of the probe window times [0.05, 0.45], scaled by
+    the magnitude of the participating terms.
 
     deteq1: 8 a^2 phi_x + (a' - 2b)(xi a' - a tau') - a [2 xi a'' - 4 xi_t
             - 4 xi b'] = 0
     deteq2: c tau' - phi_t + xi c' + b phi_x + a phi_xx = 0
     xieq:   xi_x - a'/(2a) xi - tau'/2 = 0
     """
-    inv = eq_or_inv
-    if isinstance(eq_or_inv, ParabolicEquation):
-        inv = compute_invariants(eq_or_inv)
     a, b, c = inv.a, inv.b, inv.c
     ap = E.differentiate(a, X)
     app = E.differentiate(ap, X)
@@ -234,7 +222,7 @@ def check_determining(eq_or_inv, vf, n=16, t_interval=(0.05, 0.45)):
 
     lo, hi = probe_window(inv.domain)
     xs = chebyshev_points(lo, hi, n)
-    t0, t1 = t_interval
+    t0, t1 = 0.05, 0.45
     ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
     worst = {"deteq1": 0.0, "deteq2": 0.0, "xieq": 0.0}
     for x in xs:
@@ -282,7 +270,6 @@ def _triple_values(vf):
 @dataclass
 class CommutatorTable:
     dim: int
-    constants: dict
     structure: dict            # (i, j) -> {k: float}, 1-based, i < j
     residual: float = 0.0
 
@@ -321,8 +308,7 @@ def commutator_table(basis):
                  if abs(c) > 1e-9}
         if entry:
             structure[(i + 1, j + 1)] = entry
-    return CommutatorTable(dim=n, constants={},
-                           structure=structure, residual=worst)
+    return CommutatorTable(dim=n, structure=structure, residual=worst)
 
 
 def jacobi_residual(table, n):
@@ -399,8 +385,7 @@ def published_table(dim, c2, c1, c0):
                  (3, 4): {4: -2 * k},
                  (3, 5): {5: 2 * k},
                  (4, 5): {6: -k}}
-    return CommutatorTable(dim=dim, constants={"c2": c2, "c1": c1, "c0": c0},
-                           structure=s)
+    return CommutatorTable(dim=dim, structure=s)
 
 
 @dataclass
@@ -414,12 +399,13 @@ class TableReport:
         return not self.flagged
 
 
-def verify_table(computed, expected, tol=1e-7):
+def verify_table(computed, expected):
     """Compare a computed CommutatorTable with an expected one.
 
-    Lines that match within tol go to report.matched; mismatching lines are
-    collected in report.flagged (not raised): the computed bracket is the
-    ground truth and several published table lines contain typos.
+    Lines that match within 1e-7 (1 + the largest expected constant) go to
+    report.matched; mismatching lines are collected in report.flagged (not
+    raised): the computed bracket is the ground truth and several published
+    table lines contain typos.
     """
     matched, flagged = [], []
     n = computed.dim
@@ -431,7 +417,7 @@ def verify_table(computed, expected, tol=1e-7):
             diff = max((abs(exp.get(kk, 0.0) - got.get(kk, 0.0))
                         for kk in keys), default=0.0)
             scale = 1.0 + max((abs(v) for v in exp.values()), default=0.0)
-            if diff <= tol * scale:
+            if diff <= 1e-7 * scale:
                 matched.append((i, j))
             else:
                 flagged.append((i, j, exp, got, diff))
@@ -442,9 +428,10 @@ def verify_table(computed, expected, tol=1e-7):
 # ---------------------------------------------------------------------------
 # delta-initial-condition subalgebra
 
-def boundary_subalgebra(basis, x0, mode=None, tol=1e-9):
+def boundary_subalgebra(basis, x0):
     """The subspace of sum a_i v_i leaving the delta initial condition at
-    x = x0 invariant; dimension 3 for a dim-6 basis, 1 for dim-4.
+    x = x0 invariant; dimension 3 for a dim-6 basis (six fields), 1 for
+    dim-4.  A singular value at most 1e-9 max(1, largest) counts as zero.
 
     Constraints on the scalar triple (tau, rho, sigma) at t = 0, with
     I0 = I(x0) (+ shift):
@@ -457,7 +444,7 @@ def boundary_subalgebra(basis, x0, mode=None, tol=1e-9):
     """
     inv = basis[0].inv
     I0 = inv.I(x0) + basis[0].i_offset
-    dim6 = mode == "dim6" if mode else len(basis) == 6
+    dim6 = len(basis) == 6
     rows = []
     for vf in basis:
         tau, rho, sigma = vf.scalars
@@ -477,7 +464,7 @@ def boundary_subalgebra(basis, x0, mode=None, tol=1e-9):
     A = np.array(rows).T          # 3 x n constraint matrix
     u, sv, vt = np.linalg.svd(A)
     ns = [vt[irow] for irow in range(vt.shape[0])
-          if irow >= len(sv) or sv[irow] <= tol * max(1.0, sv[0])]
+          if irow >= len(sv) or sv[irow] <= 1e-9 * max(1.0, sv[0])]
     expected = 3 if dim6 else 1
     if len(ns) != expected:
         raise RankDeficiency(

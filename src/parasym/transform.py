@@ -46,10 +46,10 @@ from scipy.integrate import quad
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
-from .invariants import (DegenerateTransform, Fn1, InvariantTriple,
-                         ParabolicEquation, base_point, compute_invariants,
-                         normalize, probe_window, quadrature_fn1)
-from .classify import SymmetryClassification, classify
+from .invariants import (DegenerateTransform, Fn1, ParabolicEquation,
+                         base_point, compute_invariants, normalize,
+                         probe_window, quadrature_fn1)
+from .classify import classify
 
 
 class NotReducible(ParasymError):
@@ -107,11 +107,11 @@ class MobiusMap:
         d1, d2, d3 = self.d(t, 1), self.d(t, 2), self.d(t, 3)
         return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
-    def check(self, n=16):
-        """Max |{T;t} + 8 q2| and min T' over n sample times."""
+    def check(self):
+        """Max |{T;t} + 8 q2| and min T' over 16 sample times."""
         lo, hi = self.t_interval
         worst, tp_min = 0.0, math.inf
-        for t in chebyshev_points(lo, hi, n):
+        for t in chebyshev_points(lo, hi, 16):
             worst = max(worst, abs(self.schwarzian(t) + 8.0 * self.q2))
             tp_min = min(tp_min, self.d(t, 1))
         return worst, tp_min
@@ -130,8 +130,9 @@ def _omega_basis(branch, q2):
     raise ValueError("unknown branch %r" % branch)
 
 
-def solve_schwarzian(q2, t_interval=None, mode="default"):
-    """A MobiusMap with {T; t} = -8 q2 and T' > 0 on t_interval.
+def solve_schwarzian(q2, mode="default"):
+    """A MobiusMap with {T; t} = -8 q2 and T' > 0 on its time window: (0.05,
+    1) in kernel mode, else (-0.5, 0.5), or +-0.45 pi/(8 kappa) when q2 < 0.
 
     mode='default' picks the everywhere-regular representative when one
     exists; mode='kernel' picks the pole-at-zero representative used for
@@ -139,10 +140,9 @@ def solve_schwarzian(q2, t_interval=None, mode="default"):
     on t > 0; q2 = 0: T = -1/t, the Appell inversion).
     """
     q2 = float(q2)
+    t_interval = (0.05, 1.0) if mode == "kernel" else (-0.5, 0.5)
     if q2 > 0:
         kappa = math.sqrt(q2)
-        if t_interval is None:
-            t_interval = (0.05, 1.0) if mode == "kernel" else (-0.5, 0.5)
         if mode == "kernel":
             # -coth(2 kappa t)/(2 kappa): T' = csch^2 > 0, pole at t=0
             cands = [(-1 / (2 * kappa), -1 / (2 * kappa), 1.0, -1.0)]
@@ -154,8 +154,7 @@ def solve_schwarzian(q2, t_interval=None, mode="default"):
     elif q2 < 0:
         kappa = math.sqrt(-q2)
         width = math.pi / (8 * kappa)
-        if t_interval is None:
-            t_interval = (-0.45 * width, 0.45 * width)
+        t_interval = (-0.45 * width, 0.45 * width)
         # tan(2 kappa (t - tm))/(2 kappa) for a few pole offsets tm
         cands = []
         for tm in (0.0, width, -width, 2 * width, -2 * width):
@@ -165,8 +164,6 @@ def solve_schwarzian(q2, t_interval=None, mode="default"):
             cands.append((cs / (2 * kappa), -sn / (2 * kappa), sn, cs))
         branch = "trigonometric"
     else:
-        if t_interval is None:
-            t_interval = (0.05, 1.0) if mode == "kernel" else (-0.5, 0.5)
         if mode == "kernel":
             cands = [(0.0, -1.0, 1.0, 0.0)]  # T = -1/t
         else:
@@ -176,7 +173,7 @@ def solve_schwarzian(q2, t_interval=None, mode="default"):
     last = None
     for k in cands:
         try:
-            m = MobiusMap(k, branch, q2, tuple(t_interval))
+            m = MobiusMap(k, branch, q2, t_interval)
             worst, tp_min = m.check()
             if worst <= 1e-8 * (1 + 8 * abs(q2)) and tp_min > 0:
                 return m
@@ -191,11 +188,11 @@ def solve_schwarzian(q2, t_interval=None, mode="default"):
 # ---------------------------------------------------------------------------
 # antiderivatives in x for the multiplier exponent
 
-def antiderivative_x(e, var="x"):
-    """Closed-form antiderivative of e in var from a small rule table,
+def antiderivative_x(e):
+    """Closed-form antiderivative of e in x from a small rule table,
     or None."""
     e = E.simplify(e)
-    out = _anti(e, var)
+    out = _anti(e, "x")
     return E.simplify(out) if out is not None else None
 
 
@@ -313,8 +310,8 @@ class HeatTransform:
     point and kept on the instance, so they live as long as it does.
     """
 
-    def __init__(self, cls, inv, mode="default", t_interval=None,
-                 source_point=None, mobius=None):
+    def __init__(self, cls, inv, mode="default", source_point=None,
+                 mobius=None):
         if cls.dim != 6:
             raise NotReducible("dim=%d equation cannot be mapped to the heat "
                                "equation" % cls.dim)
@@ -322,13 +319,11 @@ class HeatTransform:
         c1 = cls.constants.get("c1", 0.0)
         c0 = cls.constants.get("c0", 0.0)
         self.q = (-c2, -c1, -c0)
-        self.cls = cls
         self.inv = inv
         q2, q1, q0 = self.q
-        self.mobius = mobius or solve_schwarzian(q2, t_interval, mode)
+        self.mobius = mobius or solve_schwarzian(q2, mode)
         self.t_interval = self.mobius.t_interval
         I0 = None if source_point is None else inv.I(source_point)
-        self.source_point = source_point
         self.omega_expr = _omega_exprs(q2, q1, I0)
         self.domega_expr = E.differentiate(self.omega_expr, T) \
             if E.contains_symbol(self.omega_expr, T) else E.ZERO
@@ -345,7 +340,7 @@ class HeatTransform:
         integrand = E.simplify(E.div(inv.J, inv.sqrt_a))
         Gexpr = antiderivative_x(integrand)
         if Gexpr is not None:
-            self.G = Fn1(expr=Gexpr, derivative=integrand)
+            self.G = Fn1(integrand, expr=Gexpr)
         else:
             self.G = quadrature_fn1(integrand, inv.domain,
                                     base_point(inv.domain))
@@ -450,14 +445,12 @@ class HeatTransform:
         return parts
 
 
-def build_heat_transform(cls, inv, mode="default", t_interval=None,
-                         source_point=None):
+def build_heat_transform(cls, inv, mode="default", source_point=None):
     """Construct the transformation for a dim-6 classification.
 
     Raises NotReducible when cls.dim != 6.
     """
-    return HeatTransform(cls, inv, mode=mode, t_interval=t_interval,
-                         source_point=source_point)
+    return HeatTransform(cls, inv, mode=mode, source_point=source_point)
 
 
 def map_solution(ht, u_tilde):
@@ -512,10 +505,10 @@ def pde_residual(eq, jet, n=21, t_interval=(0.05, 0.45)):
     return worst
 
 
-def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
-    """Map each reference heat solution through the transform and measure the
-    PDE residual of the result from its exact jet.  `solutions` holds (name,
-    v_jet) pairs as in HEAT_SOLUTIONS.  Returns {name: residual}.
+def verify_pullback(eq, ht=None, n=21):
+    """Map each heat solution of HEAT_SOLUTIONS through the transform and
+    measure the PDE residual of the result from its exact jet.  Returns
+    {name: residual}.
 
     Raises DomainError when a pulled-back solution overflows on the grid."""
     if ht is None:
@@ -527,7 +520,7 @@ def verify_pullback(eq, ht=None, solutions=HEAT_SOLUTIONS, n=21):
     span = hi - lo
     t_int = (lo + 0.25 * span, hi - 0.25 * span)
     out = {}
-    for name, v_jet in solutions:
+    for name, v_jet in HEAT_SOLUTIONS:
         try:
             out[name] = pde_residual(forward, ht.pullback_jet(v_jet), n=n,
                                      t_interval=t_int)

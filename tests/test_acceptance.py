@@ -130,7 +130,7 @@ def test_criterion_4_commutator_tables_over_random_bindings():
             table = S.commutator_table(basis)
             rep = S.verify_table(table, S.published_table(
                 cls.dim, cc.get("c2", 0.0), cc.get("c1", 0.0),
-                cc.get("c0", 0.0)), tol=1e-7)
+                cc.get("c0", 0.0)))
             assert rep.bracket_residual <= 1e-7, fam
             flagged = {(i, j) for (i, j, *_rest) in rep.flagged}
             # publication typos are flagged, never raised, and every

@@ -6,9 +6,9 @@ import math
 import pytest
 
 from parasym import symmetry as S
-from parasym.classify import (ClassifyConfig, IllConditionedFit,
-                              SymmetryClassification, check_fp_logdiffusion,
-                              classify)
+from parasym import cli
+from parasym.classify import (IllConditionedFit, SymmetryClassification,
+                              check_fp_logdiffusion, classify)
 from parasym.expr import DomainError, chebyshev_points
 from parasym.invariants import (ParabolicEquation, compute_invariants,
                                 probe_window)
@@ -84,7 +84,7 @@ class TestDimensionFour:
 
     def test_mu_floor_keeps_verdicts_disjoint(self):
         # the dim-6 heat equation must not be reported as dim 4 with mu ~ 0
-        cls = classify(eq("1"), ClassifyConfig())
+        cls = classify(eq("1"))
         assert cls.dim == 6
 
 
@@ -153,6 +153,8 @@ class TestLogDiffusionFamily:
 
 class TestReportShape:
     def test_as_dict_roundtrip(self):
-        d = classify(eq("(1 + x^2)^2")).as_dict()
+        # the analyze report's "classification" section
+        d = cli._classification_section(classify(eq("(1 + x^2)^2")))
         assert d["dim"] == 6
-        assert set(d) >= {"dim", "fit_mode", "residual", "c0", "c1", "c2"}
+        assert set(d) >= {"dim", "fit_mode", "residual"}
+        assert set(d["constants"]) >= {"c0", "c1", "c2"}

@@ -3,15 +3,18 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from scipy.integrate import IntegrationWarning
 
 from parasym import cli
+from parasym import kernels as KN
 
-EQDIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "equations")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EQDIR = os.path.join(ROOT, "equations")
 
 
 def eqpath(stem):
@@ -117,6 +120,36 @@ class TestAnalyze:
         assert rc == 0
         assert "dimension 6" in out
 
+    @pytest.mark.parametrize("option", [
+        ("--grid", "1"), ("--grid", "0"), ("--grid", "-3"),
+        ("--tol-classify", "-1"), ("--tol-classify", "0"),
+        ("--tol-classify", "nan"), ("--tol-residual", "-0.5"),
+    ], ids=" ".join)
+    def test_bad_option_value_is_one_error_line(self, capsys, option):
+        rc, out, err = run(capsys, "analyze", eqpath("heat"), *option)
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert option[0] in err
+
+    def test_grid_of_two_is_accepted(self, capsys):
+        rc, out, _ = run(capsys, "--json", "analyze", eqpath("heat"),
+                         "--grid", "2")
+        assert rc == 0
+        assert len(json.loads(out)["generators"]["basis"]) == 6
+
+    def test_reader_closing_early_leaves_no_traceback(self):
+        p = subprocess.Popen(
+            [sys.executable, "-m", "parasym.cli", "--json", "analyze",
+             eqpath("heat")], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+        p.stdout.close()
+        with p.stderr:
+            err = p.stderr.read().decode()
+        assert p.wait(timeout=120) == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+
 
 class TestKernels:
     def test_list(self, capsys):
@@ -151,6 +184,44 @@ class TestKernels:
     def test_verify_without_name(self, capsys):
         rc, _, err = run(capsys, "kernels", "verify")
         assert rc == 1
+
+    @pytest.mark.parametrize("extra", [("--foo", "1"), ("heat_1d",)],
+                             ids=" ".join)
+    def test_list_rejects_extra_arguments(self, capsys, extra):
+        rc, out, err = run(capsys, "kernels", "list", *extra)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: unrecognized arguments: %s\n" % " ".join(extra)
+
+    @pytest.mark.parametrize("constants", [
+        ("--b", "1"),                       # one value, n = 2
+        ("--n", "3", "--y", "0.1,0.2"),     # two values, n = 3
+        ("--n", "2.5"), ("--n", "0"), ("--n", "5"), ("--n", "1,2"),
+    ], ids=" ".join)
+    def test_linear_potential_nd_constraints(self, capsys, constants):
+        rc, out, err = run(capsys, "kernels", "verify",
+                           "linear_potential_nd", *constants)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ConstraintViolation: ")
+        assert len(err.splitlines()) == 1
+
+    def test_linear_potential_nd_one_dimension(self, capsys):
+        rc, out, _ = run(capsys, "--json", "kernels", "verify",
+                         "linear_potential_nd", "--n", "1", "--b", "0.5",
+                         "--y", "0.2")
+        assert rc == 0
+        assert json.loads(out)["pass"] is True
+
+
+class TestSelftest:
+    def test_every_check_passes(self, capsys):
+        assert cli.main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        n = len(cli.CORPUS_EXPECT) + len(KN.list_kernels()) + 1
+        assert n == 30
+        assert [ln.split()[0] for ln in lines[:-1]] == ["PASS"] * n
+        assert lines[-1] == "%d/%d checks passed" % (n, n)
 
 
 class TestReportCompleteness:
