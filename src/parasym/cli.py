@@ -164,7 +164,7 @@ def analyze_report(args):
     gens, warnings = _generator_section(cls, inv, args.grid)
     verification = None
     if ht is not None:
-        pb = verify_pullback(eq, ht)
+        pb = verify_pullback(ht)
         worst = max(pb.values())
         verification = {"pullback_residuals": {k: _round(v)
                                                for k, v in sorted(pb.items())}}

@@ -40,16 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from scipy.integrate import quad
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
-from .invariants import (DegenerateTransform, Fn1, ParabolicEquation,
-                         base_point, compute_invariants, normalize,
-                         probe_window, quadrature_fn1)
-from .classify import classify
+from .invariants import (DegenerateTransform, Fn1, base_point, probe_window,
+                         quadrature_fn1)
 
 
 class NotReducible(ParasymError):
@@ -478,16 +475,12 @@ HEAT_SOLUTIONS = (
 )
 
 
-def pde_residual(eq, jet, n=21, t_interval=(0.05, 0.45)):
+def pde_residual(inv, jet, n=21, t_interval=(0.05, 0.45)):
     """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid,
-    where `jet(x, t)` gives (u, u_x, u_xx, u_t).  `eq` is a
-    ParabolicEquation, or anything with normalized a, b, c and a domain."""
-    if isinstance(eq, ParabolicEquation):
-        a, b, c, _ = normalize(eq)
-        domain = eq.domain
-    else:
-        a, b, c, domain = eq.a, eq.b, eq.c, eq.domain
-    lo, hi = probe_window(domain)
+    where `jet(x, t)` gives (u, u_x, u_xx, u_t) and a, b, c and the domain
+    are the normalized ones held by the invariant triple `inv`."""
+    a, b, c = inv.a, inv.b, inv.c
+    lo, hi = probe_window(inv.domain)
     t0, t1 = t_interval
     worst = 0.0
     for i in range(n):
@@ -505,24 +498,19 @@ def pde_residual(eq, jet, n=21, t_interval=(0.05, 0.45)):
     return worst
 
 
-def verify_pullback(eq, ht=None, n=21):
+def verify_pullback(ht, n=21):
     """Map each heat solution of HEAT_SOLUTIONS through the transform and
-    measure the PDE residual of the result from its exact jet.  Returns
-    {name: residual}.
+    measure the PDE residual of the result from its exact jet, against the
+    equation the transform was built from.  Returns {name: residual}.
 
     Raises DomainError when a pulled-back solution overflows on the grid."""
-    if ht is None:
-        inv = compute_invariants(eq)
-        ht = build_heat_transform(classify(inv), inv)
-    a, b, c, _ = normalize(eq)
-    forward = SimpleNamespace(a=a, b=b, c=c, domain=eq.domain)
     lo, hi = ht.t_interval
     span = hi - lo
     t_int = (lo + 0.25 * span, hi - 0.25 * span)
     out = {}
     for name, v_jet in HEAT_SOLUTIONS:
         try:
-            out[name] = pde_residual(forward, ht.pullback_jet(v_jet), n=n,
+            out[name] = pde_residual(ht.inv, ht.pullback_jet(v_jet), n=n,
                                      t_interval=t_int)
         except OverflowError as exc:
             raise E.DomainError("pullback of the heat solution %s: %s"

@@ -21,7 +21,7 @@ from parasym.classify import classify
 from parasym.cli import CORPUS_EXPECT as CORPUS
 from parasym.invariants import ParabolicEquation, compute_invariants
 from parasym.parser import parse_expression as P, parse_file
-from parasym.transform import verify_pullback
+from parasym.transform import build_heat_transform, verify_pullback
 
 EQDIR = Path(__file__).resolve().parent.parent / "equations"
 
@@ -38,6 +38,11 @@ def criterion(n, name):
 
 def load(stem):
     return ParabolicEquation.from_program(parse_file(EQDIR / (stem + ".eq")))
+
+
+def transform_of(eq):
+    inv = compute_invariants(eq)
+    return build_heat_transform(classify(inv), inv)
 
 
 def test_criterion_1_corpus_classification():
@@ -60,7 +65,7 @@ def test_criterion_2_pullback_of_heat_solutions():
         for stem, (dim, _) in CORPUS.items():
             if dim != 6:
                 continue
-            res = verify_pullback(load(stem))
+            res = verify_pullback(transform_of(load(stem)))
             assert len(res) == 4, stem
             assert max(res.values()) <= 1e-6, (stem, res)
             n_checked += 1

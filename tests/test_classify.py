@@ -83,9 +83,10 @@ class TestDimensionFour:
         assert cls.dim == 4
 
     def test_mu_floor_keeps_verdicts_disjoint(self):
-        # the dim-6 heat equation must not be reported as dim 4 with mu ~ 0
-        cls = classify(eq("1"))
-        assert cls.dim == 6
+        # K = 1e-9/I^2 fits the dim-4 form with |mu| under MU_FLOOR, where
+        # mu snaps to 0: no dim-4 verdict may carry the dim-6 value mu = 0
+        cls = classify(eq("1", "0", "1e-9/x^2", domain=(0.0, 1.0)))
+        assert not (cls.dim == 4 and cls.constants["mu"] == 0.0)
 
 
 class TestDimensionTwo:
