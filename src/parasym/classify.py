@@ -8,10 +8,10 @@ The nontrivial symmetry algebra has dimension 6, 4, or 2:
 - dim 2  otherwise.
 
 The 6-dimensional form is tested first: mu -> 0 degenerates the second form
-into the first, so testing order makes the verdicts disjoint.  A symbolic
-path (polynomial matching of K against I) runs when I is symbolic; the
-numeric path samples (I, K) at 64 Chebyshev points and fits by least squares,
-with a golden-section search over the shift s for the 4-dimensional form.
+into the first, so testing order makes the verdicts disjoint.  The verdict
+and the constants come from least-squares fits of K against I at 64 Chebyshev
+probe points, with a golden-section search over the shift s for the
+4-dimensional form.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class SymmetryClassification:
     constants: dict = field(default_factory=dict)
     shift: float | None = None
     residual: float = math.inf
-    fit_mode: str = "numeric"
 
 
 def _snap(v, tol=1e-7):
@@ -119,22 +118,6 @@ def _golden_min(f, lo, hi):
     return (a + b) / 2.0
 
 
-def _symbolic_quadratic(inv):
-    """Try to certify K = c2 I^2 + c1 I + c0 symbolically."""
-    if not inv.symbolic_I:
-        return None
-    window = probe_window(inv.domain)
-    coeffs = E.match_polynomial(inv.K, inv.I.expr, 2, interval=window)
-    if coeffs is None:
-        return None
-    vals = []
-    for ce in coeffs:
-        if E.free_symbols(ce) - set(E.DEFAULT_BINDINGS):
-            return None
-        vals.append(E.evaluate(ce, {}))
-    return vals  # [c0, c1, c2]
-
-
 def classify(inv, tol=1e-7, i_offset=0.0):
     """Classify from an InvariantTriple (or a ParabolicEquation).
 
@@ -149,17 +132,13 @@ def classify(inv, tol=1e-7, i_offset=0.0):
 
     coef6, resid6 = _fit_quadratic(Iv, Kv)
     if resid6 <= tol * scale:
-        fit_mode = "numeric"
-        sym = _symbolic_quadratic(inv)
-        if sym is not None and i_offset == 0.0:
-            fit_mode = "symbolic"
         # the generators built from these constants must pass the 1e-8
         # determining check, which a fraction within 1e-7 of an accurate fit
         # can fail (drift b = 0.567 x: c2 = -95/1182, 4e-10 off)
         c0, c1, c2 = (_snap(v, 1e-12) for v in coef6)
         return SymmetryClassification(
             dim=6, constants={"c2": c2, "c1": c1, "c0": c0},
-            residual=resid6, fit_mode=fit_mode)
+            residual=resid6)
 
     lo, hi = SHIFT_RANGE
 
@@ -181,10 +160,9 @@ def classify(inv, tol=1e-7, i_offset=0.0):
         mu, c2, c0 = (_snap(v) for v in coef4)
         return SymmetryClassification(
             dim=4, constants={"mu": mu, "c2": c2, "c0": c0},
-            shift=_snap(s_best), residual=resid4, fit_mode="numeric")
+            shift=_snap(s_best), residual=resid4)
 
-    return SymmetryClassification(
-        dim=2, residual=min(resid6, resid4), fit_mode="numeric")
+    return SymmetryClassification(dim=2, residual=min(resid6, resid4))
 
 
 def check_fp_logdiffusion(A, B):

@@ -5,8 +5,7 @@ variables, +, *, ^, and a fixed set of elementary functions.
 Everything here is a pure function of immutable values; trees are safe to share
 between threads.  `simplify` produces a canonical-ish normal form (sums and
 products flattened, numeric parts folded, children sorted by a deterministic
-key) and is idempotent.  Zero-testing and polynomial matching first try exact
-coefficient extraction and fall back to deterministic-point sampling.
+key) and is idempotent.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import builtins
 import itertools
 import math
-import random
 from fractions import Fraction
 
 
@@ -886,10 +884,7 @@ def _poly(e, var):
 
 
 # ---------------------------------------------------------------------------
-# zero testing & polynomial matching (symbolic first, then sampling)
-
-_SAMPLE_SEED = 20250823
-
+# probe points
 
 def chebyshev_points(lo, hi, n):
     """The n Chebyshev nodes of [lo, hi] in ascending order."""
@@ -898,145 +893,6 @@ def chebyshev_points(lo, hi, n):
         theta = math.pi * (2 * i + 1) / (2 * n)
         pts.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(theta))
     return sorted(pts)
-
-
-def _sample_interval(interval):
-    lo, hi = interval
-    if math.isinf(lo) and math.isinf(hi):
-        return -3.0, 3.0
-    if math.isinf(hi):
-        return lo + 0.1 * max(1.0, abs(lo)), lo + 4.0 * max(1.0, abs(lo))
-    if math.isinf(lo):
-        return hi - 4.0 * max(1.0, abs(hi)), hi - 0.1 * max(1.0, abs(hi))
-    w = hi - lo
-    return lo + 0.05 * w, hi - 0.05 * w
-
-
-def _auto_bindings(e, bindings, rng):
-    env = dict(bindings or {})
-    for name in sorted(free_symbols(e) - {"x"} - set(env) - set(DEFAULT_BINDINGS)):
-        env[name] = rng.uniform(0.5, 2.0)
-    return env
-
-
-def is_zero(e, interval=(-3.0, 3.0), bindings=None):
-    """Decide whether e is identically zero in x on the interval.
-
-    Polynomial normalization first; otherwise sampling at 7 deterministic
-    points plus 50 random confirmation points (fixed seed), where |e| must
-    stay within 1e-9 of the size of the terms that cancel.
-    """
-    e = simplify(e)
-    if e.kind == "num":
-        return e.value == 0
-    coeffs = as_polynomial(e, "x")
-    if coeffs is not None and all(c.kind == "num" for c in coeffs):
-        return all(c.value == 0 for c in coeffs)
-    rng = random.Random(_SAMPLE_SEED)
-    env = _auto_bindings(e, bindings, rng)
-    lo, hi = _sample_interval(interval)
-    # descending nodes: the sampled checks and fits keep this probe order
-    pts = chebyshev_points(lo, hi, 7)[::-1]
-    pts += [rng.uniform(lo, hi) for _ in range(50)]
-    scale = 1.0
-    checked = 0
-    for p in pts:
-        env["x"] = p
-        try:
-            v = evaluate(e, env)
-            scale = max(scale, _magnitude(e, env))
-        except DomainError:
-            continue
-        checked += 1
-        if abs(v) > 1e-9 * scale:
-            return False
-    return checked >= 7
-
-
-def _magnitude(e, env):
-    """Rough size of the terms being cancelled, for relative tolerance."""
-    if e.kind == "add":
-        s = 0.0
-        for a in e.args:
-            try:
-                s += abs(evaluate(a, env))
-            except DomainError:
-                return 1.0
-        return s
-    try:
-        return abs(evaluate(e, env))
-    except DomainError:
-        return 1.0
-
-
-def match_polynomial(e, var, degree, interval=(-3.0, 3.0), bindings=None):
-    """Coefficients [c0..c_degree] with e == sum c_i var^i identically, else None.
-
-    `var` may be any expression in the spatial variable x.  Exact path when
-    both are polynomial in x; otherwise least-squares over 7 sample points
-    confirmed at 50 more, to 1e-9 of the values' size.
-    """
-    e = simplify(e)
-    var = simplify(to_expr(var))
-    if not contains_symbol(e, "x"):
-        return [e] + [ZERO] * degree
-    # exact path: e polynomial in var when var is the bare variable
-    if var.kind == "sym" and var.value == "x":
-        coeffs = as_polynomial(e, "x")
-        if coeffs is not None:
-            if len(coeffs) > degree + 1:
-                if all(is_zero(c, interval, bindings)
-                       for c in coeffs[degree + 1:]):
-                    coeffs = coeffs[:degree + 1]
-                else:
-                    return None
-            return coeffs + [ZERO] * (degree + 1 - len(coeffs))
-    return _match_poly_sampled(e, var, degree, interval, bindings)
-
-
-def _match_poly_sampled(e, var, degree, interval, bindings):
-    import numpy as np
-
-    rng = random.Random(_SAMPLE_SEED + 1)
-    env = _auto_bindings(e, bindings, rng)
-    lo, hi = _sample_interval(interval)
-
-    def probe(pts):
-        rows, vals, scale = [], [], 1.0
-        for p in pts:
-            env["x"] = p
-            try:
-                v = evaluate(var, env)
-                w = evaluate(e, env)
-            except DomainError:
-                continue
-            rows.append([v ** i for i in range(degree + 1)])
-            vals.append(w)
-            scale = max(scale, abs(w), abs(v) ** degree)
-        return np.array(rows), np.array(vals), scale
-
-    A, yv, scale = probe(chebyshev_points(lo, hi, max(7, degree + 3))[::-1])
-    if len(yv) < degree + 2:
-        return None
-    coef, *_ = np.linalg.lstsq(A, yv, rcond=None)
-    # confirm on 50 random points
-    A2, y2, scale2 = probe([rng.uniform(lo, hi) for _ in range(50)])
-    if len(y2) < 10:
-        return None
-    resid = max(float(np.max(np.abs(A @ coef - yv))),
-                float(np.max(np.abs(A2 @ coef - y2))))
-    if resid > 1e-9 * max(scale, scale2):
-        return None
-    return [_rationalize(float(c)) for c in coef]
-
-
-def _rationalize(c):
-    """Snap a float to a small exact rational when that is clearly right
-    (within 1e-9 (1 + |c|))."""
-    fr = Fraction(c).limit_denominator(1_000_000)
-    if abs(float(fr) - c) <= 1e-9 * (1.0 + abs(c)):
-        return num(fr)
-    return num(c)
 
 
 # ---------------------------------------------------------------------------

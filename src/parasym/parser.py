@@ -18,7 +18,7 @@ is ``(-x)^2`` and ``-f(x)`` is ``-(f(x))``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as E
@@ -44,7 +44,6 @@ class ParsedProgram:
     constants: dict            # name -> float
     assignments: dict          # name -> Expr
     domain: tuple | None       # (lo, hi) as floats, may be +-inf
-    source: str = field(repr=False, default="")
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +289,23 @@ def parse(source):
         if t.kind not in ("sep", "eof"):
             raise SyntaxError("trailing input %r" % t.text, t.line, t.col)
 
-    return ParsedProgram(variables, constants, assignments, domain, source)
+    return ParsedProgram(variables, constants, assignments, domain)
 
 
 FORBIDDEN_NAMES = set(E.FUNCTIONS) | {"var", "const", "domain"}
 
 
 def _statement_expr(p, declared):
-    start = p.i
     e = _checked_expression(p, declared)
     if p.peek().kind not in ("sep", "eof", "comma", "rparen"):
         t = p.peek()
         raise SyntaxError("trailing input %r" % t.text, t.line, t.col)
-    del start
     return E.simplify(e)
 
 
 def _checked_expression(p, declared):
     p2 = _Parser(p.toks, declared)
     p2.i = p.i
-    # strip separators inside? No: expressions end at separators by grammar.
     e = p2.expression(0)
     p.i = p2.i
     return e

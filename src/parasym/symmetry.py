@@ -314,18 +314,15 @@ def commutator_table(basis):
 def jacobi_residual(table, n):
     """Max residual of the Jacobi identity in the computed structure
     constants."""
-    worst = 0.0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                for m in range(1, n + 1):
-                    s = 0.0
-                    for l in range(1, n + 1):
-                        s += table.coeff(j, k, l) * table.coeff(i, l, m)
-                        s += table.coeff(k, i, l) * table.coeff(j, l, m)
-                        s += table.coeff(i, j, l) * table.coeff(k, l, m)
-                    worst = max(worst, abs(s))
-    return worst
+    C = np.zeros((n, n, n))    # C[i, j] = [X_i, X_j], antisymmetric in i, j
+    for (i, j), entry in table.structure.items():
+        for k, v in entry.items():
+            C[i - 1, j - 1, k - 1] = v
+            C[j - 1, i - 1, k - 1] = -v
+    s = (np.einsum("jkl,ilm->ijkm", C, C) + np.einsum("kil,jlm->ijkm", C, C)
+         + np.einsum("ijl,klm->ijkm", C, C))
+    i, j, k = np.indices((n, n, n))
+    return float(np.abs(s[(i < j) & (j < k)]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,12 @@ def solve_schwarzian(q2, mode="default"):
     """A MobiusMap with {T; t} = -8 q2 and T' > 0 on its time window: (0.05,
     1) in kernel mode, else (-0.5, 0.5), or +-0.45 pi/(8 kappa) when q2 < 0.
 
-    mode='default' picks the everywhere-regular representative when one
-    exists; mode='kernel' picks the pole-at-zero representative used for
-    fundamental-solution construction (q2 > 0: T = -coth(2 kappa t)/(2 kappa)
-    on t > 0; q2 = 0: T = -1/t, the Appell inversion).
+    mode='default' gives the everywhere-regular representative (T = t,
+    tanh(2 kappa t)/(2 kappa) or tan(2 kappa t)/(2 kappa)); mode='kernel'
+    gives the pole-at-zero representative used for fundamental-solution
+    construction (q2 > 0: T = -coth(2 kappa t)/(2 kappa) on t > 0; q2 = 0:
+    T = -1/t, the Appell inversion).  Raises SingularOnInterval when that
+    representative fails its check on the window.
     """
     q2 = float(q2)
     t_interval = (0.05, 1.0) if mode == "kernel" else (-0.5, 0.5)
@@ -142,44 +144,34 @@ def solve_schwarzian(q2, mode="default"):
         kappa = math.sqrt(q2)
         if mode == "kernel":
             # -coth(2 kappa t)/(2 kappa): T' = csch^2 > 0, pole at t=0
-            cands = [(-1 / (2 * kappa), -1 / (2 * kappa), 1.0, -1.0)]
+            k = (-1 / (2 * kappa), -1 / (2 * kappa), 1.0, -1.0)
         else:
             # tanh(2 kappa t)/(2 kappa): T' = sech^2 > 0 everywhere
-            cands = [(1 / (2 * kappa), -1 / (2 * kappa), 1.0, 1.0),
-                     (-1 / (2 * kappa), -1 / (2 * kappa), 1.0, -1.0)]
+            k = (1 / (2 * kappa), -1 / (2 * kappa), 1.0, 1.0)
         branch = "exponential"
     elif q2 < 0:
         kappa = math.sqrt(-q2)
         width = math.pi / (8 * kappa)
         t_interval = (-0.45 * width, 0.45 * width)
-        # tan(2 kappa (t - tm))/(2 kappa) for a few pole offsets tm
-        cands = []
-        for tm in (0.0, width, -width, 2 * width, -2 * width):
-            cs, sn = math.cos(2 * kappa * tm), math.sin(2 * kappa * tm)
-            # tan(2k t - 2k tm) = (sin cs - cos sn)/(cos cs + sin sn) over
-            # basis (sin 2kt, cos 2kt)
-            cands.append((cs / (2 * kappa), -sn / (2 * kappa), sn, cs))
+        # tan(2 kappa t)/(2 kappa) over the basis (sin 2kt, cos 2kt)
+        k = (1 / (2 * kappa), 0.0, 0.0, 1.0)
         branch = "trigonometric"
     else:
-        if mode == "kernel":
-            cands = [(0.0, -1.0, 1.0, 0.0)]  # T = -1/t
-        else:
-            cands = [(1.0, 0.0, 0.0, 1.0), (0.0, -1.0, 1.0, 0.0)]
+        # T = -1/t in kernel mode, else T = t
+        k = (0.0, -1.0, 1.0, 0.0) if mode == "kernel" else (1.0, 0.0, 0.0, 1.0)
         branch = "rational"
 
-    last = None
-    for k in cands:
-        try:
-            m = MobiusMap(k, branch, q2, t_interval)
-            worst, tp_min = m.check()
-            if worst <= 1e-8 * (1 + 8 * abs(q2)) and tp_min > 0:
-                return m
-            last = (worst, tp_min)
-        except (E.DomainError, ZeroDivisionError):
-            continue
+    try:
+        m = MobiusMap(k, branch, q2, t_interval)
+        worst, tp_min = m.check()
+    except (E.DomainError, ZeroDivisionError) as exc:
+        raise SingularOnInterval("no admissible branch on %s: %s"
+                                 % (t_interval, exc)) from exc
+    if worst <= 1e-8 * (1 + 8 * abs(q2)) and tp_min > 0:
+        return m
     raise SingularOnInterval(
-        "no admissible branch on %s (last residual/T'min: %s)"
-        % (t_interval, last))
+        "no admissible branch on %s (residual/T'min: %s)"
+        % (t_interval, (worst, tp_min)))
 
 
 # ---------------------------------------------------------------------------

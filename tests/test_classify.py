@@ -98,6 +98,13 @@ class TestDimensionTwo:
         cls = classify(eq("1", "0", "sin(x)"))
         assert cls.dim == 2
 
+    @pytest.mark.parametrize("c", ["tanh(x/10)", "tanh(x/100)",
+                                   "x^2 + 1e-6*x^3"])
+    def test_close_impostor_is_not_quadratic(self, c):
+        # each K is within 5e-3 of a quadratic in I = x on the probe
+        # points, but outside the fit tolerance
+        assert classify(eq("1", "0", c)).dim == 2
+
 
 class TestGaugeRobustness:
     @pytest.mark.parametrize("shift", [-2.0, -0.5, 0.0, 1.0, 3.0])

@@ -241,6 +241,21 @@ class TestReportCompleteness:
         for coeff in ("a", "b", "c"):
             assert set(rep["input"][coeff]) == {"text", "sexpr"}
 
+    def test_keys_the_benchmark_reads(self, capsys):
+        # bench/run.py and bench/check.py index these keys on every answer
+        _, out, _ = run(capsys, "--json", "analyze", eqpath("heat"))
+        rep = json.loads(out)
+        assert set(rep["classification"]) >= {"dim", "constants", "fit_mode"}
+        assert "I_mode" in rep["invariants"]
+        assert rep["verification"]["pullback_residuals"]
+        assert all("determining_residual" in g
+                   for g in rep["generators"]["basis"])
+        assert "warnings" in rep
+        _, out, _ = run(capsys, "--json", "kernels", "verify", "heat_1d")
+        assert set(json.loads(out)) >= {"name", "constants", "residual",
+                                        "normalization", "delta_limit",
+                                        "pass"}
+
 
 class TestArgumentParser:
     @staticmethod

@@ -103,36 +103,6 @@ class TestEvaluate:
             ev(P("x + y"), x=1.0)
 
 
-class TestMatchPolynomial:
-    def test_constant_matches_degree_zero(self):
-        coeffs = E.match_polynomial(P("k^2"), P("x"), 2,
-                                    bindings={"k": 1.3})
-        assert coeffs is not None
-        c0, c1, c2 = (E.evaluate(c, {"k": 1.3}) for c in coeffs)
-        assert (c0, c1, c2) == pytest.approx((1.69, 0.0, 0.0))
-
-    def test_quadratic(self):
-        coeffs = E.match_polynomial(P("x^2 + 2*x"), P("x"), 2)
-        vals = [E.evaluate(c, {}) for c in coeffs]
-        assert vals == pytest.approx([0.0, 2.0, 1.0])
-
-    def test_sine_is_rejected(self):
-        assert E.match_polynomial(P("sin(x)"), P("x"), 2) is None
-
-    def test_no_false_positive_on_close_impostor(self):
-        # tanh(x/10) is close to linear near 0 but not a polynomial
-        assert E.match_polynomial(P("tanh(x/10)"), P("x"), 2,
-                                  interval=(-3.0, 3.0)) is None
-
-
-class TestZeroTesting:
-    def test_pythagorean_identity(self):
-        assert E.is_zero(P("sin(x)^2 + cos(x)^2 - 1"))
-
-    def test_nonzero(self):
-        assert not E.is_zero(P("sin(x)^2 - 1/2"))
-
-
 class TestSerialization:
     def test_sexpr_shape(self):
         s = E.to_sexpr(E.simplify(P("(1 + k^2*x^2)^2")))

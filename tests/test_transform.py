@@ -70,6 +70,13 @@ class TestSchwarzian:
         assert worst <= 1e-9
         assert tp_min > 0.0
 
+    @pytest.mark.parametrize("q2", [0.0, 1.0, -1.0])
+    def test_default_map_is_regular_at_zero(self, q2):
+        # the 16 check nodes skip t = 0, so a pole there would pass check()
+        mob = solve_schwarzian(q2)
+        assert math.isfinite(mob(0.0))
+        assert mob.d(0.0) > 0.0
+
     def test_rational_branch_is_identity_like(self):
         mob = solve_schwarzian(0.0)
         assert mob.branch == "rational"
