@@ -28,9 +28,12 @@ these triples, and the published table, transcribed as data, is compared
 against them, with any line that cannot be reproduced reported as a flagged
 discrepancy rather than an error.
 
-Coefficient expressions use the extra symbol `Ivar` for I(x); differentiation
-in x applies the chain rule d(Ivar)/dx = 1/sqrt(a), which keeps residuals at
-machine precision even when I itself is quadrature-defined.
+The determining equations are checked from the triples too: xi, phi and
+their x- and t-derivatives have closed forms in a fixed set of functions of x
+(s = sqrt(a), I, J, a, b, c and their derivatives, with I' = 1/s) and the
+triple's t-derivatives, so each function of x is evaluated once per basis and
+each triple once per field (check_determining).  The printed coefficients
+use the extra symbol `Ivar` for I(x), which may be quadrature-defined.
 """
 
 from __future__ import annotations
@@ -76,17 +79,12 @@ class VectorField:
                 "xi": E.to_text(self.xi), "phi": E.to_text(self.phi)}
 
 
-def _dx(e, inv):
-    """x-derivative with the chain rule for the Ivar symbol."""
-    out = E.differentiate(e, X)
-    if E.contains_symbol(e, IVAR):
-        chain = E.simplify(E.div(E.ONE, inv.sqrt_a))
-        out = E.simplify(E.add(out, E.mul(E.differentiate(e, IVAR), chain)))
-    return out
-
-
 def _dt(e):
     return E.differentiate(e, T)
+
+
+def _value(e, env):
+    return E.evaluate(e, env) if e is not E.ZERO else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,59 +196,93 @@ def emit_basis(cls, inv):
 # ---------------------------------------------------------------------------
 # determining equations
 
-def check_determining(inv, vf, n=16):
-    """Residuals of the two determining equations and the xi equation on an
-    n-by-n grid (n >= 2) of the probe window times [0.05, 0.45], scaled by
-    the magnitude of the participating terms.
+DETERMINING_TOL = 1e-8     # largest scaled residual of an accepted generator
+
+
+def _scaled(*terms):
+    """max over the grid of |sum terms| / (sum |terms| + 1)."""
+    u = np.stack(np.broadcast_arrays(*terms))
+    return float((np.abs(u.sum(axis=0)) / (np.abs(u).sum(axis=0) + 1.0)).max())
+
+
+def check_determining(inv, basis, n=16):
+    """Residuals of each field of `basis` in the two determining equations
+    and the xi equation, one dict per field, on an n-by-n grid (n >= 2) of
+    the probe window times [0.05, 0.45], each scaled by the magnitude of its
+    terms, |sum| / (sum |term| + 1):
 
     deteq1: 8 a^2 phi_x + (a' - 2b)(xi a' - a tau') - a [2 xi a'' - 4 xi_t
             - 4 xi b'] = 0
     deteq2: c tau' - phi_t + xi c' + b phi_x + a phi_xx = 0
     xieq:   xi_x - a'/(2a) xi - tau'/2 = 0
-    """
-    a, b, c = inv.a, inv.b, inv.c
-    ap = E.differentiate(a, X)
-    app = E.differentiate(ap, X)
-    bp = E.differentiate(b, X)
-    cp = E.differentiate(c, X)
-    taud = _dt(vf.tau)
-    xi_x = _dx(vf.xi, inv)
-    xi_t = _dt(vf.xi)
-    phi_x = _dx(vf.phi, inv)
-    phi_xx = _dx(phi_x, inv)
-    phi_t = _dt(vf.phi)
 
+    The fields enter through their scalar triples.  The x-functions s, s',
+    I, J, J', J'', a, a', a'', b, b', c, c' are evaluated once at the grid
+    x, each triple's t-derivatives once at the grid t, and with I' = 1/s
+
+        xi_x   = s' (tau' I/2 + rho) + tau'/2,   xi_t = s (tau'' I/2 + rho'),
+        phi_x  = A/s + J' B,   A = -tau'' I/4 - rho'/2 + tau' J/4,
+                               B = tau' I/4 + rho/2,
+        phi_xx = (-tau''/(4s) + tau' J'/4)/s - A s'/s^2 + J'' B + J' tau'/(4s),
+        phi_t  = -tau''' I^2/8 - rho'' I/2 + tau'' I J/4 + rho' J/2 + sigma'.
+
+    "tree" compares the printed tau, xi and phi with these formulas at the n
+    diagonal points (x_j, t_j), |w - v| / (|w| + |v| + 1), so a simplifier
+    fault in what the report prints still shows.
+    """
     lo, hi = probe_window(inv.domain)
     xs = chebyshev_points(lo, hi, n)
     t0, t1 = 0.05, 0.45
     ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
-    worst = {"deteq1": 0.0, "deteq2": 0.0, "xieq": 0.0}
-    for x in xs:
-        # a, b, c, their derivatives and I depend on x only
-        env = vf.env(x, ts[0])
-        ev = lambda e: E.evaluate(e, env) if e is not E.ZERO else 0.0
-        av, bv, cv = ev(a), ev(b), ev(c)
-        apv, appv, bpv, cpv = ev(ap), ev(app), ev(bp), ev(cp)
-        for t in ts:
-            env[T] = t
-            tdv, xv, xtv = ev(taud), ev(vf.xi), ev(xi_t)
-            pxv, pxxv, ptv = ev(phi_x), ev(phi_xx), ev(phi_t)
-            terms1 = (8 * av * av * pxv,
-                      (apv - 2 * bv) * (xv * apv - av * tdv),
-                      -av * (2 * xv * appv - 4 * xtv - 4 * xv * bpv))
-            r1 = sum(terms1)
-            s1 = sum(abs(u) for u in terms1) + 1.0
-            terms2 = (cv * tdv, -ptv, xv * cpv, bv * pxv, av * pxxv)
-            r2 = sum(terms2)
-            s2 = sum(abs(u) for u in terms2) + 1.0
-            terms3 = (ev(xi_x), -apv / (2 * av) * xv, -0.5 * tdv)
-            r3 = sum(terms3)
-            s3 = sum(abs(u) for u in terms3) + 1.0
-            worst["deteq1"] = max(worst["deteq1"], abs(r1) / s1)
-            worst["deteq2"] = max(worst["deteq2"], abs(r2) / s2)
-            worst["xieq"] = max(worst["xieq"], abs(r3) / s3)
-    worst["max"] = max(worst.values())
-    return worst
+    d = lambda e: E.differentiate(e, X)
+    sp, Jp, ap = d(inv.sqrt_a), d(inv.J), d(inv.a)
+    fx = (inv.sqrt_a, sp, inv.J, Jp, d(Jp), inv.a, ap, d(ap),
+          inv.b, d(inv.b), inv.c, d(inv.c))
+    # x runs down axis 0 and t along axis 1 of every grid array
+    s, sp, J, Jp, Jpp, a, ap, app, b, bp, c, cp = (
+        np.array([[_value(e, {X: x})] for x in xs]) for e in fx)
+    I0 = np.array([[inv.I(x)] for x in xs])
+    out = []
+    for vf in basis:
+        I = I0 + vf.i_offset
+        tau, rho, sigma = vf.scalars
+        tau1, rho1, sigma1 = _dt(tau), _dt(rho), _dt(sigma)
+        tau2, rho2 = _dt(tau1), _dt(rho1)
+        tau, tau1, tau2, tau3, rho, rho1, rho2, sigma, sigma1 = (
+            np.array([_value(e, {T: t}) for t in ts])
+            for e in (tau, tau1, tau2, _dt(tau2), rho, rho1, rho2,
+                      sigma, sigma1))
+        xi = s * (tau1 * I / 2 + rho)
+        xi_x = sp * (tau1 * I / 2 + rho) + tau1 / 2
+        xi_t = s * (tau2 * I / 2 + rho1)
+        A = -tau2 * I / 4 - rho1 / 2 + tau1 * J / 4
+        B = tau1 * I / 4 + rho / 2
+        phi = -tau2 * I ** 2 / 8 - rho1 * I / 2 + tau1 * I * J / 4 \
+            + rho * J / 2 + sigma
+        phi_x = A / s + Jp * B
+        phi_xx = (-tau2 / (4 * s) + tau1 * Jp / 4) / s - A * sp / s ** 2 \
+            + Jpp * B + Jp * tau1 / (4 * s)
+        phi_t = -tau3 * I ** 2 / 8 - rho2 * I / 2 + tau2 * I * J / 4 \
+            + rho1 * J / 2 + sigma1
+        res = {
+            "deteq1": _scaled(8 * a * a * phi_x,
+                              (ap - 2 * b) * (xi * ap - a * tau1),
+                              -a * (2 * xi * app - 4 * xi_t - 4 * xi * bp)),
+            "deteq2": _scaled(c * tau1, -phi_t, xi * cp, b * phi_x,
+                              a * phi_xx),
+            "xieq": _scaled(xi_x, -ap / (2 * a) * xi, -tau1 / 2),
+            "tree": 0.0,
+        }
+        for j, (x, t) in enumerate(zip(xs, ts)):
+            env = {X: x, T: t, IVAR: float(I[j, 0])}
+            for e, w in ((vf.tau, tau[j]), (vf.xi, xi[j, j]),
+                         (vf.phi, phi[j, j])):
+                v = _value(e, env)
+                res["tree"] = max(res["tree"],
+                                  abs(w - v) / (abs(w) + abs(v) + 1.0))
+        res["max"] = max(res.values())
+        out.append(res)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +295,8 @@ def _triple_values(vf):
     """(tau, rho, sigma, tau', rho', sigma') of vf at BRACKET_TIMES, as an
     array of shape (len(BRACKET_TIMES), 6)."""
     exprs = list(vf.scalars) + [_dt(e) for e in vf.scalars]
-    return np.array([[E.evaluate(e, {T: t}) if e is not E.ZERO else 0.0
-                      for e in exprs] for t in BRACKET_TIMES])
+    return np.array([[_value(e, {T: t}) for e in exprs]
+                     for t in BRACKET_TIMES])
 
 
 @dataclass
@@ -448,7 +480,7 @@ def boundary_subalgebra(basis, x0):
         taud = _dt(tau)
         taudd = _dt(taud)
         rhod = _dt(rho)
-        at0 = lambda e: E.evaluate(e, {T: 0.0}) if e is not E.ZERO else 0.0
+        at0 = lambda e: _value(e, {T: 0.0})
         t0v, td0, tdd0 = at0(tau), at0(taud), at0(taudd)
         r0, rd0, s0 = at0(rho), at0(rhod), at0(sigma)
         if dim6:

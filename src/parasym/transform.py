@@ -129,14 +129,16 @@ def _omega_basis(branch, q2):
 
 def solve_schwarzian(q2, mode="default"):
     """A MobiusMap with {T; t} = -8 q2 and T' > 0 on its time window: (0.05,
-    1) in kernel mode, else (-0.5, 0.5), or +-0.45 pi/(8 kappa) when q2 < 0.
+    1) in kernel mode, else (-0.5, 0.5); when q2 < 0, +-0.45 pi/(8 kappa),
+    or (0.05, min(1, 0.9 pi/(2 kappa))) in kernel mode.
 
     mode='default' gives the everywhere-regular representative (T = t,
     tanh(2 kappa t)/(2 kappa) or tan(2 kappa t)/(2 kappa)); mode='kernel'
     gives the pole-at-zero representative used for fundamental-solution
-    construction (q2 > 0: T = -coth(2 kappa t)/(2 kappa) on t > 0; q2 = 0:
+    construction (q2 > 0: T = -coth(2 kappa t)/(2 kappa) on t > 0; q2 < 0:
+    T = -cot(2 kappa t)/(2 kappa) on 0 < t < pi/(2 kappa); q2 = 0:
     T = -1/t, the Appell inversion).  Raises SingularOnInterval when that
-    representative fails its check on the window.
+    representative fails its check on the window, or the window is empty.
     """
     q2 = float(q2)
     t_interval = (0.05, 1.0) if mode == "kernel" else (-0.5, 0.5)
@@ -151,10 +153,20 @@ def solve_schwarzian(q2, mode="default"):
         branch = "exponential"
     elif q2 < 0:
         kappa = math.sqrt(-q2)
-        width = math.pi / (8 * kappa)
-        t_interval = (-0.45 * width, 0.45 * width)
-        # tan(2 kappa t)/(2 kappa) over the basis (sin 2kt, cos 2kt)
-        k = (1 / (2 * kappa), 0.0, 0.0, 1.0)
+        if mode == "kernel":
+            # -cot(2 kappa t)/(2 kappa) over the basis (sin 2kt, cos 2kt):
+            # T' = csc^2 > 0, poles at t = 0 and t = pi/(2 kappa)
+            t_interval = (0.05, min(1.0, 0.9 * math.pi / (2 * kappa)))
+            if t_interval[1] <= t_interval[0]:
+                raise SingularOnInterval(
+                    "no admissible branch: the kernel window (0.05, %.3g) "
+                    "is empty" % t_interval[1])
+            k = (0.0, -1 / (2 * kappa), 1.0, 0.0)
+        else:
+            width = math.pi / (8 * kappa)
+            t_interval = (-0.45 * width, 0.45 * width)
+            # tan(2 kappa t)/(2 kappa) over the basis (sin 2kt, cos 2kt)
+            k = (1 / (2 * kappa), 0.0, 0.0, 1.0)
         branch = "trigonometric"
     else:
         # T = -1/t in kernel mode, else T = t

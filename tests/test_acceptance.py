@@ -80,12 +80,12 @@ def test_criterion_3_determining_equations():
             inv = compute_invariants(load(stem))
             cls = classify(inv)
             basis = S.emit_basis(cls, inv)
-            for vf in basis:
-                assert S.check_determining(inv, vf, n=16)["max"] <= 1e-8
+            for res in S.check_determining(inv, basis, n=16):
+                assert res["max"] <= 1e-8
         inv = compute_invariants(load("heat"))
         basis = S.emit_basis(classify(inv), inv)
         fake = dataclasses.replace(basis[0], tau=P("t^2"), label="fake")
-        assert S.check_determining(inv, fake, n=16)["max"] >= 1e-3
+        assert S.check_determining(inv, [fake], n=16)[0]["max"] >= 1e-3
 
 
 # per family: equation builder and the table lines our symbolic bracket

@@ -57,8 +57,8 @@ class TestDimensionSix:
         want = {"c2": -beta ** 2 / 4, "c1": 0.0, "c0": -beta / 2}
         for k, v in want.items():
             assert abs(cls.constants[k] - v) <= 1e-13, k
-        worst = max(S.check_determining(inv, vf)["max"]
-                    for vf in S.emit_basis(cls, inv))
+        worst = max(r["max"] for r in
+                    S.check_determining(inv, S.emit_basis(cls, inv)))
         assert worst <= 1e-8
 
     def test_cir_reducible_branch(self):

@@ -12,6 +12,7 @@ from scipy.integrate import IntegrationWarning
 
 from parasym import cli
 from parasym import kernels as KN
+from parasym import symmetry as S
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EQDIR = os.path.join(ROOT, "equations")
@@ -137,6 +138,20 @@ class TestAnalyze:
                          "--grid", "2")
         assert rc == 0
         assert len(json.loads(out)["generators"]["basis"]) == 6
+
+    def test_determining_residual_over_bound_warns(self, capsys, tmp_path):
+        # b = -17 x gets a right dim-6 analysis, but on the t-grid
+        # [0.05, 0.45] its v2 misses the determining bound
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = 1\nb = -17*x\nc = 0\n")
+        rc, out, _ = run(capsys, "--json", "analyze", str(path))
+        assert rc == 0
+        rep = json.loads(out)
+        v2 = rep["generators"]["basis"][1]["determining_residual"]
+        assert v2 > S.DETERMINING_TOL
+        assert [w for w in rep["warnings"]
+                if w.startswith("determining residual of v2 ")
+                and w.endswith("exceeds %.3g" % S.DETERMINING_TOL)]
 
     def test_reader_closing_early_leaves_no_traceback(self):
         p = subprocess.Popen(

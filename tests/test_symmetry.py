@@ -41,6 +41,62 @@ def random_binding_potentials():
     return out
 
 
+def _dx(e, inv):
+    """x-derivative with the chain rule d(Ivar)/dx = 1/sqrt(a)."""
+    out = E.differentiate(e, "x")
+    if E.contains_symbol(e, S.IVAR):
+        chain = E.simplify(E.div(E.ONE, inv.sqrt_a))
+        out = E.simplify(E.add(out, E.mul(E.differentiate(e, S.IVAR), chain)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference determining check: each field's printed tau, xi and phi
+# differentiated symbolically and evaluated point by point
+
+def reference_determining(inv, vf, n=16):
+    """Scaled residuals of deteq1, deteq2 and xieq (S.check_determining)
+    from the printed coefficients."""
+    a, b, c = inv.a, inv.b, inv.c
+    ap = E.differentiate(a, "x")
+    app = E.differentiate(ap, "x")
+    bp = E.differentiate(b, "x")
+    cp = E.differentiate(c, "x")
+    taud = S._dt(vf.tau)
+    xi_x = _dx(vf.xi, inv)
+    xi_t = S._dt(vf.xi)
+    phi_x = _dx(vf.phi, inv)
+    phi_xx = _dx(phi_x, inv)
+    phi_t = S._dt(vf.phi)
+
+    lo, hi = probe_window(inv.domain)
+    ts = [0.05 + 0.4 * j / (n - 1) for j in range(n)]
+    worst = {"deteq1": 0.0, "deteq2": 0.0, "xieq": 0.0}
+    for x in chebyshev_points(lo, hi, n):
+        for t in ts:
+            env = vf.env(x, t)
+            av, bv, cv, apv, appv, bpv, cpv, tdv, xv, xtv, xxv, pxv, pxxv, \
+                ptv = (S._value(e, env) for e in (
+                    a, b, c, ap, app, bp, cp, taud, vf.xi, xi_t, xi_x,
+                    phi_x, phi_xx, phi_t))
+            for key, terms in (
+                    ("deteq1", (8 * av * av * pxv,
+                                (apv - 2 * bv) * (xv * apv - av * tdv),
+                                -av * (2 * xv * appv - 4 * xtv
+                                       - 4 * xv * bpv))),
+                    ("deteq2", (cv * tdv, -ptv, xv * cpv, bv * pxv,
+                                av * pxxv)),
+                    ("xieq", (xxv, -apv / (2 * av) * xv, -0.5 * tdv))):
+                worst[key] = max(worst[key], abs(sum(terms))
+                                 / (sum(abs(u) for u in terms) + 1.0))
+    worst["max"] = max(worst.values())
+    return worst
+
+
+def worst_determining(inv, basis):
+    return max(r["max"] for r in S.check_determining(inv, basis))
+
+
 # ---------------------------------------------------------------------------
 # reference structure constants: brackets taken symbolically on the
 # (tau, xi, phi) coefficients over {x, t, Ivar}, sampled on an x-t grid and
@@ -56,7 +112,7 @@ def lie_bracket(v, w):
         if f.tau is not E.ZERO and E.contains_symbol(e, S.T):
             parts.append(E.mul(f.tau, S._dt(e)))
         if f.xi is not E.ZERO:
-            dxe = S._dx(e, inv)
+            dxe = _dx(e, inv)
             if dxe is not E.ZERO:
                 parts.append(E.mul(f.xi, dxe))
         return E.Expr("add", parts) if parts else E.ZERO
@@ -134,8 +190,7 @@ class TestDeterminingEquations:
         _, inv, cls, basis = setup_case(a, b, c)
         assert cls.dim == want_dim
         assert len(basis) == want_dim
-        for vf in basis:
-            assert S.check_determining(inv, vf)["max"] <= 1e-8
+        assert worst_determining(inv, basis) <= 1e-8
 
     @pytest.mark.parametrize("coeffs", [
         ("x^6", "0", "0"), ("1", "5/x", "0"), ("x", "1 - x", "0"),
@@ -145,20 +200,58 @@ class TestDeterminingEquations:
         _, inv, cls, basis = setup_case(a, b, c, domain=(0.0, math.inf))
         assert cls.dim == 4
         assert len(basis) == 4
-        for vf in basis:
-            assert S.check_determining(inv, vf)["max"] <= 1e-8
+        assert worst_determining(inv, basis) <= 1e-8
 
     def test_non_symmetry_rejected(self):
+        # the printed tau no longer matches the field's triple
         _, inv, _, basis = setup_case("1")
         fake = dataclasses.replace(basis[0], tau=P("t^2"), label="fake")
-        assert S.check_determining(inv, fake)["max"] >= 1e-3
+        (res,) = S.check_determining(inv, [fake])
+        assert res["tree"] >= 1e-3
+        assert res["max"] >= 1e-3
+        assert reference_determining(inv, fake)["max"] >= 1e-3
 
     def test_perturbed_generator_rejected(self):
         _, inv, _, basis = setup_case("(1 + x^2)^2")
         v = basis[2]
         fake = dataclasses.replace(
             v, phi=E.simplify(E.add(v.phi, P("x/100"))))
-        assert S.check_determining(inv, fake)["max"] >= 1e-3
+        (res,) = S.check_determining(inv, [fake])
+        assert res["tree"] >= 1e-3
+        assert res["max"] >= 1e-3
+        assert reference_determining(inv, fake)["max"] >= 1e-3
+
+    def test_one_residual_dict_per_field(self):
+        _, inv, _, basis = setup_case("1", "0", "-x")
+        res = S.check_determining(inv, basis, n=5)
+        assert len(res) == len(basis)
+        for r in res:
+            assert set(r) == {"deteq1", "deteq2", "xieq", "tree", "max"}
+            assert r["max"] == max(v for k, v in r.items() if k != "max")
+
+    @pytest.mark.parametrize("build,args", DIFFERENTIAL_CASES)
+    def test_matches_symbolic_reference(self, build, args):
+        basis = build(*args)
+        inv = basis[0].inv
+        assert worst_determining(inv, basis) <= 1e-8
+        for vf in basis:
+            assert reference_determining(inv, vf)["max"] <= 1e-8
+
+    def test_wrong_constant_fails_in_both(self):
+        # harmonic_potential's basis built from c2 off by 1e-3: both checks
+        # see the same defect in the same equation
+        inv = compute_invariants(ParabolicEquation.from_program(
+            parse_file(EQDIR / "harmonic_potential.eq")))
+        cls = classify(inv)
+        cls.constants["c2"] += 1e-3
+        basis = S.emit_basis(cls, inv)
+        got = S.check_determining(inv, basis)
+        for vf, res in zip(basis, got):
+            want = reference_determining(inv, vf)
+            for key in ("deteq1", "deteq2", "xieq"):
+                assert res[key] == pytest.approx(want[key], rel=1e-6,
+                                                 abs=1e-12), (vf.label, key)
+        assert max(r["max"] for r in got) >= 1e-4
 
 
 class TestBrackets:
@@ -282,5 +375,5 @@ class TestBoundarySubalgebra:
 
     def test_subalgebra_members_are_symmetries(self):
         _, inv, _, basis = setup_case("1")
-        for vf in S.boundary_subalgebra(basis, x0=0.5):
-            assert S.check_determining(inv, vf)["max"] <= 1e-8
+        assert worst_determining(
+            inv, S.boundary_subalgebra(basis, x0=0.5)) <= 1e-8

@@ -16,7 +16,7 @@ from parasym.invariants import (DegenerateTransform, ParabolicEquation,
                                 compute_invariants, normalize, probe_window)
 from parasym.parser import parse_expression as P, parse_file
 from parasym.transform import (HEAT_SOLUTIONS, HeatTransform, MobiusMap,
-                               NotReducible,
+                               NotReducible, SingularOnInterval,
                                build_heat_transform, map_solution,
                                pde_residual, solve_schwarzian,
                                verify_pullback)
@@ -93,6 +93,23 @@ class TestSchwarzian:
         for t in (0.2, 0.7):
             want = -1.0 / (math.tanh(2 * k * t) * 2 * k)
             assert mob(t) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q2", [-0.25, -1.0, -4.0, -25.0])
+    def test_kernel_mode_negative_q2_is_cot(self, q2):
+        mob = solve_schwarzian(q2, mode="kernel")
+        k = math.sqrt(-q2)
+        lo, hi = mob.t_interval
+        assert lo == 0.05
+        assert hi == pytest.approx(min(1.0, 0.9 * math.pi / (2 * k)))
+        for t in (lo, 0.5 * (lo + hi), hi):
+            want = -1.0 / (math.tan(2 * k * t) * 2 * k)
+            assert mob(t) == pytest.approx(want, rel=1e-12)
+        assert mob.check()[0] <= 1e-8 * (1 + 8 * abs(q2))
+
+    def test_kernel_mode_empty_window_is_refused(self):
+        # 0.9 pi/(2 kappa) <= 0.05 from kappa = 9 pi on
+        with pytest.raises(SingularOnInterval, match="empty"):
+            solve_schwarzian(-(9.5 * math.pi) ** 2, mode="kernel")
 
     def test_trigonometric_branch_for_negative_q2(self):
         mob = solve_schwarzian(-1.0)
