@@ -271,15 +271,13 @@ def check_determining(inv, basis, n=16):
             "deteq2": _scaled(c * tau1, -phi_t, xi * cp, b * phi_x,
                               a * phi_xx),
             "xieq": _scaled(xi_x, -ap / (2 * a) * xi, -tau1 / 2),
-            "tree": 0.0,
         }
-        for j, (x, t) in enumerate(zip(xs, ts)):
-            env = {X: x, T: t, IVAR: float(I[j, 0])}
-            for e, w in ((vf.tau, tau[j]), (vf.xi, xi[j, j]),
-                         (vf.phi, phi[j, j])):
-                v = _value(e, env)
-                res["tree"] = max(res["tree"],
-                                  abs(w - v) / (abs(w) + abs(v) + 1.0))
+        want = np.column_stack([tau, xi.diagonal(), phi.diagonal()])
+        got = np.array([[_value(e, {X: x, T: t, IVAR: float(i)})
+                         for e in (vf.tau, vf.xi, vf.phi)]
+                        for x, t, i in zip(xs, ts, I[:, 0])])
+        res["tree"] = float((np.abs(want - got)
+                             / (np.abs(want) + np.abs(got) + 1.0)).max())
         res["max"] = max(res.values())
         out.append(res)
     return out
