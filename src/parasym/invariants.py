@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -217,7 +216,6 @@ def quadrature_fn1(derivative_expr, domain, x_ref):
     def f(x):
         return E.evaluate(derivative_expr, {VAR: x})
 
-    @lru_cache(maxsize=65536)
     def sampler(x):
         x = min(max(x, inset_lo), inset_hi)
         val, _err = quad(f, x_ref, x, epsabs=1e-10, epsrel=1e-10, limit=200)

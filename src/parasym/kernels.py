@@ -669,6 +669,10 @@ def kernel(name, constants=None):
             raise ConstraintViolation(
                 "unknown constants for %s: %s" % (name, sorted(unknown)))
         c.update(constants)
+    for key, v in c.items():
+        if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+            raise ConstraintViolation("constant %s of %s must be finite, "
+                                      "got %r" % (key, name, v))
     return builder(c)
 
 

@@ -28,12 +28,14 @@ these triples, and the published table, transcribed as data, is compared
 against them, with any line that cannot be reproduced reported as a flagged
 discrepancy rather than an error.
 
-The determining equations are checked from the triples too: xi, phi and
-their x- and t-derivatives have closed forms in a fixed set of functions of x
-(s = sqrt(a), I, J, a, b, c and their derivatives, with I' = 1/s) and the
-triple's t-derivatives, so each function of x is evaluated once per basis and
-each triple once per field (check_determining).  The printed coefficients
-use the extra symbol `Ivar` for I(x), which may be quadrature-defined.
+Every structured field comes from field_from_scalars, which keeps the jet
+(tau, tau', tau'', tau''', rho, rho', rho'', sigma, sigma') of its simplified
+triple; the brackets, the determining check and the boundary subalgebra read
+the jet's values and take no t-derivative.  xi, phi and their x- and
+t-derivatives have closed forms in the jet and a fixed set of functions of x
+(s = sqrt(a), I, J, a, b, c and their derivatives, with I' = 1/s), each
+evaluated once per basis (check_determining).  The printed coefficients use
+the extra symbol `Ivar` for I(x), which may be quadrature-defined.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class VectorField:
     xi: Expr
     phi: Expr
     label: str = ""
-    scalars: tuple = None      # (tau, rho, sigma) Exprs in t when structured
+    jet: tuple = None          # JET Exprs in t when structured
     inv: InvariantTriple = None
     i_offset: float = 0.0
 
@@ -85,6 +87,17 @@ def _dt(e):
 
 def _value(e, env):
     return E.evaluate(e, env) if e is not E.ZERO else 0.0
+
+
+JET = ("tau", "tau1", "tau2", "tau3", "rho", "rho1", "rho2", "sigma",
+       "sigma1")                   # tau1 = tau', tau2 = tau'', ...
+
+
+def _jet_values(vf, rows, ts):
+    """The jet rows of vf named in `rows` at the times ts, as an array of
+    shape (len(rows), len(ts))."""
+    return np.array([[_value(vf.jet[JET.index(r)], {T: t}) for t in ts]
+                     for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +161,21 @@ def _scalar_families(dim, c2, c1, c0):
 
 
 def field_from_scalars(tau, rho, sigma, inv, label="", i_offset=0.0):
-    """Assemble (tau, xi, phi) from the scalar triple."""
+    """The field of the scalar triple: (tau, xi, phi) and the triple's jet."""
+    tau, rho, sigma = E.simplify(tau), E.simplify(rho), E.simplify(sigma)
+    tau1, rho1 = _dt(tau), _dt(rho)
+    tau2 = _dt(tau1)
+    jet = (tau, tau1, tau2, _dt(tau2), rho, rho1, _dt(rho1), sigma,
+           _dt(sigma))
     Iv = E.sym(IVAR)
-    taud = _dt(tau)
-    taudd = _dt(taud)
-    rhod = _dt(rho)
-    xi = E.simplify(E.mul(inv.sqrt_a,
-                          E.add(E.mul(E.HALF, taud, Iv), rho)))
+    xi = E.simplify(E.mul(inv.sqrt_a, E.add(E.mul(E.HALF, tau1, Iv), rho)))
     phi = E.simplify(E.add(
-        E.mul(E.num(-0.125), taudd, E.pow_(Iv, 2)),
-        E.mul(E.num(-0.5), rhod, Iv),
-        E.mul(E.num(0.25), taud, Iv, inv.J),
+        E.mul(E.num(-0.125), tau2, E.pow_(Iv, 2)),
+        E.mul(E.num(-0.5), rho1, Iv),
+        E.mul(E.num(0.25), tau1, Iv, inv.J),
         E.mul(E.HALF, rho, inv.J),
         sigma))
-    return VectorField(tau=E.simplify(tau), xi=xi, phi=phi, label=label,
-                       scalars=(E.simplify(tau), E.simplify(rho),
-                                E.simplify(sigma)),
+    return VectorField(tau=tau, xi=xi, phi=phi, label=label, jet=jet,
                        inv=inv, i_offset=i_offset)
 
 
@@ -179,18 +191,10 @@ def emit_basis(cls, inv):
     c1 = cls.constants.get("c1", 0.0) if cls.dim == 6 else 0.0
     c0 = cls.constants.get("c0", 0.0)
     i_offset = float(cls.shift or 0.0) if cls.dim == 4 else 0.0
-    fields = []
-    fam = _scalar_families(cls.dim, c2, c1, c0)
-    for i, (tau, rho, sigma) in enumerate(fam):
-        fields.append(field_from_scalars(tau, rho, sigma, inv,
-                                         label="v%d" % (i + 1),
-                                         i_offset=i_offset))
-    m = VectorField(tau=E.ZERO, xi=E.ZERO, phi=E.ONE,
-                    label="v%d" % (len(fam) + 1),
-                    scalars=(E.ZERO, E.ZERO, E.ONE), inv=inv,
-                    i_offset=i_offset)
-    fields.append(m)
-    return fields
+    fam = _scalar_families(cls.dim, c2, c1, c0) + [(E.ZERO, E.ZERO, E.ONE)]
+    return [field_from_scalars(tau, rho, sigma, inv, label="v%d" % (i + 1),
+                               i_offset=i_offset)
+            for i, (tau, rho, sigma) in enumerate(fam)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +220,9 @@ def check_determining(inv, basis, n=16):
     deteq2: c tau' - phi_t + xi c' + b phi_x + a phi_xx = 0
     xieq:   xi_x - a'/(2a) xi - tau'/2 = 0
 
-    The fields enter through their scalar triples.  The x-functions s, s',
-    I, J, J', J'', a, a', a'', b, b', c, c' are evaluated once at the grid
-    x, each triple's t-derivatives once at the grid t, and with I' = 1/s
+    The fields enter through their jets.  The x-functions s, s', I, J, J',
+    J'', a, a', a'', b, b', c, c' are evaluated once at the grid x, each
+    jet once at the grid t, and with I' = 1/s
 
         xi_x   = s' (tau' I/2 + rho) + tau'/2,   xi_t = s (tau'' I/2 + rho'),
         phi_x  = A/s + J' B,   A = -tau'' I/4 - rho'/2 + tau' J/4,
@@ -245,13 +249,8 @@ def check_determining(inv, basis, n=16):
     out = []
     for vf in basis:
         I = I0 + vf.i_offset
-        tau, rho, sigma = vf.scalars
-        tau1, rho1, sigma1 = _dt(tau), _dt(rho), _dt(sigma)
-        tau2, rho2 = _dt(tau1), _dt(rho1)
-        tau, tau1, tau2, tau3, rho, rho1, rho2, sigma, sigma1 = (
-            np.array([_value(e, {T: t}) for t in ts])
-            for e in (tau, tau1, tau2, _dt(tau2), rho, rho1, rho2,
-                      sigma, sigma1))
+        tau, tau1, tau2, tau3, rho, rho1, rho2, sigma, sigma1 = \
+            _jet_values(vf, JET, ts)
         xi = s * (tau1 * I / 2 + rho)
         xi_x = sp * (tau1 * I / 2 + rho) + tau1 / 2
         xi_t = s * (tau2 * I / 2 + rho1)
@@ -289,14 +288,6 @@ def check_determining(inv, basis, n=16):
 BRACKET_TIMES = [0.07 + 0.34 * j / 9 for j in range(10)]
 
 
-def _triple_values(vf):
-    """(tau, rho, sigma, tau', rho', sigma') of vf at BRACKET_TIMES, as an
-    array of shape (len(BRACKET_TIMES), 6)."""
-    exprs = list(vf.scalars) + [_dt(e) for e in vf.scalars]
-    return np.array([[_value(e, {T: t}) for e in exprs]
-                     for t in BRACKET_TIMES])
-
-
 @dataclass
 class CommutatorTable:
     dim: int
@@ -314,16 +305,17 @@ class CommutatorTable:
 
 def commutator_table(basis):
     """Structure constants of the emitted basis: each bracket's scalar triple
-    from the two triples (module docstring), decomposed by least squares on
-    the stacked basis triples at BRACKET_TIMES."""
-    vals = [_triple_values(vf) for vf in basis]
-    A = np.column_stack([v[:, :3].ravel() for v in vals])
+    from the two fields' jets (module docstring), decomposed by least squares
+    on the stacked basis triples at BRACKET_TIMES."""
+    rows = ("tau", "rho", "sigma", "tau1", "rho1", "sigma1")
+    vals = [_jet_values(vf, rows, BRACKET_TIMES) for vf in basis]
+    A = np.column_stack([v[:3].T.ravel() for v in vals])
     n = len(basis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     brackets = []
     for i, j in pairs:
-        tv, rv, sv, tv1, rv1, sv1 = vals[i].T
-        tw, rw, sw, tw1, rw1, sw1 = vals[j].T
+        tv, rv, sv, tv1, rv1, sv1 = vals[i]
+        tw, rw, sw, tw1, rw1, sw1 = vals[j]
         brackets.append(np.column_stack([
             tv * tw1 - tw * tv1,
             tv * rw1 - tw * rv1 + (rv * tw1 - rw * tv1) / 2,
@@ -459,6 +451,7 @@ def boundary_subalgebra(basis, x0):
     """The subspace of sum a_i v_i leaving the delta initial condition at
     x = x0 invariant; dimension 3 for a dim-6 basis (six fields), 1 for
     dim-4.  A singular value at most 1e-9 max(1, largest) counts as zero.
+    Each member is field_from_scalars of the combined triple.
 
     Constraints on the scalar triple (tau, rho, sigma) at t = 0, with
     I0 = I(x0) (+ shift):
@@ -469,18 +462,13 @@ def boundary_subalgebra(basis, x0):
         dim 4:  tau(0) = 0,  tau'(0) = 0,
                 sigma(0) - tau''(0) I0^2 / 8 = 0.
     """
-    inv = basis[0].inv
-    I0 = inv.I(x0) + basis[0].i_offset
+    inv, i_offset = basis[0].inv, basis[0].i_offset
+    I0 = inv.I(x0) + i_offset
     dim6 = len(basis) == 6
     rows = []
     for vf in basis:
-        tau, rho, sigma = vf.scalars
-        taud = _dt(tau)
-        taudd = _dt(taud)
-        rhod = _dt(rho)
-        at0 = lambda e: _value(e, {T: 0.0})
-        t0v, td0, tdd0 = at0(tau), at0(taud), at0(taudd)
-        r0, rd0, s0 = at0(rho), at0(rhod), at0(sigma)
+        t0v, td0, tdd0, r0, rd0, s0 = _jet_values(
+            vf, ("tau", "tau1", "tau2", "rho", "rho1", "sigma"), [0.0])[:, 0]
         if dim6:
             rows.append([t0v,
                          r0 + 0.5 * td0 * I0,
@@ -497,20 +485,16 @@ def boundary_subalgebra(basis, x0):
         raise RankDeficiency(
             "expected a %d-dimensional subalgebra at x0=%g, got %d"
             % (expected, x0, len(ns)))
-    out = []
-    for idx, coefs in enumerate(ns):
-        tau = _combine([vf.tau for vf in basis], coefs)
-        xi = _combine([vf.xi for vf in basis], coefs)
-        phi = _combine([vf.phi for vf in basis], coefs)
-        sc = tuple(_combine([vf.scalars[m] for vf in basis], coefs)
-                   for m in range(3))
-        out.append(VectorField(tau=tau, xi=xi, phi=phi,
-                               label="X%d" % (idx + 1), scalars=sc,
-                               inv=inv, i_offset=basis[0].i_offset))
-    return out
+    return [field_from_scalars(*(_combine([vf.jet[JET.index(r)]
+                                           for vf in basis], coefs)
+                                 for r in ("tau", "rho", "sigma")),
+                               inv, label="X%d" % (idx + 1),
+                               i_offset=i_offset)
+            for idx, coefs in enumerate(ns)]
 
 
 def _combine(exprs, coefs):
+    """sum_i coefs[i] exprs[i], left for field_from_scalars to simplify."""
     parts = [E.mul(E.num(float(cc)), ee) for cc, ee in zip(coefs, exprs)
              if abs(cc) > 1e-13 and ee is not E.ZERO]
-    return E.simplify(Expr("add", parts)) if parts else E.ZERO
+    return Expr("add", parts) if parts else E.ZERO

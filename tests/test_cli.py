@@ -228,6 +228,22 @@ class TestKernels:
         assert rc == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("name", KN.list_kernels())
+    def test_non_finite_constant(self, capsys, name, bad):
+        # the first constant of each entry; a tuple-valued one gets the bad
+        # value in its first element
+        key, default = sorted(KN.kernel(name).constants.items())[0]
+        value = (",".join([bad] + ["1"] * (len(default) - 1))
+                 if isinstance(default, tuple) else bad)
+        rc, out, err = run(capsys, "kernels", "verify", name,
+                           "--" + key, value)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ConstraintViolation: constant %s of %s "
+                              "must be finite" % (key, name))
+        assert len(err.splitlines()) == 1
+
 
 class TestSelftest:
     def test_every_check_passes(self, capsys):

@@ -377,3 +377,46 @@ class TestBoundarySubalgebra:
         _, inv, _, basis = setup_case("1")
         assert worst_determining(
             inv, S.boundary_subalgebra(basis, x0=0.5)) <= 1e-8
+
+
+class TestJet:
+    """Each structured field carries its triple's t-derivatives, taken once
+    by field_from_scalars; the checks read their values."""
+
+    @pytest.mark.parametrize("stem", ["harmonic_stiff", "radial"])
+    def test_checks_take_no_t_derivative(self, monkeypatch, stem):
+        basis = _corpus_case(stem)
+        taken = []
+        differentiate = E.differentiate
+
+        def counting(e, var="x", order=1):
+            taken.append(var)
+            return differentiate(e, var, order)
+
+        monkeypatch.setattr(E, "differentiate", counting)
+        S.check_determining(basis[0].inv, basis)
+        S.commutator_table(basis)
+        assert set(taken) == {"x"}     # the x-functions' derivatives only
+
+    @pytest.mark.parametrize("stem", [
+        stem for stem, (dim, _) in sorted(CORPUS_EXPECT.items())
+        if dim in (4, 6)])
+    def test_jet_is_the_triples_derivatives(self, stem):
+        inv = compute_invariants(ParabolicEquation.from_program(
+            parse_file(EQDIR / (stem + ".eq"))))
+        cls = classify(inv)
+        c = cls.constants
+        triples = S._scalar_families(
+            cls.dim, c.get("c2", 0.0), c.get("c1", 0.0), c.get("c0", 0.0))
+        triples.append((E.ZERO, E.ZERO, E.ONE))
+        basis = S.emit_basis(cls, inv)
+        assert len(basis) == len(triples) == cls.dim
+        d = lambda e, k=1: E.differentiate(e, "t", k)
+        for vf, triple in zip(basis, triples):
+            tau, rho, sigma = (E.simplify(e) for e in triple)
+            want = (tau, d(tau), d(tau, 2), d(tau, 3), rho, d(rho),
+                    d(rho, 2), sigma, d(sigma))
+            assert len(vf.jet) == len(S.JET)
+            for name, got, w in zip(S.JET, vf.jet, want):
+                assert got == w, (vf.label, name)
+            assert vf.tau == tau
