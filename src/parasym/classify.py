@@ -23,13 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as E
-from .expr import ParasymError, chebyshev_points
-from .invariants import (ParabolicEquation, compute_invariants,
-                         fokker_planck_equation, probe_window)
-
-
-class IllConditionedFit(ParasymError):
-    """I is nearly constant on the probe grid — degenerate domain."""
+from .expr import chebyshev_points
+from .invariants import (IllConditionedFit, ParabolicEquation,
+                         compute_invariants, fokker_planck_equation,
+                         probe_window)
 
 
 N_POINTS = 64                  # probe points of the (I, K) fits
@@ -75,7 +72,11 @@ def _samples(inv, i_offset):
             raise E.DomainError("K undefined at x=%g: %s" % (x, exc)) from exc
     Iv = np.array(Iv)
     Kv = np.array(Kv)
-    if Iv.max() - Iv.min() < 1e-8 * (1.0 + np.abs(Iv).max()):
+    top = np.abs(Iv).max()
+    if top >= 2.0 ** 512:                 # the I^2 column would overflow
+        raise IllConditionedFit("I^2 overflows on the probe grid: |I| "
+                                "reaches %g" % top)
+    if Iv.max() - Iv.min() < 1e-8 * (1.0 + top):
         raise IllConditionedFit("I nearly constant on the probe grid")
     return Iv, Kv
 

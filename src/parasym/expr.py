@@ -558,13 +558,13 @@ def differentiate(e, var="x", order=1):
 # A tree is compiled, on its first evaluation, into one Python function of
 # the environment, kept in the root node's `_fn` slot.  The generated code is
 # straight-line, one assignment per node, so deep trees stay within the
-# parser's nesting limit and the evaluation order is explicit: children left
-# to right, except that a quotient checks its denominator before it computes
-# its numerator.  It does the float arithmetic of a direct recursive walk
-# operation for operation: sums by math.fsum, products as a left fold,
-# constants converted once with float().  Equal subtrees and repeated
-# symbols are computed once, at their first place in that order: the
-# arithmetic is deterministic, so the copies would give the same floats.
+# parser's nesting limit.  It runs in the order of a recursive walk: for each
+# node its children left to right, then its guard, then its operation.  It
+# does that walk's float arithmetic: sums by math.fsum of all their terms,
+# products as a left fold, constants converted once with float().  Equal
+# subtrees and repeated symbols are computed once, at their first place in
+# that order: the arithmetic is deterministic, so the copies would give the
+# same floats.  `evaluate` maps what the code raises besides its guards.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
@@ -582,26 +582,12 @@ _FN_GUARD = {
     "arctanh": ("abs(%s) >= 1.0", "arctanh outside (-1,1)"),
 }
 
-# stages of a node in _compile, besides the number of a sum's terms taken
-_EXPAND, _DENOMINATOR, _DONE = -1, -2, -3
-
-
-def _partial_sum(terms):
-    """Raise the OverflowError math.fsum raises part-way through `terms`.
-    A sum of inf and -inf fails only at the end of all the terms."""
-    try:
-        math.fsum(terms)
-    except ValueError:
-        pass
-
-
 # The generated functions share these globals and never write to them, so a
 # function refers to nothing but its code and defaults, and dies with its node.
 _CODE_GLOBALS = dict(
     {"_" + k: f for k, f in _FN_EVAL.items()},
     __builtins__=builtins, _fsum=math.fsum, _DomainError=DomainError,
-    _Unbound=UnboundIdentifier, _ExprError=ExprError,
-    _partial_sum=_partial_sum)
+    _ExprError=ExprError)
 
 
 # The local names of generated code ("t0", "t1", ...) stay interned for the
@@ -621,8 +607,11 @@ def evaluate(e, bindings=None):
         object.__setattr__(e, "_fn", f)
     try:
         v = f(env)
-    except OverflowError as exc:
-        raise DomainError(str(exc)) from exc
+    except KeyError as exc:               # only env[name] raises it
+        raise UnboundIdentifier(exc.args[0]) from None
+    except (OverflowError, ValueError) as exc:
+        # the reason alone: an OverflowError of ** also carries its errno
+        raise DomainError(*exc.args[-1:]) from exc
     if not math.isfinite(v):
         raise DomainError("non-finite result")
     return v
@@ -632,10 +621,8 @@ def _compile(root):
     """One function env -> float computing `root` as described above."""
     lines = []      # the body, one physical line each
     ref = {}        # id(node) -> local name, or the float of a constant
-    sym_ref = {}    # symbol name -> local name
-    seen = {}       # (kind, operand texts) -> local name; checks emitted
+    seen = {}       # (kind, value, operand texts) -> local; checks emitted
     defaults = {}   # default-argument name -> value, for non-literal values
-    prefixes = []   # (body lines before it, terms) of each partial sum
     count = itertools.count()
 
     def local():
@@ -659,73 +646,44 @@ def _compile(root):
         v = ref[id(node)]
         return repr(v) if isinstance(v, float) else v
 
-    stack = [(root, _EXPAND)]
+    stack = [(root, False)]               # (node, its children are done)
     while stack:
-        e, stage = stack.pop()
+        e, ready = stack.pop()
         k = e.kind
-        if stage == _EXPAND:
-            if id(e) in ref:
+        if not ready:
+            if id(e) not in ref:
+                stack.append((e, True))
+                stack += [(a, False) for a in reversed(e.args)]
+            continue
+        if k == "num":
+            try:
+                v = float(e.value)
+            except OverflowError:         # raised where the walk reaches it
+                ref[id(e)] = t = local()
+                emit("%s = float(%s)" % (t, const(e.value)))
                 continue
-            if k == "num":
-                try:
-                    v = float(e.value)
-                except OverflowError:     # raised where the walk reaches it
-                    ref[id(e)] = t = local()
-                    emit("%s = float(%s)" % (t, const(e.value)))
-                    continue
-                ref[id(e)] = v if math.isfinite(v) else const(v)
-            elif k == "sym":
-                t = sym_ref.get(e.value)
-                if t is None:
-                    t = sym_ref[e.value] = local()
-                    lines.append("try: %s = float(env[%r])" % (t, e.value))
-                    lines.append("except KeyError: raise _Unbound(%r) from None"
-                                 % e.value)
-                ref[id(e)] = t
-            elif k == "div":
-                stack += [(e, _DENOMINATOR), (e.args[1], _EXPAND)]
-            elif k == "add":
-                # a sum takes its terms one by one: after each, it may
-                # overflow before the next term is computed
-                stack.append((e, _DONE))
-                for i in range(len(e.args) - 1, 1, -1):
-                    stack += [(e.args[i], _EXPAND), (e, i)]
-                stack += [(a, _EXPAND) for a in reversed(e.args[:2])]
-            elif k in ("mul", "pow", "neg", "besseli") or k in _FN_EVAL:
-                stack.append((e, _DONE))
-                stack += [(a, _EXPAND) for a in reversed(e.args)]
-            else:
-                ref[id(e)] = "None"
-                lines.append("raise _ExprError(%r)"
-                             % ("cannot evaluate node kind %r" % k))
-            continue
-        if stage == _DENOMINATOR:         # checked before the numerator
-            emit(None, "%s == 0.0" % text(e.args[1]), "division by zero")
-            stack += [(e, _DONE), (e.args[0], _EXPAND)]
-            continue
-        if stage != _DONE:                # the first `stage` terms of a sum
-            terms = ("partial sum", *(text(a) for a in e.args[:stage]))
-            if terms not in seen:
-                seen[terms] = None
-                prefixes.append((len(lines), terms[1:]))
+            ref[id(e)] = v if math.isfinite(v) else const(v)
             continue
         if k == "mul" and len(e.args) < 2:
             ref[id(e)] = ref[id(e.args[0])] if e.args else 1.0
             continue
         a = [text(c) for c in e.args]
-        key = (k, *a)
+        key = (k, e.value, *a)
         if key in seen:                   # an equal subtree computed before
             ref[id(e)] = seen[key]
             continue
         ref[id(e)] = seen[key] = t = local()
-        if k == "add":
+        if k == "sym":
+            emit("%s = float(env[%r])" % (t, e.value))
+        elif k == "add":
             emit("%s = _fsum((%s))" % (t, "".join(x + ", " for x in a)))
         elif k == "mul":
             emit("%s = %s" % (t, " * ".join(a)))
         elif k == "neg":
             emit("%s = -%s" % (t, a[0]))
         elif k == "div":
-            emit("%s = %s / %s" % (t, a[0], a[1]))
+            emit("%s = %s / %s" % (t, a[0], a[1]), "%s == 0.0" % a[1],
+                 "division by zero")
         elif k == "pow":
             _emit_pow(emit, t, a[0], ref[id(e.args[1])], a[1])
         elif k == "besseli":
@@ -734,23 +692,12 @@ def _compile(root):
         elif k in _FN_GUARD:
             cond, msg = _FN_GUARD[k]
             emit("%s = _%s(%s)" % (t, k, a[0]), cond % a[0], msg)
-        else:
+        elif k in _FN_EVAL:
             emit("%s = _%s(%s)" % (t, k, a[0]))
+        else:
+            emit("raise _ExprError(%r)" % ("cannot evaluate node kind %r" % k))
     src = ["def f(env%s):" % "".join(", %s=%s" % (n, n) for n in defaults)]
-    if prefixes:
-        # An error raised on body line n (source line n + 3) comes after
-        # every partial sum taken before that line; one of those that
-        # overflows would have been raised first.
-        src.append("    try:")
-        src += ["        " + line for line in lines]
-        src.append("    except Exception as exc:")
-        src.append("        n = exc.__traceback__.tb_lineno - 3")
-        src += ["        if n >= %d: _partial_sum((%s))"
-                % (at, "".join(x + ", " for x in terms))
-                for at, terms in prefixes]
-        src.append("        raise")
-    else:
-        src += ["    " + line for line in lines]
+    src += ["    " + line for line in lines]
     src.append("    return %s\n" % text(root))
     ns = dict(defaults)
     exec(compile("\n".join(src), "<parasym.expr %s>" % root.kind, "exec"),

@@ -38,6 +38,11 @@ class DegenerateTransform(ParasymError):
     """The time map's derivative T' is not positive at a probed time."""
 
 
+class IllConditionedFit(ParasymError):
+    """The probe grid cannot carry the (I, K) fit: I is nearly constant
+    on it, or the domain or I is too large for floats."""
+
+
 VAR = "x"
 
 
@@ -91,6 +96,9 @@ def probe_window(domain):
     if math.isinf(lo):
         return (hi - 5.0, hi - 0.15)
     w = hi - lo
+    if math.isinf(w):
+        raise IllConditionedFit("domain (%g, %g) is wider than the largest "
+                                "float" % domain)
     return (lo + 0.05 * w, hi - 0.05 * w)
 
 

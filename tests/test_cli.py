@@ -103,6 +103,26 @@ class TestAnalyze:
         assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lines, cause", [
+        ("c = 0\ndomain = (0, 1e160)", "I^2 overflows on the probe grid"),
+        ("c = 0\ndomain = (-1e308, 1e308)",
+         "domain (-1e+308, 1e+308) is wider than the largest float"),
+        ("c = sin(1e308*x)", "math domain error"),
+        ("c = exp(x)*1e307*cosh(x) - sinh(x)*1e307*exp(x)\n"
+         "domain = (0, inf)", "-inf + inf in fsum"),
+    ], ids=["I-squared", "domain-width", "sin", "fsum"])
+    def test_float_range_fault_is_named_in_one_line(self, capsys, tmp_path,
+                                                    lines, cause):
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = 1\nb = 0\n%s\n" % lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "analyze", str(path))
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: %s: " % path) and cause in err
+        assert not caught
+
     def test_interior_zero_of_a_named_without_quadrature(self, capsys,
                                                          tmp_path):
         path = tmp_path / "case.eq"
@@ -195,6 +215,14 @@ class TestKernels:
         rc, _, err = run(capsys, "kernels", "verify", "heat_1d",
                          "--y", "zero")
         assert rc == 1
+
+    @pytest.mark.parametrize("args", [("radial", "--n", "1e6"),
+                                      ("mehler_trigonometric", "--y", "1e200")],
+                             ids=" ".join)
+    def test_overflow_reads_as_its_reason(self, capsys, args):
+        rc, out, err = run(capsys, "kernels", "verify", *args)
+        assert rc == 1 and out == ""
+        assert err == "error: DomainError: Numerical result out of range\n"
 
     def test_verify_without_name(self, capsys):
         rc, _, err = run(capsys, "kernels", "verify")

@@ -137,7 +137,7 @@ def _walk(e, env):
         except KeyError:
             raise E.UnboundIdentifier(e.value) from None
     if k == "add":
-        return math.fsum(_walk(a, env) for a in e.args)
+        return math.fsum([_walk(a, env) for a in e.args])
     if k == "mul":
         r = 1.0
         for a in e.args:
@@ -156,10 +156,10 @@ def _walk(e, env):
     if k == "neg":
         return -_walk(e.args[0], env)
     if k == "div":
-        d = _walk(e.args[1], env)
+        n, d = _walk(e.args[0], env), _walk(e.args[1], env)
         if d == 0.0:
             raise E.DomainError("division by zero")
-        return _walk(e.args[0], env) / d
+        return n / d
     if k == "log":
         u = _walk(e.args[0], env)
         if u <= 0.0:
@@ -188,8 +188,8 @@ def _reference(e, bindings):
     env = dict(E.DEFAULT_BINDINGS, **bindings)
     try:
         v = _walk(e, env)
-    except OverflowError as exc:
-        raise E.DomainError(str(exc)) from exc
+    except (OverflowError, ValueError) as exc:
+        raise E.DomainError(*exc.args[-1:]) from exc
     if not math.isfinite(v):
         raise E.DomainError("non-finite result")
     return v
@@ -256,16 +256,16 @@ class TestCompiledEvaluator:
         assert _outcome(E.evaluate, e, env) == want
 
     @pytest.mark.parametrize("e, env, kind, message", [
-        # the denominator is checked before the numerator is computed
+        # the numerator is computed before the denominator is checked
         (E.div(E.log_("x"), "y"), {"x": -1.0, "y": 0.0}, E.DomainError,
-         "division by zero"),
+         "log of non-positive"),
         (E.div(E.log_("x"), "y"), {"x": -1.0, "y": 1.0}, E.DomainError,
          "log of non-positive"),
         (E.add(E.sqrt_("x"), "w"), {"x": -1.0}, E.DomainError,
          "sqrt of negative"),
-        # a sum overflows part-way before its next term is computed
+        # a sum computes all its terms before it adds them
         (E.add("x", "x", E.log_("y")), {"x": 1e308, "y": -1.0},
-         E.DomainError, "intermediate overflow in fsum"),
+         E.DomainError, "log of non-positive"),
         (E.add("x", "x", E.log_("y")), {"x": 1.0, "y": -1.0},
          E.DomainError, "log of non-positive"),
         (E.add("w", E.sqrt_("x")), {"x": -1.0}, E.UnboundIdentifier, "w"),
@@ -275,6 +275,17 @@ class TestCompiledEvaluator:
         (E.pow_("x", -0.5), {"x": 0.0}, E.DomainError, "0^negative"),
         (E.pow_("x", E.num(Fraction(10) ** 400)), {"x": 2.0}, E.DomainError,
          "integer division result too large for a float"),
+        (E.div(E.log_("x"), "y"), {"x": 1.0, "y": 0.0}, E.DomainError,
+         "division by zero"),
+        (E.add("x", "x", E.log_("y")), {"x": 1e308, "y": 1.0},
+         E.DomainError, "intermediate overflow in fsum"),
+        # a ValueError, and an OverflowError of ** without its errno
+        (E.add(E.mul("x", 1e308), E.mul("x", -1e308)), {"x": 2.0},
+         E.DomainError, "-inf + inf in fsum"),
+        (E.fn("sin", E.mul(1e308, "x")), {"x": 4.0}, E.DomainError,
+         "math domain error"),
+        (E.pow_("x", "y"), {"x": 10.0, "y": 400.0}, E.DomainError,
+         "Numerical result out of range"),
     ])
     def test_first_error_in_evaluation_order(self, e, env, kind, message):
         with pytest.raises(kind) as exc:
