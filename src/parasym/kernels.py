@@ -50,13 +50,18 @@ class ConstraintViolation(ParasymError):
 
 
 class NonconvergentQuadrature(ParasymError):
-    """Adaptive quadrature failed to reach its tolerance."""
+    """A quadrature failed to reach its tolerance, or its window or nodes
+    cannot be told apart in floats."""
 
 
 _SEED = 20250823
 
 
 def _quad(f, lo, hi, points=None):
+    # the ends' rounding must leave the width within 2^-10 of itself
+    if not hi - lo > 1024 * math.ulp(max(abs(lo), abs(hi))):
+        raise NonconvergentQuadrature(
+            "window [%.17g, %.17g] is too narrow for its floats" % (lo, hi))
     kw = {"epsabs": 1e-11, "epsrel": 1e-11, "limit": 300}
     if points:
         pts = [p for p in points if lo < p < hi]
@@ -80,11 +85,24 @@ def _mass_quad(f, phi, source, lo, hi, points):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
 
 
-def _gl_quad(f, lo, hi):
-    # Python floats, not numpy scalars: the same IEEE sums, done faster
-    x = (0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)).tolist()
-    w = (0.5 * (hi - lo) * _GL_WEIGHTS).tolist()
-    return float(sum(wi * f(xi) for xi, wi in zip(x, w)))
+def _tensor_quad(f, xlim, ylim, phi, source):
+    """Integral of f(x, y) over the rectangle xlim x ylim by the tensor
+    Gauss-Legendre rule, f evaluated once on the node grid (x varying along
+    each row); with a test bump phi, of f times phi of each axis offset from
+    the source.  Nodes that collapse in floats are refused."""
+    rules = []
+    for (lo, hi), s in zip((xlim, ylim), source):
+        x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
+        if not (np.diff(x) > 0).all():
+            raise NonconvergentQuadrature(
+                "quadrature nodes on [%.17g, %.17g] collapse in floats"
+                % (lo, hi))
+        w = 0.5 * (hi - lo) * _GL_WEIGHTS
+        if phi:
+            w = w * [phi(d) for d in (x - s).tolist()]
+        rules.append((x, w))
+    (x, wx), (y, wy) = rules
+    return float(wy @ (f(x[None, :], y[:, None]) @ wx))
 
 
 def _bump(width):
@@ -602,13 +620,9 @@ def _build_heat2d_timedep(c):
         # that the fixed-order rule still resolves the peak at small s
         wx = 25 * math.sqrt(s)
         wy = 25 * math.sqrt(s / (t0 * t))
-
-        def fy(yv):
-            def fx(xv):
-                v = ev(xv, yv, t)
-                return v * (phi(xv - x0) * phi(yv - y0)) if phi else v
-            return _gl_quad(fx, x0 - wx, x0 + wx)
-        return _gl_quad(fy, y0 - wy, y0 + wy)
+        return _tensor_quad(
+            lambda xv, yv: E.evaluate_array(Kb, {"x": xv, "y": yv, "t": t}),
+            (x0 - wx, x0 + wx), (y0 - wy, y0 + wy), phi, (x0, y0))
 
     return KernelEntry(
         name="heat2d_timedep",

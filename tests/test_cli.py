@@ -224,6 +224,17 @@ class TestKernels:
         assert rc == 1 and out == ""
         assert err == "error: DomainError: Numerical result out of range\n"
 
+    @pytest.mark.parametrize("args", [("heat_1d", "--y", "1e308"),
+                                      ("heat2d_timedep", "--x0", "1e17")],
+                             ids=" ".join)
+    def test_window_the_floats_cannot_resolve_is_refused(self, capsys, args):
+        # a correct kernel whose mass window or tensor nodes collapse in
+        # floats: refused, not judged (both read FAIL with deviations of 1)
+        rc, out, err = run(capsys, "kernels", "verify", *args)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: NonconvergentQuadrature: ")
+        assert len(err.splitlines()) == 1
+
     def test_verify_without_name(self, capsys):
         rc, _, err = run(capsys, "kernels", "verify")
         assert rc == 1

@@ -4,6 +4,7 @@ stated kernels, and heat polynomials."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from parasym import kernels as K
@@ -96,6 +97,51 @@ class TestGenericVerifier:
         want = [abs(mu) * t / (y * y) for t in entry.norm_t_list]
         got = K.verify_normalization(entry)
         assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def _gl_quad(f, lo, hi):
+    """The nested scalar Gauss-Legendre rule heat2d's mass used before its
+    tensor rule, kept as the reference of that rule."""
+    x = (0.5 * (hi - lo) * K._GL_NODES + 0.5 * (hi + lo)).tolist()
+    w = (0.5 * (hi - lo) * K._GL_WEIGHTS).tolist()
+    return float(sum(wi * f(xi) for xi, wi in zip(x, w)))
+
+
+def _heat2d_reference_mass(entry, t, phi=None):
+    """heat2d's mass by the nested rule over scalar evaluation."""
+    c = entry.constants
+    t0, x0, y0 = c["t0"], c["x0"], c["y0"]
+    wx = 25 * math.sqrt(t - t0)
+    wy = 25 * math.sqrt((t - t0) / (t0 * t))
+
+    def fy(yv):
+        def fx(xv):
+            v = entry.evaluate(xv, yv, t)
+            return v * (phi(xv - x0) * phi(yv - y0)) if phi else v
+        return _gl_quad(fx, x0 - wx, x0 + wx)
+    return _gl_quad(fy, y0 - wy, y0 + wy)
+
+
+# the default, the known defect t0 = 0.33, and 5 draws in the benchmark's
+# ranges
+_HEAT2D_DRAWS = [{}, {"t0": 0.33}] + [
+    dict(zip(("t0", "x0", "y0"), v)) for v in np.round(
+        np.random.default_rng(14).uniform((0.4, -1.0, -1.0), (2.0, 1.0, 1.0),
+                                          (5, 3)), 3).tolist()]
+
+
+class TestTensorQuadrature:
+    @pytest.mark.parametrize("constants", _HEAT2D_DRAWS,
+                             ids=lambda c: ",".join("%s=%g" % kv
+                                                    for kv in c.items())
+                             or "default")
+    def test_heat2d_mass_matches_nested_scalar_rule(self, constants):
+        entry = K.kernel("heat2d_timedep", constants)
+        bump = K._bump(entry.delta_width)
+        for t, phi in ([(t, None) for t in entry.norm_t_list]
+                       + [(t, bump) for t in entry.delta_t_list]):
+            want = _heat2d_reference_mass(entry, t, phi)
+            assert abs(entry.mass(t, phi) - want) <= 1e-13
 
 
 class TestCrossChecks:
