@@ -10,8 +10,8 @@ The nontrivial symmetry algebra has dimension 6, 4, or 2:
 The 6-dimensional form is tested first: mu -> 0 degenerates the second form
 into the first, so testing order makes the verdicts disjoint.  The verdict
 and the constants come from least-squares fits of K against I at 64 Chebyshev
-probe points, with a golden-section search over the shift s for the
-4-dimensional form.
+probe points; the shift s of the 4-dimensional form is fitted wherever it
+lies, with (mu, c2, c0) solved for linearly at each s (variable projection).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from . import expr as E
 from .expr import chebyshev_points
@@ -31,9 +32,6 @@ from .invariants import (IllConditionedFit, ParabolicEquation,
 
 N_POINTS = 64                  # probe points of the (I, K) fits
 MU_FLOOR = 1e-8                # |mu| at or below this is not a dim-4 verdict
-SHIFT_RANGE = (-10.0, 10.0)    # search range of the dim-4 gauge shift s
-COARSE_POINTS = 41             # coarse shift grid before the golden search
-GOLDEN_ITERS = 80              # golden-section steps inside that cell
 
 
 @dataclass
@@ -101,22 +99,33 @@ def _fit_l4(Iv, Kv, s):
     return coef, resid
 
 
-def _golden_min(f, lo, hi):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(GOLDEN_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _shift(Iv, Kv):
+    """The gauge shift s of the best dim-4 fit of Kv against Iv, or None.
+
+    With z = (I - m)/h in [-1, 1], (z + (s+m)/h)^2 K is a quartic in z, so
+    a linear fit of z^2 K on (z K, K, 1, z, ..., z^4) starts s from its z K
+    coefficient -2 (s+m)/h.  That start cancels badly near a pole of K, so
+    Levenberg-Marquardt refines s with (mu, c2, c0) projected out.  A
+    floating-point fault, such as a probe point on the pole, is no fit.
+    """
+    m = (Iv.max() + Iv.min()) / 2.0
+    h = (Iv.max() - Iv.min()) / 2.0
+    z = (Iv - m) / h
+
+    def projected(s):
+        g = Iv + s[0]
+        A = np.column_stack([g ** -2.0, g * g, np.ones_like(g)])
+        return Kv - A @ np.linalg.lstsq(A, Kv, rcond=None)[0]
+
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            A = np.column_stack([z * Kv, Kv] + [z ** k for k in range(5)])
+            coef, *_ = np.linalg.lstsq(A, z * z * Kv, rcond=None)
+            fit = least_squares(projected, [-h * coef[0] / 2.0 - m],
+                                method="lm")
+        except (FloatingPointError, np.linalg.LinAlgError):
+            return None
+    return float(fit.x[0])
 
 
 def classify(inv, tol=1e-7, i_offset=0.0):
@@ -141,27 +150,14 @@ def classify(inv, tol=1e-7, i_offset=0.0):
             dim=6, constants={"c2": c2, "c1": c1, "c0": c0},
             residual=resid6)
 
-    lo, hi = SHIFT_RANGE
-
-    def res(s):
-        return _fit_l4(Iv, Kv, s)[1]
-
-    coarse = np.linspace(lo, hi, COARSE_POINTS)
-    rvals = [res(s) for s in coarse]
-    i_best = int(np.argmin(rvals))
-    step = (hi - lo) / (COARSE_POINTS - 1)
-    s_lo = coarse[max(0, i_best - 1)]
-    s_hi = coarse[min(len(coarse) - 1, i_best + 1)]
-    if s_lo == s_hi:
-        s_lo, s_hi = s_lo - step, s_hi + step
-    s_best = _golden_min(res, s_lo, s_hi)
-    coef4, resid4 = _fit_l4(Iv, Kv, s_best)
+    s = _shift(Iv, Kv)
+    coef4, resid4 = (None, math.inf) if s is None else _fit_l4(Iv, Kv, s)
     if coef4 is not None and resid4 <= tol * scale \
             and abs(coef4[0]) > MU_FLOOR:
         mu, c2, c0 = (_snap(v) for v in coef4)
         return SymmetryClassification(
             dim=4, constants={"mu": mu, "c2": c2, "c0": c0},
-            shift=_snap(s_best), residual=resid4)
+            shift=_snap(s), residual=resid4)
 
     return SymmetryClassification(dim=2, residual=min(resid6, resid4))
 

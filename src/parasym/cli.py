@@ -330,6 +330,7 @@ CORPUS_EXPECT = {
     "harmonic_potential": (6, {"c2": -1.0, "c1": 0.0, "c0": 0.0}),
     "harmonic_stiff": (6, {"c2": -1.21, "c1": 1.0, "c0": 0.0}),
     "generic_dim2": (2, {}),
+    "inverse_square_translated": (4, {"mu": 2.0}),
 }
 
 

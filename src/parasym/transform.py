@@ -311,8 +311,7 @@ class HeatTransform:
     point and kept on the instance, so they live as long as it does.
     """
 
-    def __init__(self, cls, inv, mode="default", source_point=None,
-                 mobius=None):
+    def __init__(self, cls, inv, mode="default", source_point=None):
         if cls.dim != 6:
             raise NotReducible("dim=%d equation cannot be mapped to the heat "
                                "equation" % cls.dim)
@@ -322,7 +321,7 @@ class HeatTransform:
         self.q = (-c2, -c1, -c0)
         self.inv = inv
         q2, q1, q0 = self.q
-        self.mobius = mobius or solve_schwarzian(q2, mode)
+        self.mobius = solve_schwarzian(q2, mode)
         self.t_interval = self.mobius.t_interval
         I0 = None if source_point is None else inv.I(source_point)
         self.omega_expr = _omega_exprs(q2, q1, I0)

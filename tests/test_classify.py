@@ -3,8 +3,10 @@ and the log-diffusion Fokker-Planck family."""
 
 import math
 
+import numpy as np
 import pytest
 
+from parasym import classify as C
 from parasym import symmetry as S
 from parasym import cli
 from parasym.classify import (IllConditionedFit, SymmetryClassification,
@@ -107,7 +109,10 @@ class TestDimensionTwo:
 
 
 class TestGaugeRobustness:
-    @pytest.mark.parametrize("shift", [-2.0, -0.5, 0.0, 1.0, 3.0])
+    # the additive constant of I is free, so no offset size may change a
+    # verdict
+    @pytest.mark.parametrize("shift", [-1e3, -50.0, -12.0, -2.0, -0.5, 0.0,
+                                       1.0, 3.0, 12.0, 50.0, 1e3])
     def test_verdict_invariant_under_i_shift(self, shift):
         for e, want in [(eq("1", "tanh(x/2)"), 6),
                         (eq("1", "5/x", domain=(0.0, math.inf)), 4),
@@ -117,9 +122,22 @@ class TestGaugeRobustness:
 
     def test_dim4_mu_invariant_under_i_shift(self):
         inv = compute_invariants(eq("1", "5/x", domain=(0.0, math.inf)))
-        for s in (-1.0, 0.0, 2.0):
+        for s in (-1e3, -30.0, -1.0, 0.0, 2.0, 12.0, 1e3):
             cls = classify(inv, i_offset=s)
             assert cls.constants["mu"] == pytest.approx(-3.75, abs=1e-8)
+            assert cls.shift == pytest.approx(-s, abs=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_shift_fit_on_a_probe_point_is_no_dim4_fit(self, monkeypatch):
+        # both K start the shift fit at s = 0 exactly, which puts the probe
+        # point I = 0 on the pole of mu/(I+s)^2
+        Iv = np.linspace(-1.0, 1.0, 65)
+        spike = np.where(Iv == 0.0, 1.0, 0.0)
+        assert C._shift(Iv, np.zeros_like(Iv)) is None
+        assert C._shift(Iv, spike) is None
+        monkeypatch.setattr(C, "_samples", lambda inv, i_offset: (Iv, spike))
+        cls = classify(compute_invariants(eq("1")))
+        assert (cls.dim, cls.shift) == (2, None)
 
 
 class TestDegenerateInput:

@@ -289,7 +289,7 @@ class TestSelftest:
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
         n = len(cli.CORPUS_EXPECT) + len(KN.list_kernels()) + 1
-        assert n == 30
+        assert n == 31
         assert [ln.split()[0] for ln in lines[:-1]] == ["PASS"] * n
         assert lines[-1] == "%d/%d checks passed" % (n, n)
 

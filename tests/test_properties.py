@@ -152,7 +152,7 @@ class TestShiftInvariance:
         assert cls.dim == 6
         assert cls.constants["c0"] == pytest.approx(-0.25, abs=1e-7)
 
-    @given(st.floats(min_value=-3.0, max_value=3.0,
+    @given(st.floats(min_value=-1e3, max_value=1e3,
                      allow_nan=False, allow_infinity=False))
     @settings(max_examples=25, deadline=None)
     def test_dim4_verdict_stable(self, s):

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 from parasym import expr as E
+from parasym import transform
 from parasym.classify import classify
 from parasym.cli import CORPUS_EXPECT
 from parasym.invariants import (DegenerateTransform, ParabolicEquation,
@@ -320,11 +321,13 @@ class TestFactorRecords:
         assert self.values(warmed, pts) == got
         assert self.docstring_values(fresh, pts) == got
 
-    def test_degenerate_time_raises_and_is_not_recorded(self):
+    def test_degenerate_time_raises_and_is_not_recorded(self, monkeypatch):
         _, inv, cls = transform_for(eq("1"))
         reversed_time = MobiusMap((-1.0, 0.0, 0.0, 1.0), "rational", 0.0,
                                   (-0.5, 0.5))          # T = -t, T' = -1
-        bad = HeatTransform(cls, inv, mobius=reversed_time)
+        monkeypatch.setattr(transform, "solve_schwarzian",
+                            lambda q2, mode: reversed_time)
+        bad = HeatTransform(cls, inv)
         for _ in range(2):
             with pytest.raises(DegenerateTransform):
                 bad.x_tilde(0.3, 0.1)
