@@ -15,8 +15,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 
 class ParasymError(Exception):
     """Base class of every error parasym raises."""
@@ -49,7 +47,7 @@ class Expr:
     FUNCTIONS | 'besseli' (internal, not parseable).
     """
 
-    __slots__ = ("kind", "args", "value", "_hash", "_key", "_fn", "_afn")
+    __slots__ = ("kind", "args", "value", "_hash", "_key", "_fn")
 
     def __init__(self, kind, args=(), value=None):
         object.__setattr__(self, "kind", kind)
@@ -58,7 +56,6 @@ class Expr:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_fn", None)
-        # `_afn`, the array mode's function, stays unset until it is compiled
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -568,16 +565,6 @@ def differentiate(e, var="x", order=1):
 # subtrees and repeated symbols are computed once, at their first place in
 # that order: the arithmetic is deterministic, so the copies would give the
 # same floats.  `evaluate` maps what the code raises besides its guards.
-#
-# The array mode, kept in the `_afn` slot, is the same code on numpy arrays:
-# numpy's functions under the same names, symbols bound as float arrays, each
-# guard raising if it holds at any element, and sums as a left fold of
-# numpy's `+` from the first term, because math.fsum takes no arrays (so a
-# sum of constants overflows in numpy, where fsum would raise, not silently
-# to inf).  Other subtrees of constants stay Python floats.  `evaluate_array`
-# runs it with numpy's overflow, division by zero and invalid operations
-# raising, which the shared mapper turns into DomainError like their Python
-# counterparts.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
@@ -602,12 +589,6 @@ _CODE_GLOBALS = dict(
     __builtins__=builtins, _fsum=math.fsum, _DomainError=DomainError,
     _ExprError=ExprError)
 
-# numpy names every function like its node kind
-_ARRAY_GLOBALS = dict(
-    _CODE_GLOBALS, **{"_" + k: getattr(np, k) for k in _FN_EVAL},
-    _float=lambda v: np.asarray(v, dtype=float), _any=np.any,
-    _round=np.round)
-
 
 # The local names of generated code ("t0", "t1", ...) stay interned for the
 # life of the process.  Freed with each function and interned again by the
@@ -624,45 +605,20 @@ def evaluate(e, bindings=None):
     if f is None:
         f = _compile(e)
         object.__setattr__(e, "_fn", f)
-    v = _run(f, env)
+    try:
+        v = f(env)
+    except KeyError as exc:               # only env[name] raises it
+        raise UnboundIdentifier(exc.args[0]) from None
+    except (OverflowError, ValueError) as exc:
+        # the reason alone: an OverflowError of ** also carries its errno
+        raise DomainError(*exc.args[-1:]) from exc
     if not math.isfinite(v):
         raise DomainError("non-finite result")
     return v
 
 
-def evaluate_array(e, bindings):
-    """The values of `e` at numpy arrays of bindings, as an array of their
-    broadcast shape.  It raises what `evaluate` raises, at the first node
-    where any element does; an underflow gives 0, as in `evaluate`."""
-    env = dict(DEFAULT_BINDINGS)
-    env.update(bindings)
-    f = getattr(e, "_afn", None)
-    if f is None:
-        f = _compile(e, array=True)
-        object.__setattr__(e, "_afn", f)
-    with np.errstate(over="raise", divide="raise", invalid="raise",
-                     under="ignore"):
-        v = _run(f, env)
-    v = np.broadcast_to(v, np.broadcast_shapes(*map(np.shape, env.values())))
-    if not np.isfinite(v).all():
-        raise DomainError("non-finite result")
-    return v
-
-
-def _run(f, env):
-    """f(env), with what compiled code raises besides its guards mapped."""
-    try:
-        return f(env)
-    except KeyError as exc:               # only env[name] raises it
-        raise UnboundIdentifier(exc.args[0]) from None
-    except (FloatingPointError, OverflowError, ValueError) as exc:
-        # the reason alone: an OverflowError of ** also carries its errno
-        raise DomainError(*exc.args[-1:]) from exc
-
-
-def _compile(root, array=False):
-    """One function env -> float computing `root` as described above, or
-    with `array`, its array mode."""
+def _compile(root):
+    """One function env -> float computing `root` as described above."""
     lines = []      # the body, one physical line each
     ref = {}        # id(node) -> local name, or the float of a constant
     seen = {}       # (kind, value, operand texts) -> local; checks emitted
@@ -679,8 +635,7 @@ def _compile(root, array=False):
 
     def emit(line, *guard):
         if guard:
-            cond = "_any(%s)" % guard[0] if array else guard[0]
-            check = "if %s: raise _DomainError(%r)" % (cond, guard[1])
+            check = "if %s: raise _DomainError(%r)" % guard
             if check not in seen:         # the same check on the same value
                 seen[check] = None
                 lines.append(check)
@@ -719,11 +674,7 @@ def _compile(root, array=False):
             continue
         ref[id(e)] = seen[key] = t = local()
         if k == "sym":
-            emit("%s = %s(env[%r])" % (t, "_float" if array else "float",
-                                       e.value))
-        elif k == "add" and array:
-            emit("%s = %s" % (t, " + ".join(["_float(%s)" % a[0]] + a[1:])
-                              if a else "0.0"))
+            emit("%s = float(env[%r])" % (t, e.value))
         elif k == "add":
             emit("%s = _fsum((%s))" % (t, "".join(x + ", " for x in a)))
         elif k == "mul":
@@ -734,11 +685,10 @@ def _compile(root, array=False):
             emit("%s = %s / %s" % (t, a[0], a[1]), "%s == 0.0" % a[1],
                  "division by zero")
         elif k == "pow":
-            _emit_pow(emit, t, a[0], ref[id(e.args[1])], a[1], array)
+            _emit_pow(emit, t, a[0], ref[id(e.args[1])], a[1])
         elif k == "besseli":
             from . import special
-            iv = special.iv_array if array else special.iv
-            emit("%s = %s(%s, %s)" % (t, const(iv), a[0], a[1]))
+            emit("%s = %s(%s, %s)" % (t, const(special.iv), a[0], a[1]))
         elif k in _FN_GUARD:
             cond, msg = _FN_GUARD[k]
             emit("%s = _%s(%s)" % (t, k, a[0]), cond % a[0], msg)
@@ -751,16 +701,16 @@ def _compile(root, array=False):
     src.append("    return %s\n" % text(root))
     ns = dict(defaults)
     exec(compile("\n".join(src), "<parasym.expr %s>" % root.kind, "exec"),
-         _ARRAY_GLOBALS if array else _CODE_GLOBALS, ns)
+         _CODE_GLOBALS, ns)
     f = ns["f"]
     _LOCAL_NAMES.update(f.__code__.co_varnames)
     return f
 
 
-def _emit_pow(emit, t, b, c, x, array):
+def _emit_pow(emit, t, b, c, x):
     """t = b ** x with the real-domain guards, where c is the exponent's
-    local name or its float.  Every scalar value is a Python float, and for
-    those b ** x equals b ** int(x) at an integral x; numpy's power agrees."""
+    local name or its float.  Every value is a Python float, and for those
+    b ** x equals b ** int(x) at an integral x."""
     if b.startswith("-"):
         b = "(%s)" % b                    # a negative literal base
     if isinstance(c, float):              # decide the exponent's part now
@@ -769,10 +719,8 @@ def _emit_pow(emit, t, b, c, x, array):
         if c != round(c):
             emit(None, "%s < 0" % b, "negative base with fractional exponent")
     else:
-        both = "(%s) & (%s)" if array else "%s and %s"
-        emit(None, both % ("%s == 0.0" % b, "%s < 0" % x), "0^negative")
-        emit(None, both % ("%s < 0" % b, "%s != %s(%s)"
-                           % (x, "_round" if array else "round", x)),
+        emit(None, "%s == 0.0 and %s < 0" % (b, x), "0^negative")
+        emit(None, "%s < 0 and %s != round(%s)" % (b, x, x),
              "negative base with fractional exponent")
     emit("%s = %s ** %s" % (t, b, x))
 

@@ -161,7 +161,7 @@ def _interior_root(a, domain):
     numeric coefficients, else None.  Roots within ROOT_TOL of the real
     axis count as real, and roots within ROOT_TOL of an endpoint as the
     endpoint."""
-    poly = _numeric_poly(a)
+    poly = numeric_poly(a)
     if poly is None:
         return None
     lo, hi = domain
@@ -301,7 +301,9 @@ def _sqrt_try(a, window):
 # ---------------------------------------------------------------------------
 # antiderivative pattern table for 1/s
 
-def _numeric_poly(e):
+def numeric_poly(e):
+    """Coefficients [c0, c1, ...] of e as a polynomial in x, exact where the
+    tree's are, or None unless each is a number."""
     coeffs = E.as_polynomial(e, VAR)
     if coeffs is None:
         return None
@@ -336,16 +338,16 @@ def antiderivative_recip(s, window):
     """
     s = E.simplify(s)
     x = E.sym(VAR)
-    poly = _numeric_poly(s)
+    poly = numeric_poly(s)
     if poly is not None and len(poly) <= 3:
         return _recip_poly_antideriv(poly, x)
     C, core = _split_constant(s)
     if core.kind == "pow" and E.is_num(core.args[1]):
-        lin = _numeric_poly(core.args[0])
+        lin = numeric_poly(core.args[0])
         if lin is not None and len(lin) == 2 and lin[1] != 0:
             return _recip_power_antideriv(C, lin, core.args[1].value, core.args[0], x)
     if core.kind == "exp":
-        lin = _numeric_poly(core.args[0])
+        lin = numeric_poly(core.args[0])
         if lin is not None and len(lin) == 2 and lin[1] != 0:
             lam = lin[1]
             # int dx / (C e^{lam x + m}) = -exp(-(lam x + m)) / (C lam)

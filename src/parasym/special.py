@@ -2,8 +2,7 @@
 
 `iv(nu, z)` is I_nu(z), and `ive(nu, z)` is exp(-z) I_nu(z), the scaled form
 the kernel catalog uses where its argument x*y/(2t) grows large at small t.
-Both take a real order and return a Python float; `iv_array` is `iv` on a
-numpy array of arguments.
+Both take a real order and return a Python float.
 
 Errors: `z < 0` raises DomainError, and so does `iv` when I_nu(z) is not a
 finite float; I_0 overflows past z = 713.98.
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import scipy.special
 
 from .expr import DomainError
@@ -24,16 +22,6 @@ def iv(nu, z):
     v = float(scipy.special.iv(nu, _argument(z)))
     if not math.isfinite(v):
         raise DomainError("I_nu(z) is not finite at nu=%g, z=%g" % (nu, z))
-    return v
-
-
-def iv_array(nu, z):
-    """I_nu at each element of z, all z >= 0."""
-    if np.any(z < 0):
-        raise DomainError("I_nu requires z >= 0")
-    v = scipy.special.iv(nu, z)
-    if not np.isfinite(v).all():
-        raise DomainError("I_nu(z) is not finite")
     return v
 
 

@@ -45,8 +45,8 @@ from scipy.integrate import quad
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
-from .invariants import (DegenerateTransform, Fn1, base_point, probe_window,
-                         quadrature_fn1)
+from .invariants import (DegenerateTransform, Fn1, base_point, numeric_poly,
+                         probe_window, quadrature_fn1)
 
 
 class NotReducible(ParasymError):
@@ -193,18 +193,18 @@ def antiderivative_x(e):
     """Closed-form antiderivative of e in x from a small rule table,
     or None."""
     e = E.simplify(e)
-    out = _anti(e, "x")
+    out = _anti(e)
     return E.simplify(out) if out is not None else None
 
 
-def _anti(e, var):
-    x = E.sym(var)
-    if not E.contains_symbol(e, var):
+def _anti(e):
+    x = E.sym("x")
+    if not E.contains_symbol(e, "x"):
         return E.mul(e, x)
     if e.kind == "add":
         parts = []
         for a in e.args:
-            p = _anti(a, var)
+            p = _anti(a)
             if p is None:
                 return None
             parts.append(p)
@@ -212,36 +212,32 @@ def _anti(e, var):
     if e.kind == "mul":
         const, rest = [], []
         for f in e.args:
-            (const if not E.contains_symbol(f, var) else rest).append(f)
+            (const if not E.contains_symbol(f, "x") else rest).append(f)
         if const and rest:
             inner = rest[0] if len(rest) == 1 else Expr("mul", rest)
-            p = _anti(E.simplify(inner), var)
+            p = _anti(E.simplify(inner))
             if p is None:
                 return None
             return Expr("mul", const + [p])
-        poly = _linpoly(e, var)
-        if poly is not None:
-            return _anti_poly(poly, x)
-        return None
-    if e.kind == "sym" and e.value == var:
+        return _anti_line(e, x)
+    if e.kind == "sym":
         return E.mul(E.HALF, E.pow_(x, 2))
     if e.kind == "pow":
         b, ex = e.args
-        lin = _linpoly(b, var)
+        lin = _line(b)
         if lin is None or not E.is_num(ex):
-            poly = _linpoly(e, var)
-            return _anti_poly(poly, x) if poly is not None else None
-        beta, alpha = lin
+            return _anti_line(e, x)
+        alpha = lin[1]
         g = ex.value
         if g == -1:
             return E.div(E.log_(E.fn("abs", b)), E.num(alpha))
         gp1 = g + 1 if not isinstance(g, float) else g + 1.0
         return E.div(E.pow_(b, E.num(gp1)), E.mul(E.num(alpha), E.num(gp1)))
     if e.kind in ("exp", "sin", "cos", "sinh", "cosh", "tanh"):
-        lin = _linpoly(e.args[0], var)
+        lin = _line(e.args[0])
         if lin is None:
             return None
-        _, alpha = lin
+        alpha = lin[1]
         inner = e.args[0]
         table = {
             "exp": E.exp_(inner),
@@ -252,29 +248,24 @@ def _anti(e, var):
             "tanh": E.log_(E.fn("cosh", inner)),
         }
         return E.div(table[e.kind], E.num(alpha))
-    poly = _linpoly(e, var)
-    if poly is not None:
-        return _anti_poly(poly, x)
-    return None
+    return _anti_line(e, x)
 
 
-def _linpoly(e, var):
-    """[const, slope] when e is a degree<=1 polynomial with var-free coeffs."""
-    coeffs = E.as_polynomial(e, var)
-    if coeffs is None or len(coeffs) > 2:
+def _line(e):
+    """[const, slope] as floats when e is linear in x with numeric
+    coefficients and a nonzero slope, else None."""
+    poly = numeric_poly(e)
+    if poly is None or len(poly) != 2 or poly[1] == 0:
         return None
-    vals = []
-    for c in coeffs:
-        if E.free_symbols(c) - set(E.DEFAULT_BINDINGS):
-            return None
-        vals.append(E.evaluate(c, {}))
-    if len(vals) == 1:
-        vals.append(0.0)
-    return None if vals[1] == 0 else vals
+    return [float(v) for v in poly]
 
 
-def _anti_poly(poly, x):
-    beta, alpha = poly
+def _anti_line(e, x):
+    """beta x + alpha x^2/2 when e = beta + alpha x as in _line, else None."""
+    lin = _line(e)
+    if lin is None:
+        return None
+    beta, alpha = lin
     return E.add(E.mul(E.num(beta), x),
                  E.mul(E.num(alpha), E.HALF, E.pow_(x, 2)))
 
@@ -506,7 +497,8 @@ def verify_pullback(ht, n=21):
     measure the PDE residual of the result from its exact jet, against the
     equation the transform was built from.  Returns {name: residual}.
 
-    Raises DomainError when a pulled-back solution overflows on the grid."""
+    Raises DomainError when a pulled-back solution overflows on the grid, or
+    its multiplier's normalization underflows to 0."""
     lo, hi = ht.t_interval
     span = hi - lo
     t_int = (lo + 0.25 * span, hi - 0.25 * span)
@@ -515,7 +507,7 @@ def verify_pullback(ht, n=21):
         try:
             out[name] = pde_residual(ht.inv, ht.pullback_jet(v_jet), n=n,
                                      t_interval=t_int)
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             raise E.DomainError("pullback of the heat solution %s: %s"
                                 % (name, exc)) from exc
     return out

@@ -123,6 +123,21 @@ class TestAnalyze:
         assert err.startswith("error: %s: " % path) and cause in err
         assert not caught
 
+    def test_underflowing_pullback_is_one_line_or_verified(self, capsys,
+                                                          tmp_path):
+        # the pullback's normalization nu underflows to 0 at b = x - 300:
+        # refused in one line until ROADMAP item 9 verifies it as dim 6
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = 1\nb = x - 300\nc = 0\n"
+                        "domain = (-inf, inf)\n")
+        rc, out, err = run(capsys, "--json", "analyze", str(path))
+        if rc == 1:
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("error: %s: " % path)
+        else:
+            assert rc == 0
+            assert json.loads(out)["classification"]["dim"] == 6
+
     def test_interior_zero_of_a_named_without_quadrature(self, capsys,
                                                          tmp_path):
         path = tmp_path / "case.eq"

@@ -6,9 +6,8 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parasym import expr as E
 from parasym import special
@@ -338,141 +337,5 @@ class TestCompiledEvaluator:
                 gc.enable()
         assert retained < 64 * 1024
 
-
-# ---------------------------------------------------------------------------
-# the array mode against the scalar evaluator
-
-# Bound on the two modes' values, relative to max(1, |scalar value|).  Their
-# arithmetic differs only in the rounding of numpy's elementary functions
-# (within 2 ulp of math's) and of a sum, a left fold where the scalar code
-# rounds once with math.fsum; on the random trees below the measured
-# difference stays under 1.1e-15.
-_ARRAY_REL = 1e-12
-
-# Inputs on which the modes may disagree, each with its reason.  On them the
-# test checks only that the array mode gives a value or a parasym error.
-DIVERGENCES = {
-    "non-finite": "Python's float * and / overflow silently to inf, and "
-                  "inf * 0 gives nan, where numpy under evaluate_array's "
-                  "errstate raises: the scalar code carries an inf or nan "
-                  "that a later operation may turn finite (arctan(inf), "
-                  "1/inf, nan^0) while the array mode raises DomainError "
-                  "at once",
-    "rounding": "the outcome depends on the last bits: computing sums as "
-                "left folds and moving each power's and elementary "
-                "function's result by 2^-50 of itself (2 to 4 ulp) changes "
-                "the scalar outcome beyond the bound (cancellation, a "
-                "guard decided by rounding)",
-}
-
-
-def _array_outcome(e, env):
-    """evaluate_array on 1-element arrays, in the form of _outcome."""
-    try:
-        v = E.evaluate_array(e, {k: np.array([x]) for k, x in env.items()})
-    except Exception as exc:
-        return ("raises", type(exc), str(exc))
-    assert v.shape == (1,)
-    v = float(v[0])
-    return ("value", float, v, math.copysign(1.0, v))
-
-
-def _agree(a, b):
-    """Same kind and exception type, values within _ARRAY_REL."""
-    if a[:2] != b[:2]:
-        return False
-    return a[0] == "raises" or abs(a[2] - b[2]) <= _ARRAY_REL * max(
-        1.0, abs(b[2]))
-
-
-def _perturbed(e, factor):
-    """e with each sum a left fold of two-term sums, and the result of each
-    power and elementary function but abs multiplied by `factor`: its scalar
-    evaluation rounds where, and about as much as, the array mode may."""
-    if not e.args:
-        return e
-    args = [_perturbed(a, factor) for a in e.args]
-    if e.kind == "add" and len(args) > 2:
-        node = args[0]
-        for a in args[1:]:
-            node = E.Expr("add", (node, a))
-        return node
-    node = E.Expr(e.kind, args, e.value)
-    if e.kind in ("add", "mul", "neg", "div", "abs", "besseli"):
-        return node                 # the same IEEE operation in both modes
-    return E.Expr("mul", (node, E.num(factor)))
-
-
-def _divergence(e, env):
-    """The DIVERGENCES key of this input, or None."""
-    env = dict(E.DEFAULT_BINDINGS, **env)
-    stack, seen = [e], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack += node.args
-        try:
-            if not math.isfinite(_walk(node, env)):
-                return "non-finite"
-        except (E.ExprError, ArithmeticError, ValueError):
-            pass                # the scalar code stops at or before it
-    scalar = _outcome(E.evaluate, e, env)
-    for factor in (1 - 2 ** -50, 1 + 2 ** -50):
-        if not _agree(_outcome(E.evaluate, _perturbed(e, factor), env),
-                      scalar):
-            return "rounding"
-    return None
-
-
-class TestArrayMode:
-    @given(_trees, _values, _values, st.booleans())
-    @settings(max_examples=250, deadline=None)
-    def test_matches_scalar_evaluate(self, e, x, y, bind_z):
-        env = {"x": x, "y": y}
-        if bind_z:
-            env["z"] = -2.5
-        array = _array_outcome(e, env)
-        scalar = _outcome(E.evaluate, e, env)
-        reason = _divergence(e, env)
-        event("divergence class: %s" % reason)
-        if reason is None:
-            assert _agree(array, scalar)
-        else:
-            assert array[0] == "value" or issubclass(array[1], E.ExprError)
-
-    def test_divergence_classes_occur(self):
-        x, one = E.sym("x"), E.num(1e308)
-        # arctan(1e308*x) is pi/2 in the scalar code, an overflow in numpy
-        e = E.fn("arctan", E.mul(one, x))
-        assert _divergence(e, {"x": 50.0}) == "non-finite"
-        assert _outcome(E.evaluate, e, {"x": 50.0})[2] == math.pi / 2
-        assert _array_outcome(e, {"x": 50.0})[1] is E.DomainError
-        # x + 1e308 - 1e308: fsum gives x, the fold 0
-        e = E.add(x, one, E.neg(one))
-        assert _divergence(e, {"x": 50.0}) == "rounding"
-        assert _array_outcome(e, {"x": 50.0})[2] == 0.0
-
-    @pytest.mark.parametrize("e, env, kind, message", _TWO_FAULTS)
-    def test_first_error_in_evaluation_order(self, e, env, kind, message):
-        assert _array_outcome(e, env) == ("raises", kind, message)
-
-    def test_broadcast_shape_and_constants(self):
-        x, y = np.linspace(0.0, 1.0, 3), np.array([[1.0], [2.0]])
-        v = E.evaluate_array(E.add(E.sym("x"), E.mul(2.0, E.sym("y"))),
-                             {"x": x, "y": y})
-        assert v.shape == (2, 3)
-        assert v.tolist() == [[2.0, 2.5, 3.0], [4.0, 4.5, 5.0]]
-        # a tree without symbols is broadcast to the bindings' shape
-        assert E.evaluate_array(E.num(3), {"x": x}).tolist() == [3.0] * 3
-        # a constant ** that overflows raises OverflowError in Python
-        with pytest.raises(E.DomainError):
-            E.evaluate_array(E.pow_(E.num(-1.5), E.num(1e308)), {"x": x})
-        with pytest.raises(E.DomainError, match="non-finite result"):
-            E.evaluate_array(E.mul(E.num(1e308), E.num(10.0)), {"x": x})
-
     def test_underflow_gives_zero(self):
-        e = E.exp_(E.neg(E.sym("x")))
-        assert E.evaluate(e, {"x": 800.0}) == 0.0
-        assert E.evaluate_array(e, {"x": np.array([800.0])}).tolist() == [0.0]
+        assert E.evaluate(E.exp_(E.neg(E.sym("x"))), {"x": 800.0}) == 0.0

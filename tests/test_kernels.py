@@ -100,8 +100,8 @@ class TestGenericVerifier:
 
 
 def _gl_quad(f, lo, hi):
-    """The nested scalar Gauss-Legendre rule heat2d's mass used before its
-    tensor rule, kept as the reference of that rule."""
+    """One axis of the nested scalar Gauss-Legendre rule over the full node
+    grid, the reference that heat2d's per-axis mass must match."""
     x = (0.5 * (hi - lo) * K._GL_NODES + 0.5 * (hi + lo)).tolist()
     w = (0.5 * (hi - lo) * K._GL_WEIGHTS).tolist()
     return float(sum(wi * f(xi) for xi, wi in zip(x, w)))
@@ -122,9 +122,9 @@ def _heat2d_reference_mass(entry, t, phi=None):
     return _gl_quad(fy, y0 - wy, y0 + wy)
 
 
-# the default, the known defect t0 = 0.33, and 5 draws in the benchmark's
-# ranges
-_HEAT2D_DRAWS = [{}, {"t0": 0.33}] + [
+# the default, the known defect t0 = 0.33, a source far from the origin,
+# and 5 draws in the benchmark's ranges
+_HEAT2D_DRAWS = [{}, {"t0": 0.33}, {"x0": 1e10, "y0": -1e9}] + [
     dict(zip(("t0", "x0", "y0"), v)) for v in np.round(
         np.random.default_rng(14).uniform((0.4, -1.0, -1.0), (2.0, 1.0, 1.0),
                                           (5, 3)), 3).tolist()]
