@@ -29,19 +29,24 @@ v_T) of the heat solution v = u~ at (X, T(t)),
     u_t  = m (v_X X_t + v_T T' - v (E_t + (ln nu)')),
 
 where X_x = sqrt(T') I', X_t = sqrt(T') (4 A (I + omega) + omega'),
-I' = 1/sqrt(a), G' = J/sqrt(a), A' = (T''' T' - T''^2)/(8 T'^2),
-omega'' = 4 q2 omega - 2 q1 and
+I' = 1/sqrt(a), G' = J/sqrt(a), omega'' = 4 q2 omega - 2 q1 and
 
-    (ln nu)' = -T''/(4 T') - A' omega^2 - 2 A omega omega'
+    (ln nu)' = r/2 - A' omega^2 - 2 A omega omega'
                - (4 q2 omega^2 + omega'^2 - 4 q0)/4.
+
+The time factors are closed forms.  With D = k3 W1 + k4 W2 the denominator
+of T, r = D'/D and the constant Wronskian w = W1' W2 - W1 W2' (1, 4 kappa or
+2 kappa by branch), T' = (k1 k4 - k2 k3) w/D^2, T'' = -2 r T' and
+r' = 4 q2 - r^2, so A = -r/4 and A' = r^2/4 - q2.  As (omega omega')' =
+omega'^2 + 4 q2 omega^2 - 2 q1 omega and omega'(0) = 0, nu's integral is
+omega omega' + 2 q1 int_0^t omega ds - 4 q0 t, where int_0^t omega ds is
+(omega' + 2 q1 t)/(4 q2), or -q1 t^3/3 + omega(0) t when q2 = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.integrate import quad
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
@@ -77,9 +82,6 @@ class MobiusMap:
     q2: float
     t_interval: tuple
     expr: Expr = field(default=None)
-    _d1: Expr = field(default=None, repr=False)
-    _d2: Expr = field(default=None, repr=False)
-    _d3: Expr = field(default=None, repr=False)
 
     def __post_init__(self):
         k1, k2, k3, k4 = self.k
@@ -89,28 +91,39 @@ class MobiusMap:
         num = E.add(E.mul(E.num(k1), w1), E.mul(E.num(k2), w2))
         den = E.add(E.mul(E.num(k3), w1), E.mul(E.num(k4), w2))
         self.expr = E.simplify(E.div(num, den))
-        self._d1 = E.differentiate(self.expr, T)
-        self._d2 = E.differentiate(self._d1, T)
-        self._d3 = E.differentiate(self._d2, T)
+
+    def jet(self, t):
+        """(T, T', r) at t, where r = D'/D for the denominator D; then
+        T'' = -2 r T' and r' = 4 q2 - r^2.  Raises ZeroDivisionError at a
+        pole of T and OverflowError past the float range of the basis."""
+        k1, k2, k3, k4 = self.k
+        s = 2.0 * math.sqrt(abs(self.q2))
+        if self.branch == "rational":
+            w1, w2, dw1, dw2, wronskian = t, 1.0, 1.0, 0.0, 1.0
+        elif self.branch == "exponential":
+            w1, w2 = math.exp(s * t), math.exp(-s * t)
+            dw1, dw2, wronskian = s * w1, -s * w2, 2.0 * s
+        else:
+            w1, w2 = math.sin(s * t), math.cos(s * t)
+            dw1, dw2, wronskian = s * w2, -s * w1, s
+        den = k3 * w1 + k4 * w2
+        return ((k1 * w1 + k2 * w2) / den,
+                (k1 * k4 - k2 * k3) * wronskian / (den * den),
+                (k3 * dw1 + k4 * dw2) / den)
 
     def __call__(self, t):
-        return E.evaluate(self.expr, {T: t})
-
-    def d(self, t, order=1):
-        e = (self._d1, self._d2, self._d3)[order - 1]
-        return E.evaluate(e, {T: t})
-
-    def schwarzian(self, t):
-        d1, d2, d3 = self.d(t, 1), self.d(t, 2), self.d(t, 3)
-        return d3 / d1 - 1.5 * (d2 / d1) ** 2
+        return self.jet(t)[0]
 
     def check(self):
-        """Max |{T;t} + 8 q2| and min T' over 16 sample times."""
+        """Max relative gap |T - tree|/(|T| + |tree| + 1) between the closed
+        form and the printed tree of T, and min T', over 16 sample times."""
         lo, hi = self.t_interval
         worst, tp_min = 0.0, math.inf
         for t in chebyshev_points(lo, hi, 16):
-            worst = max(worst, abs(self.schwarzian(t) + 8.0 * self.q2))
-            tp_min = min(tp_min, self.d(t, 1))
+            Tv, dT, _ = self.jet(t)
+            tree = E.evaluate(self.expr, {T: t})
+            worst = max(worst, abs(Tv - tree) / (abs(Tv) + abs(tree) + 1.0))
+            tp_min = min(tp_min, dT)
         return worst, tp_min
 
 
@@ -137,8 +150,9 @@ def solve_schwarzian(q2, mode="default"):
     gives the pole-at-zero representative used for fundamental-solution
     construction (q2 > 0: T = -coth(2 kappa t)/(2 kappa) on t > 0; q2 < 0:
     T = -cot(2 kappa t)/(2 kappa) on 0 < t < pi/(2 kappa); q2 = 0:
-    T = -1/t, the Appell inversion).  Raises SingularOnInterval when that
-    representative fails its check on the window, or the window is empty.
+    T = -1/t, the Appell inversion).  {T; t} = -8 q2 holds by construction.
+    Raises SingularOnInterval when that representative fails its check on
+    the window (MobiusMap.check), or the window is empty.
     """
     q2 = float(q2)
     t_interval = (0.05, 1.0) if mode == "kernel" else (-0.5, 0.5)
@@ -176,13 +190,13 @@ def solve_schwarzian(q2, mode="default"):
     try:
         m = MobiusMap(k, branch, q2, t_interval)
         worst, tp_min = m.check()
-    except (E.DomainError, ZeroDivisionError) as exc:
+    except (E.DomainError, OverflowError, ZeroDivisionError) as exc:
         raise SingularOnInterval("no admissible branch on %s: %s"
                                  % (t_interval, exc)) from exc
     if worst <= 1e-8 * (1 + 8 * abs(q2)) and tp_min > 0:
         return m
     raise SingularOnInterval(
-        "no admissible branch on %s (residual/T'min: %s)"
+        "no admissible branch on %s (tree gap/T'min: %s)"
         % (t_interval, (worst, tp_min)))
 
 
@@ -311,22 +325,14 @@ class HeatTransform:
         c0 = cls.constants.get("c0", 0.0)
         self.q = (-c2, -c1, -c0)
         self.inv = inv
-        q2, q1, q0 = self.q
+        q2, q1, _ = self.q
         self.mobius = solve_schwarzian(q2, mode)
         self.t_interval = self.mobius.t_interval
         I0 = None if source_point is None else inv.I(source_point)
         self.omega_expr = _omega_exprs(q2, q1, I0)
         self.domega_expr = E.differentiate(self.omega_expr, T) \
             if E.contains_symbol(self.omega_expr, T) else E.ZERO
-        # nu-exponent integrand 4 q2 w^2 + w'^2 - 4 q0, as an Expr in t
-        self.nu_integrand = E.simplify(E.add(
-            E.mul(E.num(4.0 * q2), E.pow_(self.omega_expr, 2)),
-            E.pow_(self.domega_expr, 2),
-            E.num(-4.0 * q0)))
-        self._nu_int_poly = E.as_polynomial(self.nu_integrand, T)
-        if self._nu_int_poly is not None and \
-                any(E.free_symbols(c) for c in self._nu_int_poly):
-            self._nu_int_poly = None
+        self._omega0 = E.evaluate(self.omega_expr, {T: 0.0})
         # G(x) = int J/sqrt(a) dx
         integrand = E.simplify(E.div(inv.J, inv.sqrt_a))
         Gexpr = antiderivative_x(integrand)
@@ -361,33 +367,25 @@ class HeatTransform:
         return rec
 
     def _time_factors(self, t):
-        mob = self.mobius
-        dT = mob.d(t, 1)
+        Tt, dT, r = self.mobius.jet(t)
         if dT <= 0:
             raise DegenerateTransform("T'(%g) = %g <= 0" % (t, dT))
-        d2T, d3T = mob.d(t, 2), mob.d(t, 3)
-        A = d2T / (8.0 * dT)
-        dA = (d3T * dT - d2T * d2T) / (8.0 * dT * dT)
+        q2, q1, q0 = self.q
+        A = -0.25 * r
+        dA = 0.25 * r * r - q2
         w = E.evaluate(self.omega_expr, {T: t})
         dw = E.evaluate(self.domega_expr, {T: t}) \
             if self.domega_expr is not E.ZERO else 0.0
-        q2, q1, _ = self.q
         d2w = 4.0 * q2 * w - 2.0 * q1
-        nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * self._Q(t))
-        dlog_nu = (-d2T / (4.0 * dT) - dA * w * w - 2.0 * A * w * dw
-                   - 0.25 * E.evaluate(self.nu_integrand, {T: t}))
-        return mob(t), math.sqrt(dT), A, w, dw, nu, dT, dA, d2w, dlog_nu
-
-    def _Q(self, t):
-        """int_0^t of the nu-exponent integrand."""
-        if self._nu_int_poly is not None:
-            total = 0.0
-            for n, cexpr in enumerate(self._nu_int_poly):
-                total += E.evaluate(cexpr, {}) * t ** (n + 1) / (n + 1)
-            return total
-        f = lambda s: E.evaluate(self.nu_integrand, {T: s})
-        val, _ = quad(f, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return val
+        if q2 != 0:
+            int_w = (dw + 2.0 * q1 * t) / (4.0 * q2)
+        else:
+            int_w = -q1 * t ** 3 / 3.0 + self._omega0 * t
+        Q = w * dw + 2.0 * q1 * int_w - 4.0 * q0 * t
+        nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * Q)
+        dlog_nu = (0.5 * r - dA * w * w - 2.0 * A * w * dw
+                   - 0.25 * (4.0 * q2 * w * w + dw * dw - 4.0 * q0))
+        return Tt, math.sqrt(dT), A, w, dw, nu, dT, dA, d2w, dlog_nu
 
     def t_tilde(self, t):
         return self._at_t(t)[0]

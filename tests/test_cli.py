@@ -138,6 +138,24 @@ class TestAnalyze:
             assert rc == 0
             assert json.loads(out)["classification"]["dim"] == 6
 
+    @pytest.mark.parametrize("b, c", [
+        ("18*x", "0"), ("-18*x", "0"), ("40*x", "0"), ("700*x", "0"),
+        ("0", "x - 100*x^2"),
+    ])
+    def test_stiff_drift_is_verified_as_dim6(self, capsys, tmp_path, b, c):
+        # T' spans many decades on the time window here; the closed-form
+        # jet of T keeps the Moebius branch and its pullback exact
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = 1\nb = %s\nc = %s\n" % (b, c))
+        rc, out, _ = run(capsys, "--json", "analyze", str(path))
+        assert rc == 0
+        rep = json.loads(out)
+        assert rep["classification"]["dim"] == 6
+        pullback = rep["verification"]["pullback_residuals"]
+        assert max(pullback.values()) <= 1e-6
+        assert not [w for w in rep["warnings"]
+                    if w.startswith("pullback residual")]
+
     def test_interior_zero_of_a_named_without_quadrature(self, capsys,
                                                          tmp_path):
         path = tmp_path / "case.eq"

@@ -13,6 +13,7 @@ from parasym import expr as E
 from parasym import transform
 from parasym.classify import classify
 from parasym.cli import CORPUS_EXPECT
+from parasym.expr import chebyshev_points
 from parasym.invariants import (DegenerateTransform, ParabolicEquation,
                                 compute_invariants, normalize, probe_window)
 from parasym.parser import parse_expression as P, parse_file
@@ -76,7 +77,24 @@ class TestSchwarzian:
         # the 16 check nodes skip t = 0, so a pole there would pass check()
         mob = solve_schwarzian(q2)
         assert math.isfinite(mob(0.0))
-        assert mob.d(0.0) > 0.0
+        assert mob.jet(0.0)[1] > 0.0
+
+    @pytest.mark.parametrize("mode", ["default", "kernel"])
+    @pytest.mark.parametrize("q2", [0.0, 0.3, -0.3, 1.0, -1.0, 4.0, -4.0])
+    def test_jet_matches_symbolic_reference(self, q2, mode):
+        # the closed-form jet against T's printed tree differentiated
+        # symbolically, and that tree's Schwarzian against -8 q2
+        mob = solve_schwarzian(q2, mode)
+        d1 = E.differentiate(mob.expr, "t")
+        d2 = E.differentiate(d1, "t")
+        d3 = E.differentiate(d2, "t")
+        for t in chebyshev_points(*mob.t_interval, 16):
+            _, dT, r = mob.jet(t)
+            s1, s2, s3 = (E.evaluate(d, {"t": t}) for d in (d1, d2, d3))
+            assert dT == pytest.approx(s1, rel=1e-12)
+            assert -2.0 * r * dT == pytest.approx(s2, rel=1e-12)
+            schwarzian = s3 / s1 - 1.5 * (s2 / s1) ** 2
+            assert abs(schwarzian + 8.0 * q2) <= 1e-9 * (1 + 8 * abs(q2))
 
     def test_rational_branch_is_identity_like(self):
         mob = solve_schwarzian(0.0)
@@ -276,7 +294,7 @@ class TestFactorRecords:
                           "trigonometric", True),
         "quadrature_I": (lambda: eq("1 + x^2", "0", "-3/(4*(1 + x^2))"), {},
                          "rational", False),
-        # omega' != 0 and the nu integral by quadrature
+        # omega' != 0 in the closed-form integral of nu
         "source_seeded": (lambda: eq("1", "0", "-(x^2)"),
                           {"mode": "kernel", "source_point": 0.5},
                           "exponential", True),
@@ -296,17 +314,23 @@ class TestFactorRecords:
 
     @staticmethod
     def docstring_values(ht, points):
+        q2, q1, q0 = ht.q
         out = []
         for x, t in points:
-            dT = ht.mobius.d(t, 1)
-            A = ht.mobius.d(t, 2) / (8.0 * dT)
+            Tt, dT, r = ht.mobius.jet(t)
+            A = -0.25 * r
             w = E.evaluate(ht.omega_expr, {"t": t})
             dw = E.evaluate(ht.domega_expr, {"t": t})
-            nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * ht._Q(t))
+            if q2 != 0:
+                int_w = (dw + 2.0 * q1 * t) / (4.0 * q2)
+            else:
+                w0 = E.evaluate(ht.omega_expr, {"t": 0.0})
+                int_w = -q1 * t ** 3 / 3.0 + w0 * t
+            Q = w * dw + 2.0 * q1 * int_w - 4.0 * q0 * t
+            nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * Q)
             Iv = ht.inv.I(x)
             expo = -0.5 * ht.G(x) - A * Iv * Iv - 0.5 * (dw + 4.0 * A * w) * Iv
-            out.append((nu * math.exp(expo), math.sqrt(dT) * (Iv + w),
-                        ht.mobius(t)))
+            out.append((nu * math.exp(expo), math.sqrt(dT) * (Iv + w), Tt))
         return out
 
     @pytest.mark.parametrize("name", sorted(CASES))
