@@ -51,6 +51,8 @@ def _round(v):
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
+        if math.isnan(v):
+            return "nan"
         return round(v, 12)
     return v
 
@@ -146,6 +148,9 @@ def _generator_section(cls, inv, grid_n):
         warnings.append("published commutator line [v%d, v%d] differs from "
                         "the symbolic bracket (max difference %.3g)"
                         % (i, j, diff))
+    if not math.isfinite(table.residual):
+        warnings.append("bracket residual is %s: the bracket triples are "
+                        "not finite at the bracket times" % table.residual)
     sec = {
         "basis": gens,
         "commutators": struct,

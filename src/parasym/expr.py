@@ -47,7 +47,11 @@ class Expr:
     FUNCTIONS | 'besseli' (internal, not parseable).
     """
 
-    __slots__ = ("kind", "args", "value", "_hash", "_key", "_fn")
+    # `_simp` is the node's simplified form once `simplify` has run on it,
+    # or _SIMPLIFIED on a node that `simplify` returned.  It is a slot, not a
+    # dict keyed by Expr: num(1) and num(1.0) are equal and hash alike but
+    # print as 1 and 1.0, so a dict would hand one the other's result.
+    __slots__ = ("kind", "args", "value", "_hash", "_key", "_fn", "_simp")
 
     def __init__(self, kind, args=(), value=None):
         object.__setattr__(self, "kind", kind)
@@ -56,6 +60,7 @@ class Expr:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_fn", None)
+        object.__setattr__(self, "_simp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -456,9 +461,27 @@ def _simplify_fn(kind, a):
     return Expr(kind, (a,))
 
 
+# Marks a node that `simplify` returned: a sentinel rather than the node
+# itself, so that a simplified node is not a reference cycle.
+_SIMPLIFIED = object()
+
+
 def simplify(e):
+    """The simplified form of `e`, computed once per node."""
     if e.kind in ("num", "sym"):
         return e
+    s = e._simp
+    if s is _SIMPLIFIED:
+        return e
+    if s is None:
+        s = _simplify(e)
+        object.__setattr__(e, "_simp", s)
+        if s is e or s._simp is None:
+            object.__setattr__(s, "_simp", _SIMPLIFIED)
+    return s
+
+
+def _simplify(e):
     args = [simplify(a) for a in e.args]
     k = e.kind
     if k == "neg":

@@ -303,6 +303,9 @@ class CommutatorTable:
         return sgn * self.structure.get((i, j), {}).get(k, 0.0)
 
 
+# a stiff field's exp(+-k t) factors can overflow at BRACKET_TIMES: numpy
+# stays silent, the residual reads nan, and the report says so
+@np.errstate(over="ignore", invalid="ignore")
 def commutator_table(basis):
     """Structure constants of the emitted basis: each bracket's scalar triple
     from the two fields' jets (module docstring), decomposed by least squares

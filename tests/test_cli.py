@@ -156,6 +156,23 @@ class TestAnalyze:
         assert not [w for w in rep["warnings"]
                     if w.startswith("pullback residual")]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_brackets_give_strict_json(self, capsys, tmp_path):
+        # b = 700x's brackets overflow at BRACKET_TIMES (ROADMAP item 2):
+        # the report says so in a warning and stays valid JSON
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = 1\nb = 700*x\nc = 0\n")
+        rc, out, err = run(capsys, "--json", "analyze", str(path))
+        assert rc == 0 and err == ""
+
+        def bad(token):
+            raise ValueError("%s token in the report" % token)
+        rep = json.loads(out, parse_constant=bad)
+        assert rep["classification"]["dim"] == 6
+        assert rep["generators"]["bracket_residual"] == "nan"
+        assert "bracket residual is nan: the bracket triples are not " \
+               "finite at the bracket times" in rep["warnings"]
+
     def test_interior_zero_of_a_named_without_quadrature(self, capsys,
                                                          tmp_path):
         path = tmp_path / "case.eq"

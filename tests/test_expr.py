@@ -2,7 +2,9 @@
 evaluation, zero-testing and polynomial matching."""
 
 import gc
+import glob
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from parasym import expr as E
 from parasym import special
-from parasym.parser import parse_expression as P
+from parasym.invariants import ParabolicEquation, compute_invariants
+from parasym.parser import parse_expression as P, parse_file
+
+EQDIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "equations")
 
 
 def ev(e, **env):
@@ -44,14 +50,95 @@ class TestSimplify:
         assert E.to_text(e) == "x^5"
 
     def test_idempotent_on_examples(self):
+        # a new copy of the result carries no memo, so the simplifier runs
+        # again; the text keeps 1 and 1.0 apart where == would not
         for src in ["(1 + x)^2/(1 + x)", "exp(x)*exp(-x)", "sin(x)^2*0",
                     "x/x", "sqrt(x^2 + 2*x + 1)"]:
             e = E.simplify(P(src))
-            assert E.simplify(e) == e
+            assert E.to_sexpr(E.simplify(_rebuilt(e))) == E.to_sexpr(e)
 
     def test_structural_equality_after_roundtrip(self):
         e = E.simplify(P("(1 + k^2*x^2)^2"))
         assert E.simplify(P(E.to_text(e))) == e
+
+
+def _unmemoized(e):
+    """`simplify` without the per-node memo, the reference for it."""
+    return e if e.kind in ("num", "sym") else E._simplify(e)
+
+
+def _derived(e):
+    """to_sexpr of e's simplified form and first two derivatives."""
+    out = []
+    for f in (E.simplify, E.differentiate,
+              lambda t: E.differentiate(t, order=2)):
+        try:
+            out.append(E.to_sexpr(f(e)))
+        except E.ExprError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+class TestSimplifyMemo:
+    def test_float_constant_keeps_its_text(self):
+        E.simplify(E.num(1))
+        assert E.to_text(E.simplify(E.num(1.0))) == "1.0"
+        x = E.sym("x")
+        exact = E.Expr("mul", (E.num(2), E.Expr("sin", (x,))))
+        floating = E.Expr("mul", (E.num(2.0), E.Expr("sin", (x,))))
+        assert exact == floating and hash(exact) == hash(floating)
+        assert E.to_sexpr(E.simplify(exact)) == "(* 2 (sin x))"
+        assert E.to_sexpr(E.simplify(floating)) == "(* 2.0 (sin x))"
+        # equal and alike-hashing larger trees keep their own constants
+        assert (E.to_sexpr(E.simplify(E.Expr("add", (x, exact))))
+                == "(+ x (* 2 (sin x)))")
+        assert (E.to_sexpr(E.simplify(E.Expr("add", (x, floating))))
+                == "(+ x (* 2.0 (sin x)))")
+        assert (E.to_sexpr(E.differentiate(E.add(x, floating)))
+                == "(+ 1 (* 2.0 (cos x)))")
+
+    def test_corpus_trees_match_unmemoized(self, monkeypatch):
+        from test_properties import CORPUS
+        memo = [_derived(e) for e in CORPUS]
+        copies = [_rebuilt(e) for e in CORPUS]
+        monkeypatch.setattr(E, "simplify", _unmemoized)
+        assert [_derived(e) for e in copies] == memo
+
+    def test_corpus_invariants_match_unmemoized(self, monkeypatch):
+        def trees():
+            out = []
+            for path in sorted(glob.glob(os.path.join(EQDIR, "*.eq"))):
+                eq = ParabolicEquation.from_program(parse_file(path))
+                inv = compute_invariants(eq)
+                out.append([E.to_sexpr(t) for t in
+                            (inv.a, inv.b, inv.c, inv.J, inv.K)])
+            return out
+
+        memo = trees()
+        assert len(memo) == 18
+        monkeypatch.setattr(E, "simplify", _unmemoized)
+        assert trees() == memo
+
+    def test_simplified_nodes_are_not_cycles(self):
+        def work():
+            x, k = E.sym("x"), E.sym("k")
+            e = E.add(E.div(E.pow_(E.fn("sin", E.mul(k, x)), 2),
+                            E.add(1, E.pow_(x, 2))),
+                      E.mul(E.exp_(E.neg(E.pow_(x, 2))), x, x))
+            s = E.simplify(e)
+            E.simplify(e)
+            E.differentiate(s, order=2)
+
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            work()
+            found = gc.collect()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        assert found == 0
 
 
 class TestDifferentiate:
