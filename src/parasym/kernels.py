@@ -691,7 +691,9 @@ def kernel(name, constants=None):
 
 def _pde_residual(K, diffusion, potential, points):
     """max |K_t - sum(a K_ss + b K_s) - c K| / (1 + |K_t|) over the points,
-    with symbolic derivatives; terms with a zero coefficient are skipped."""
+    with symbolic derivatives; terms with a zero coefficient are skipped.
+    Raises DomainError naming the first point where the residual is not
+    finite."""
     terms = []
     for s, (a, b) in diffusion.items():
         Ks = E.differentiate(K, s)
@@ -705,6 +707,9 @@ def _pde_residual(K, diffusion, potential, points):
         r = kt
         for coef, d in terms:
             r -= E.evaluate(coef, env) * E.evaluate(d, env)
+        if not math.isfinite(r):
+            raise E.DomainError("non-finite PDE residual at %s" % ", ".join(
+                "%s = %g" % kv for kv in sorted(env.items())))
         worst = max(worst, abs(r) / (1.0 + abs(kt)))
     return worst
 

@@ -41,12 +41,20 @@ r' = 4 q2 - r^2, so A = -r/4 and A' = r^2/4 - q2.  As (omega omega')' =
 omega'^2 + 4 q2 omega^2 - 2 q1 omega and omega'(0) = 0, nu's integral is
 omega omega' + 2 q1 int_0^t omega ds - 4 q0 t, where int_0^t omega ds is
 (omega' + 2 q1 t)/(4 q2), or -q1 t^3/3 + omega(0) t when q2 = 0.
+
+verify_pullback checks each heat solution on the whole x-t grid in one
+array pass: the factors of x and of t are computed once per grid point in
+Python floats, and the chain rule above runs on arrays built from them.  A
+grid point where the jet or the residual is not finite is an error, never
+dropped from the maximum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
@@ -403,16 +411,19 @@ class HeatTransform:
     def pullback_jet(self, v_jet):
         """(x, t) -> (u, u_x, u_xx, u_t) of u = v(x~, t~)/theta, by the chain
         rule of the module docstring, where v_jet(X, T) gives (v, v_X, v_XX,
-        v_T) of a heat solution v."""
+        v_T) of a heat solution v.  x and t are floats or arrays that
+        broadcast against each other (x a column and t a row for a grid);
+        the factors come from the per-point records, one array per factor
+        shaped like x or t."""
         def jet(x, t):
-            Tt, s, A, w, dw, nu, dT, dA, d2w, dlog_nu = self._at_t(t)
-            Iv, Gv, dI, d2I, dG, d2G = self._at_x(x)
+            Tt, s, A, w, dw, nu, dT, dA, d2w, dlog_nu = _gather(self._at_t, t)
+            Iv, Gv, dI, d2I, dG, d2G = _gather(self._at_x, x)
             v, vX, vXX, vT = v_jet(s * (Iv + w), Tt)
             B = dw + 4.0 * A * w
             Ex = -0.5 * dG - 2.0 * A * Iv * dI - 0.5 * B * dI
             Exx = -0.5 * d2G - 2.0 * A * (dI * dI + Iv * d2I) - 0.5 * B * d2I
             Et = -dA * Iv * Iv - 0.5 * (d2w + 4.0 * (dA * w + A * dw)) * Iv
-            m = math.exp(0.5 * Gv + A * Iv * Iv + 0.5 * B * Iv) / nu
+            m = np.exp(0.5 * Gv + A * Iv * Iv + 0.5 * B * Iv) / nu
             Xx, Xxx = s * dI, s * d2I
             Xt = s * (4.0 * A * (Iv + w) + dw)
             return (m * v,
@@ -432,6 +443,14 @@ class HeatTransform:
         if self.G.expr is not None:
             parts["G"] = E.to_text(self.G.expr)
         return parts
+
+
+def _gather(at, points):
+    """The records at(p) of each float p in `points` (a float or an array),
+    as one array per record field, each shaped like `points`."""
+    points = np.asarray(points, dtype=float)
+    recs = np.array([at(p) for p in points.ravel().tolist()])
+    return recs.T.reshape((-1,) + points.shape)
 
 
 def build_heat_transform(cls, inv, mode="default", source_point=None):
@@ -454,11 +473,11 @@ def map_solution(ht, u_tilde):
 # pullback verification
 
 def _exp_jet(x, t):
-    v = math.exp(x + t)
+    v = np.exp(x + t)
     return v, v, v, v
 
 
-# heat solutions v(X, T) as jets (v, v_X, v_XX, v_T)
+# heat solutions v(X, T) as jets (v, v_X, v_XX, v_T), on floats or arrays
 HEAT_SOLUTIONS = (
     ("1", lambda x, t: (1.0, 0.0, 0.0, 0.0)),
     ("x", lambda x, t: (x, 1.0, 0.0, 0.0)),
@@ -470,24 +489,33 @@ HEAT_SOLUTIONS = (
 def pde_residual(inv, jet, n=21, t_interval=(0.05, 0.45)):
     """Max relative residual of u_t - a u_xx - b u_x - c u on an n-by-n grid,
     where `jet(x, t)` gives (u, u_x, u_xx, u_t) and a, b, c and the domain
-    are the normalized ones held by the invariant triple `inv`."""
-    a, b, c = inv.a, inv.b, inv.c
+    are the normalized ones held by the invariant triple `inv`.
+
+    The jet is called once, with x as a column and t as a row of the grid,
+    under np.errstate raising on overflow, division by zero and invalid
+    operations (FloatingPointError).  Raises DomainError naming the first
+    grid point where a jet value or the residual is not finite."""
     lo, hi = probe_window(inv.domain)
     t0, t1 = t_interval
-    worst = 0.0
-    for i in range(n):
-        x = lo + (hi - lo) * i / (n - 1)
-        av = E.evaluate(a, {"x": x})
-        bv = E.evaluate(b, {"x": x})
-        cv = E.evaluate(c, {"x": x})
-        for j in range(n):
-            t = t0 + (t1 - t0) * j / (n - 1)
-            uv, ux, uxx, ut = jet(x, t)
-            resid = ut - av * uxx - bv * ux - cv * uv
-            scale = abs(ut) + abs(av * uxx) + abs(bv * ux) + abs(cv * uv) \
-                + abs(uv) + 1.0
-            worst = max(worst, abs(resid) / scale)
-    return worst
+    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
+    av, bv, cv = (np.array([[E.evaluate(f, {"x": x})] for x in xs])
+                  for f in (inv.a, inv.b, inv.c))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        uv, ux, uxx, ut = jet(np.array(xs)[:, None], np.array(ts))
+    # a non-finite jet value makes the ratio NaN (inf/inf, 0*inf or NaN
+    # itself), and so does an overflowing term; both are found below
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = ut - av * uxx - bv * ux - cv * uv
+        scale = abs(ut) + abs(av * uxx) + abs(bv * ux) + abs(cv * uv) \
+            + abs(uv) + 1.0
+        ratio = np.broadcast_to(abs(resid) / scale, (n, n))
+    bad = np.argwhere(~np.isfinite(ratio))
+    if len(bad):
+        i, j = bad[0]
+        raise E.DomainError("non-finite jet or residual at (x, t) = (%g, %g)"
+                            % (xs[i], ts[j]))
+    return float(np.max(ratio))
 
 
 def verify_pullback(ht, n=21):
@@ -495,8 +523,9 @@ def verify_pullback(ht, n=21):
     measure the PDE residual of the result from its exact jet, against the
     equation the transform was built from.  Returns {name: residual}.
 
-    Raises DomainError when a pulled-back solution overflows on the grid, or
-    its multiplier's normalization underflows to 0."""
+    Raises DomainError naming the heat solution when its pull-back overflows
+    or is not finite at a grid point, or its multiplier's normalization
+    underflows to 0."""
     lo, hi = ht.t_interval
     span = hi - lo
     t_int = (lo + 0.25 * span, hi - 0.25 * span)
@@ -505,7 +534,7 @@ def verify_pullback(ht, n=21):
         try:
             out[name] = pde_residual(ht.inv, ht.pullback_jet(v_jet), n=n,
                                      t_interval=t_int)
-        except (OverflowError, ZeroDivisionError) as exc:
+        except (ArithmeticError, E.DomainError) as exc:
             raise E.DomainError("pullback of the heat solution %s: %s"
                                 % (name, exc)) from exc
     return out

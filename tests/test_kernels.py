@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from parasym import expr as E
 from parasym import kernels as K
 from parasym.classify import classify
 from parasym.invariants import ParabolicEquation, compute_invariants
+from parasym.parser import parse_expression as P
 from parasym.transform import build_heat_transform, map_solution
 
 ALL_NAMES = K.list_kernels()
@@ -92,6 +94,13 @@ class TestGenericVerifier:
             want.append(abs(prod - 1.0))
         got = K.verify_delta_limit(entry)
         assert got == pytest.approx(want, rel=0, abs=1e-7)
+
+    def test_non_finite_residual_names_the_point(self):
+        # at (x, t) = (2, 1): K_t = 1, b K_x = 1e308 * 10 = inf and
+        # c K = -1e308 * 21 = -inf, so the residual is 1 - inf + inf = nan
+        with pytest.raises(E.DomainError, match="t = 1, x = 2"):
+            K._pde_residual(P("10*x + t"), {"x": (E.num(1.0), E.num(1e308))},
+                            E.num(-1e308), [{"x": 2.0, "t": 1.0}])
 
     def test_second_canonical_normalization(self):
         # mass = 1 + mu t / y^2 + O((t/y^2)^2) on the half line

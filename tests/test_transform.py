@@ -7,6 +7,7 @@ import math
 import os
 import weakref
 
+import numpy as np
 import pytest
 
 from parasym import expr as E
@@ -56,6 +57,59 @@ def difference_jet(ufun, hx, ht):
                 d2(lambda s: ufun(s, t), x, hx),
                 d1(lambda s: ufun(x, s), t, ht))
     return jet
+
+
+def reference_pde_residual(inv, jet, n=21, t_interval=(0.05, 0.45)):
+    """pde_residual one grid point at a time with scalar jet calls: the
+    reference for its array pass."""
+    a, b, c = inv.a, inv.b, inv.c
+    lo, hi = probe_window(inv.domain)
+    t0, t1 = t_interval
+    worst = 0.0
+    for i in range(n):
+        x = lo + (hi - lo) * i / (n - 1)
+        av = E.evaluate(a, {"x": x})
+        bv = E.evaluate(b, {"x": x})
+        cv = E.evaluate(c, {"x": x})
+        for j in range(n):
+            t = t0 + (t1 - t0) * j / (n - 1)
+            uv, ux, uxx, ut = jet(x, t)
+            resid = ut - av * uxx - bv * ux - cv * uv
+            scale = abs(ut) + abs(av * uxx) + abs(bv * ux) + abs(cv * uv) \
+                + abs(uv) + 1.0
+            worst = max(worst, abs(resid) / scale)
+    return worst
+
+
+def reference_pullback_jet(ht, v_jet):
+    """HeatTransform.pullback_jet one point at a time in Python floats, from
+    the transform's per-point records: the reference for its array pass."""
+    def jet(x, t):
+        Tt, s, A, w, dw, nu, dT, dA, d2w, dlog_nu = ht._at_t(t)
+        Iv, Gv, dI, d2I, dG, d2G = ht._at_x(x)
+        v, vX, vXX, vT = v_jet(s * (Iv + w), Tt)
+        B = dw + 4.0 * A * w
+        Ex = -0.5 * dG - 2.0 * A * Iv * dI - 0.5 * B * dI
+        Exx = -0.5 * d2G - 2.0 * A * (dI * dI + Iv * d2I) - 0.5 * B * d2I
+        Et = -dA * Iv * Iv - 0.5 * (d2w + 4.0 * (dA * w + A * dw)) * Iv
+        m = math.exp(0.5 * Gv + A * Iv * Iv + 0.5 * B * Iv) / nu
+        Xx, Xxx = s * dI, s * d2I
+        Xt = s * (4.0 * A * (Iv + w) + dw)
+        return (m * v,
+                m * (vX * Xx - v * Ex),
+                m * (vXX * Xx * Xx + vX * Xxx - 2.0 * vX * Xx * Ex
+                     + v * (Ex * Ex - Exx)),
+                m * (vX * Xt + vT * dT - v * (Et + dlog_nu)))
+    return jet
+
+
+# HEAT_SOLUTIONS as scalar jets in Python floats, in the same order
+REFERENCE_SOLUTIONS = (
+    ("1", lambda x, t: (1.0, 0.0, 0.0, 0.0)),
+    ("x", lambda x, t: (x, 1.0, 0.0, 0.0)),
+    ("x^2+2t", lambda x, t: (x * x + 2.0 * t, 2.0 * x, 2.0, 2.0)),
+    ("exp(x+t)", lambda x, t: (math.exp(x + t),) * 4),
+)
 
 
 def transform_for(e, mode="default", **kw):
@@ -153,6 +207,33 @@ class TestPullback:
         res = verify_pullback(ht)
         assert max(res.values()) <= 1e-6
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_finite_jet_value_names_the_point(self, k, bad):
+        # the exact jet of x^2 + 2t with one value replaced at the grid
+        # corner (x, t) = (4, 0.05)
+        inv = compute_invariants(eq("1"))
+
+        def jet(x, t):
+            vals = [x * x + 2.0 * t, 2.0 * x, 2.0, 2.0]
+            vals[k] = np.where((x == np.max(x)) & (t == np.min(t)), bad,
+                               vals[k])
+            return vals
+        with pytest.raises(E.DomainError, match=r"\(x, t\) = \(4, 0.05\)"):
+            pde_residual(inv, jet)
+
+    def test_nan_pullback_names_the_heat_solution(self, monkeypatch):
+        def nan_at_corner(X, T):
+            X, T = np.broadcast_arrays(X, T)
+            return (np.where((X == X.max()) & (T == T.max()), math.nan, 1.0),
+                    0.0, 0.0, 0.0)
+        monkeypatch.setattr(transform, "HEAT_SOLUTIONS",
+                            (("nan_at_corner", nan_at_corner),))
+        ht, _, _ = transform_for(eq("1"))
+        with pytest.raises(E.DomainError, match=r"heat solution nan_at_corner"
+                           r": .* \(x, t\) = \(4, 0.25\)"):
+            verify_pullback(ht)
+
     def test_nonsolution_rejected(self):
         # x^2 (without the +2t partner) is not a heat solution
         inv = compute_invariants(eq("1"))
@@ -197,6 +278,32 @@ class TestExactDerivatives:
         # per term, 3.9e-7 summed) on divergence_brownian next to x = 1
         assert worst_sum <= 1e-6
         assert worst_term <= 1e-5
+
+    @pytest.mark.parametrize("stem", DIM6_CORPUS)
+    def test_array_pass_agrees_with_scalar_reference(self, stem):
+        # the same arithmetic but for np.exp against math.exp in m and in
+        # exp(x+t): jets to rel 1e-13, residuals to 1e-15 absolute
+        ht, _, _ = transform_for(corpus_eq(stem))
+        lo, hi = ht.t_interval
+        t_int = (lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))
+        x0, x1 = probe_window(ht.inv.domain)
+        n = 21
+        xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
+        ts = [t_int[0] + (t_int[1] - t_int[0]) * j / (n - 1)
+              for j in range(n)]
+        got = verify_pullback(ht)
+        for (name, v_jet), (_, ref_v) in zip(HEAT_SOLUTIONS,
+                                             REFERENCE_SOLUTIONS):
+            ref_jet = reference_pullback_jet(ht, ref_v)
+            want = np.array([[ref_jet(x, t) for t in ts] for x in xs])
+            arrays = ht.pullback_jet(v_jet)(np.array(xs)[:, None],
+                                            np.array(ts))
+            for k, arr in enumerate(arrays):
+                np.testing.assert_allclose(
+                    np.broadcast_to(arr, (n, n)), want[:, :, k], rtol=1e-13,
+                    atol=0, err_msg="%s %s component %d" % (stem, name, k))
+            ref = reference_pde_residual(ht.inv, ref_jet, n, t_int)
+            assert abs(got[name] - ref) <= 1e-15, (name, got[name], ref)
 
     @pytest.mark.parametrize("stem", DIM6_CORPUS)
     def test_corpus_residual_is_rounding_level(self, stem):
