@@ -26,8 +26,7 @@ from scipy.optimize import least_squares
 from . import expr as E
 from .expr import chebyshev_points
 from .invariants import (IllConditionedFit, ParabolicEquation,
-                         compute_invariants, fokker_planck_equation,
-                         probe_window)
+                         compute_invariants, probe_window)
 
 
 N_POINTS = 64                  # probe points of the (I, K) fits
@@ -80,10 +79,18 @@ def _samples(inv, i_offset):
 
 
 def _fit_quadratic(Iv, Kv):
-    A = np.column_stack([np.ones_like(Iv), Iv, Iv * Iv])
-    coef, *_ = np.linalg.lstsq(A, Kv, rcond=None)
-    resid = float(np.max(np.abs(A @ coef - Kv)))
-    return coef, resid
+    """(c0, c1, c2) of the fit K = c2 I^2 + c1 I + c0, and its worst
+    residual.  The fit is made on z = (I - m)/h in [-1, 1] and mapped back,
+    so the constants do not depend on the gauge offset of I."""
+    m = (Iv.max() + Iv.min()) / 2.0
+    h = (Iv.max() - Iv.min()) / 2.0
+    z = (Iv - m) / h
+    A = np.column_stack([np.ones_like(z), z, z * z])
+    d, *_ = np.linalg.lstsq(A, Kv, rcond=None)
+    resid = float(np.max(np.abs(A @ d - Kv)))
+    u = m / h
+    return (d[0] - d[1] * u + d[2] * u * u, (d[1] - 2 * d[2] * u) / h,
+            d[2] / (h * h)), resid
 
 
 def _fit_l4(Iv, Kv, s):
@@ -160,33 +167,3 @@ def classify(inv, tol=1e-7, i_offset=0.0):
             shift=_snap(s), residual=resid4)
 
     return SymmetryClassification(dim=2, residual=min(resid6, resid4))
-
-
-def check_fp_logdiffusion(A, B):
-    """Classify u_t + [(4 x^2 ln x) u_x + (A x + B x ln x) u]_x = 0 on (0, 1).
-
-    Its semi-invariant in the source's time orientation is
-
-        K = -(A^2-4)/(16 ln x) - (B-4)^2 ln x / 16 - (A-4)(B-4)/8,
-
-    so the symmetry algebra is 6-dimensional iff A = +-2 and 4-dimensional
-    otherwise.  (A drift printed elsewhere as ``B ln x`` is inconsistent
-    with that K formula and with the A=+-2 criterion; ``B x ln x`` is the
-    drift that K actually belongs to, and is what this check classifies.)
-
-    The divergence-form equation is forward-parabolic as written (its
-    diffusion coefficient -4 x^2 ln x is positive on (0,1)); the source
-    convention reads it with the opposite time orientation, which negates
-    the constant term of K.  The generic pipeline classifies the honest
-    forward equation and the report converts the constant term back, so
-    (A,B)=(0,0) gives dim 4 with (mu, c2, c0) = (1/4, -1, -2).
-    """
-    x = E.sym("x")
-    p = E.simplify(E.mul(E.num(-4), E.pow_(x, 2), E.log_(x)))
-    q = E.simplify(E.neg(E.add(E.mul(E.num(A), x),
-                               E.mul(E.num(B), x, E.log_(x)))))
-    eq = fokker_planck_equation(p, q, domain=(0.0, 1.0))
-    cls = classify(eq)
-    if "c0" in cls.constants:
-        cls.constants["c0"] = -cls.constants["c0"]
-    return cls

@@ -172,16 +172,6 @@ def _interior_root(a, domain):
     return None
 
 
-def fokker_planck_equation(p, q, domain=(-math.inf, math.inf)):
-    """u_t = (p u_x)_x + (q u)_x as a ParabolicEquation:
-    a = p, b = p' + q, c = q'."""
-    p = E.to_expr(p)
-    q = E.to_expr(q)
-    b = E.simplify(E.add(E.differentiate(p, VAR), q))
-    c = E.differentiate(q, VAR)
-    return ParabolicEquation(E.simplify(p), b, c, domain)
-
-
 # ---------------------------------------------------------------------------
 # one-variable function values (symbolic or sampled)
 

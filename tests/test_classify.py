@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from parasym import classify as C
+from parasym import expr as E
 from parasym import symmetry as S
 from parasym import cli
 from parasym.classify import (IllConditionedFit, SymmetryClassification,
-                              check_fp_logdiffusion, classify)
+                              classify)
 from parasym.expr import DomainError, chebyshev_points
 from parasym.invariants import (ParabolicEquation, compute_invariants,
                                 probe_window)
@@ -119,6 +120,10 @@ class TestGaugeRobustness:
                         (eq("1", "0", "exp(x)"), 2)]:
             cls = classify(compute_invariants(e), i_offset=shift)
             assert cls.dim == want
+        # K = -1/4 is constant, so no offset may move its dim-6 constants
+        tanh = compute_invariants(eq("1", "tanh(x/2)"))
+        assert classify(tanh, i_offset=shift).constants == \
+            classify(tanh).constants
 
     def test_dim4_mu_invariant_under_i_shift(self):
         inv = compute_invariants(eq("1", "5/x", domain=(0.0, math.inf)))
@@ -160,6 +165,26 @@ class TestDegenerateInput:
             classify(eq("1", "0", "log(x)"))
         assert str(exc.value) == ("K undefined at x=%g: log of non-positive"
                                   % x0)
+
+
+def fokker_planck_equation(p, q, domain=(-math.inf, math.inf)):
+    """u_t = (p u_x)_x + (q u)_x: a = p, b = p' + q, c = q'."""
+    b = E.simplify(E.add(E.differentiate(p, "x"), q))
+    return ParabolicEquation(E.simplify(p), b, E.differentiate(q, "x"),
+                             domain)
+
+
+def check_fp_logdiffusion(A, B):
+    """Classify u_t + [(4 x^2 ln x) u_x + (A x + B x ln x) u]_x = 0 on (0, 1):
+    K = -(A^2-4)/(16 ln x) - (B-4)^2 ln x / 16 - (A-4)(B-4)/8 (the drift is
+    B x ln x, not the B ln x printed elsewhere), so dim 6 iff A = +-2.  The
+    source's opposite time orientation negates c0, so (A, B) = (0, 0) gives
+    (mu, c2, c0) = (1/4, -1, -2)."""
+    q = P("-(%r*x + %r*x*log(x))" % (A, B))
+    cls = classify(fokker_planck_equation(P("-4*x^2*log(x)"), q, (0.0, 1.0)))
+    if "c0" in cls.constants:
+        cls.constants["c0"] = -cls.constants["c0"]
+    return cls
 
 
 class TestLogDiffusionFamily:

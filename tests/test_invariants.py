@@ -8,9 +8,9 @@ import pytest
 from parasym import expr as E
 from parasym.invariants import (NonparabolicError, ParabolicEquation,
                                 UnsupportedCoefficient, base_point,
-                                compute_invariants, fokker_planck_equation,
-                                normalize, probe_window)
+                                compute_invariants, normalize, probe_window)
 from parasym.parser import parse, parse_expression as P
+from test_classify import fokker_planck_equation
 
 
 def eq(a, b="0", c="0", domain=(-math.inf, math.inf)):

@@ -225,14 +225,15 @@ class TestPullback:
     def test_nan_pullback_names_the_heat_solution(self, monkeypatch):
         def nan_at_corner(X, T):
             X, T = np.broadcast_arrays(X, T)
-            return (np.where((X == X.max()) & (T == T.max()), math.nan, 1.0),
+            return (np.where((X == X.max()) & (T == T.max()), bad, 1.0),
                     0.0, 0.0, 0.0)
         monkeypatch.setattr(transform, "HEAT_SOLUTIONS",
                             (("nan_at_corner", nan_at_corner),))
         ht, _, _ = transform_for(eq("1"))
-        with pytest.raises(E.DomainError, match=r"heat solution nan_at_corner"
-                           r": .* \(x, t\) = \(4, 0.25\)"):
-            verify_pullback(ht)
+        for bad in (math.nan, math.inf, -math.inf):   # inf meets 0*inf
+            with pytest.raises(E.DomainError, match=r"heat solution nan_at_"
+                               r"corner: .* \(x, t\) = \(4, 0.25\)"):
+                verify_pullback(ht)
 
     def test_nonsolution_rejected(self):
         # x^2 (without the +2t partner) is not a heat solution
