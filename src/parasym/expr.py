@@ -13,6 +13,7 @@ from __future__ import annotations
 import builtins
 import itertools
 import math
+import types
 from fractions import Fraction
 
 
@@ -87,32 +88,17 @@ class Expr:
     def __add__(self, other):
         return add(self, to_expr(other))
 
-    def __radd__(self, other):
-        return add(to_expr(other), self)
-
     def __sub__(self, other):
         return add(self, mul(num(-1), to_expr(other)))
-
-    def __rsub__(self, other):
-        return add(to_expr(other), mul(num(-1), self))
 
     def __mul__(self, other):
         return mul(self, to_expr(other))
 
-    def __rmul__(self, other):
-        return mul(to_expr(other), self)
-
     def __truediv__(self, other):
         return div(self, to_expr(other))
 
-    def __rtruediv__(self, other):
-        return div(to_expr(other), self)
-
     def __pow__(self, other):
         return pow_(self, to_expr(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +573,10 @@ def differentiate(e, var="x", order=1):
 # products as a left fold, constants converted once with float().  Equal
 # subtrees and repeated symbols are computed once, at their first place in
 # that order: the arithmetic is deterministic, so the copies would give the
-# same floats.  `evaluate` maps what the code raises besides its guards.
+# same floats.  Constants are default arguments, one per distinct value, so
+# trees that differ only in their constants have the same source and share
+# one code object from `_CODES`.  `evaluate` maps what the code raises
+# besides its guards.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
@@ -612,12 +601,8 @@ _CODE_GLOBALS = dict(
     __builtins__=builtins, _fsum=math.fsum, _DomainError=DomainError,
     _ExprError=ExprError)
 
-
-# The local names of generated code ("t0", "t1", ...) stay interned for the
-# life of the process.  Freed with each function and interned again by the
-# next compile, they would churn the interpreter's table of interned strings
-# until it doubled (about 1 MB more peak RSS over a thousand analyses).
-_LOCAL_NAMES = set()
+# generated source -> its code object, kept for the life of the process
+_CODES = {}
 
 
 def evaluate(e, bindings=None):
@@ -643,18 +628,21 @@ def evaluate(e, bindings=None):
 def _compile(root):
     """One function env -> float computing `root` as described above."""
     lines = []      # the body, one physical line each
-    ref = {}        # id(node) -> local name, or the float of a constant
-    seen = {}       # (kind, value, operand texts) -> local; checks emitted
-    defaults = {}   # default-argument name -> value, for non-literal values
+    ref = {}        # id(node) -> its local or default-argument name
+    seen = {}       # (kind, value, operand names) -> local; checks emitted
+    names = {}      # repr of a constant -> its default-argument name
+    defaults = {}   # default-argument name -> value
     count = itertools.count()
 
     def local():
         return "t%d" % next(count)
 
     def const(v):
-        name = "k%d" % len(defaults)
-        defaults[name] = v
-        return name
+        r = repr(v)                       # keeps 0.0 and -0.0 apart
+        if r not in names:
+            names[r] = "k%d" % len(names)
+            defaults[names[r]] = v
+        return names[r]
 
     def emit(line, *guard):
         if guard:
@@ -664,10 +652,6 @@ def _compile(root):
                 lines.append(check)
         if line:
             lines.append(line)
-
-    def text(node):
-        v = ref[id(node)]
-        return repr(v) if isinstance(v, float) else v
 
     stack = [(root, False)]               # (node, its children are done)
     while stack:
@@ -680,17 +664,15 @@ def _compile(root):
             continue
         if k == "num":
             try:
-                v = float(e.value)
+                ref[id(e)] = const(float(e.value))
             except OverflowError:         # raised where the walk reaches it
                 ref[id(e)] = t = local()
                 emit("%s = float(%s)" % (t, const(e.value)))
-                continue
-            ref[id(e)] = v if math.isfinite(v) else const(v)
             continue
         if k == "mul" and len(e.args) < 2:
-            ref[id(e)] = ref[id(e.args[0])] if e.args else 1.0
+            ref[id(e)] = ref[id(e.args[0])] if e.args else const(1.0)
             continue
-        a = [text(c) for c in e.args]
+        a = [ref[id(c)] for c in e.args]
         key = (k, e.value, *a)
         if key in seen:                   # an equal subtree computed before
             ref[id(e)] = seen[key]
@@ -708,7 +690,7 @@ def _compile(root):
             emit("%s = %s / %s" % (t, a[0], a[1]), "%s == 0.0" % a[1],
                  "division by zero")
         elif k == "pow":
-            _emit_pow(emit, t, a[0], ref[id(e.args[1])], a[1])
+            _emit_pow(emit, t, a[0], defaults.get(a[1]), a[1])
         elif k == "besseli":
             from . import special
             emit("%s = %s(%s, %s)" % (t, const(special.iv), a[0], a[1]))
@@ -719,24 +701,22 @@ def _compile(root):
             emit("%s = _%s(%s)" % (t, k, a[0]))
         else:
             emit("raise _ExprError(%r)" % ("cannot evaluate node kind %r" % k))
-    src = ["def f(env%s):" % "".join(", %s=%s" % (n, n) for n in defaults)]
-    src += ["    " + line for line in lines]
-    src.append("    return %s\n" % text(root))
-    ns = dict(defaults)
-    exec(compile("\n".join(src), "<parasym.expr %s>" % root.kind, "exec"),
-         _CODE_GLOBALS, ns)
-    f = ns["f"]
-    _LOCAL_NAMES.update(f.__code__.co_varnames)
-    return f
+    src = "\n".join(["def f(env%s):" % "".join(", " + n for n in defaults)]
+                    + ["    " + line for line in lines]
+                    + ["    return %s\n" % ref[id(root)]])
+    code = _CODES.get(src)
+    if code is None:            # the def's code is the module's first constant
+        code = compile(src, "<parasym.expr>", "exec").co_consts[0]
+        _CODES[src] = code
+    return types.FunctionType(code, _CODE_GLOBALS, "f",
+                              tuple(defaults.values()))
 
 
 def _emit_pow(emit, t, b, c, x):
     """t = b ** x with the real-domain guards, where c is the exponent's
-    local name or its float.  Every value is a Python float, and for those
+    value if it is a constant.  Every value is a Python float, and for those
     b ** x equals b ** int(x) at an integral x."""
-    if b.startswith("-"):
-        b = "(%s)" % b                    # a negative literal base
-    if isinstance(c, float):              # decide the exponent's part now
+    if c is not None and math.isfinite(c):   # decide the exponent's part now
         if c < 0:
             emit(None, "%s == 0.0" % b, "0^negative")
         if c != round(c):

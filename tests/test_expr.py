@@ -396,6 +396,34 @@ class TestCompiledEvaluator:
         v = E.evaluate(e, {"x": 1.0})
         assert v == 0.0 and math.copysign(1.0, v) == -1.0
 
+    def test_trees_equal_up_to_constants_share_one_code_object(self):
+        x = E.sym("x")
+        e1 = E.add(E.mul(x, 2.0), 1.0)
+        e2 = E.add(E.mul(x, 3.0), 5.0)
+        assert E.evaluate(e1, {"x": 2.0}) == 5.0
+        assert E.evaluate(e2, {"x": 2.0}) == 11.0
+        assert e1._fn.__code__ is e2._fn.__code__
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("trees", [
+        [E.pow_("x", 2), E.pow_("x", 3), E.pow_("x", 2.5), E.pow_("x", -1)],
+        [E.div("x", 2.0), E.div("x", 0.0)],
+        [E.mul("x", E.num(Fraction(10) ** 400)), E.mul("x", 2.0),
+         E.pow_("x", E.num(Fraction(10) ** 400)), E.pow_("x", 2.0)],
+        # signed zeros are different constants
+        [E.mul(E.mul("x", -0.0), E.mul("x", 0.0)),
+         E.mul(E.mul("x", 0.0), E.mul("x", -0.0)),
+         E.mul("x", 0.0), E.mul("x", -0.0)],
+    ], ids=["pow-guards", "div", "overflowing-constant", "signed-zeros"])
+    def test_shared_code_never_changes_a_result(self, monkeypatch, trees,
+                                                step):
+        monkeypatch.setattr(E, "_CODES", {})
+        for e in trees[::step]:
+            e = _rebuilt(e)               # compiled afresh, in this order
+            for x in (-2.0, 0.0, 1.0):
+                assert (_outcome(E.evaluate, e, {"x": x})
+                        == _outcome(_reference, e, {"x": x}))
+
     def test_deep_tree(self):
         e, want = E.sym("x"), 0.25
         for i in range(600):
