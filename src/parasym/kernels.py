@@ -2,11 +2,17 @@
 
 Twelve catalog entries, each given as data: the kernel as a symbolic
 expression, the coefficients of the PDE it solves, the points where that PDE
-is checked, an analytic normalization target, and a mass integrator that
-holds the entry's numerical tricks.  One generic verifier covers them all:
-symbolic PDE residual at the sample points, quadrature normalization at
-several times, and a delta-initial-condition limit with a Gaussian test
-bump.
+is checked, an analytic normalization target, and a mass function.  A
+builder states only what differs between entries: the formula, coefficients,
+grids, source and an integration window.  Nine entries integrate along one
+axis through `_line_mass`, the two separable ones axis by axis through
+`_product_mass`, and black_scholes in log space.  Entries are evaluated from
+their trees, except radial, second_canonical and ou_nonfp, whose trees over-
+or underflow at small t: their mass uses a numerically stable pointwise form
+(scaled Bessel function, cosh split into two Gaussians).  One generic
+verifier covers them all: symbolic PDE residual at the sample points,
+quadrature normalization at several times, and a delta-initial-condition
+limit with a Gaussian test bump.
 
 Where the source formulas were internally inconsistent, the implemented
 variant is the one that passes the residual and delta-limit checks:
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -97,6 +103,30 @@ def _gl_mass(f, phi, source, lo, hi):
     return sum(wi * g(xi) for xi, wi in zip(x.tolist(), w.tolist()))
 
 
+def _line_mass(f, source, window):
+    """mass(t, phi=None) of the integrand f(v, t) along one axis, by
+    _mass_quad over the (lo, hi, breakpoints) that window(t, phi) gives."""
+    def mass(t, phi=None):
+        return _mass_quad(lambda v: f(v, t), phi, source, *window(t, phi))
+    return mass
+
+
+def _product_mass(K, source, window, rule):
+    """mass(t, phi=None) of a kernel K that is a product of one factor per
+    axis of `source` (symbol -> source value) and a factor of t: integrate
+    one axis at a time through the source by rule(f, phi, source value,
+    *limits), with window(t, phi) giving the limits per axis, then divide
+    out the other axes' factors there."""
+    def mass(t, phi=None):
+        at = dict(source, t=t)
+        total = 1.0
+        for (s, s0), limits in zip(source.items(), window(t, phi)):
+            total *= rule(lambda v, s=s: E.evaluate(K, {**at, s: v}),
+                          phi, s0, *limits)
+        return total / E.evaluate(K, at) ** (len(source) - 1)
+    return mass
+
+
 def _bump(width):
     """Gaussian test bump of an offset; exactly 1.0 at offset 0."""
     s2 = 2.0 * width * width
@@ -115,6 +145,18 @@ def _grid_points(names, *axes):
     """Every combination of the axis values as an environment, the last axis
     varying fastest."""
     return [dict(zip(names, p)) for p in itertools.product(*axes)]
+
+
+def _in_x(K):
+    """The tree K as a function f(x, t), for _line_mass along x."""
+    return lambda x, t: E.evaluate(K, {"x": x, "t": t})
+
+
+def _formula(text, names, **consts):
+    """The kernel formula in the symbols `names` with the constants
+    substituted."""
+    K = parse_expression(text, declared=set(names) | set(consts))
+    return E.substitute(K, consts)
 
 
 _X = E.sym("x")
@@ -136,19 +178,28 @@ class KernelEntry:
     constants: dict
     expr: Expr                     # closed-form kernel
     equation: str                  # human-readable PDE
-    domain: tuple
-    diffusion: dict
     residual_points: list          # environments where the PDE is checked
-    normalization_target: object   # t -> expected mass; at t = 0, the
-                                   # weight of the delta initial condition
     norm_t_list: tuple
     mass: object                   # (t, phi=None) -> integral of the kernel,
                                    # times phi(offset from the source)
-    evaluate: object               # pointwise evaluator
+    domain: tuple = (-math.inf, math.inf)
+    diffusion: dict = field(default_factory=lambda: {"x": (E.ONE, E.ZERO)})
     potential: Expr = E.ZERO
+    normalization_target: object = lambda t: 1.0  # t -> expected mass; at
+                                   # t = 0, the delta initial value's weight
+    args: tuple = ("x", "t")       # evaluate's positional arguments
+    stable: object = None          # pointwise form in `args` for a tree that
+                                   # over- or underflows at small t
     delta_t_list: tuple = (1e-2, 1e-3, 1e-4)
     delta_width: float = 0.5       # test-bump width for the delta limit
     note: str = ""
+
+    def evaluate(self, *args):
+        """The kernel at the values of `args`: by the stable form where the
+        entry has one, else from the tree."""
+        if self.stable:
+            return self.stable(*args)
+        return E.evaluate(self.expr, dict(zip(self.args, args)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,63 +207,41 @@ class KernelEntry:
 
 def _build_heat_1d(c):
     y = c["y"]
-    K = parse_expression(
-        "(4*pi*t)^(-1/2) * exp(-((x - y)^2 / (4*t)))",
-        declared={"x", "t", "y"})
-    Kb = E.substitute(K, {"y": E.num(y)})
-
-    def ev(x, t):
-        return E.evaluate(Kb, {"x": x, "t": t})
-
-    def mass(t, phi=None):
-        return _mass_quad(lambda x: ev(x, t), phi, y,
-                          y - 40 * math.sqrt(t) - 2,
-                          y + 40 * math.sqrt(t) + 2, [y])
-
+    Kb = _formula("(4*pi*t)^(-1/2) * exp(-((x - y)^2 / (4*t)))", ("x", "t"),
+                  y=y)
     return KernelEntry(
         name="heat_1d",
         description="fundamental solution of the heat equation",
-        constants=dict(c), expr=Kb,
-        equation="u_t = u_xx", domain=(-math.inf, math.inf),
-        diffusion={"x": (E.ONE, E.ZERO)},
+        constants=dict(c), expr=Kb, equation="u_t = u_xx",
         residual_points=_grid_points(("t", "x"), _grid(0.1, 2.0, 7),
                                      _grid(y - 3, y + 3, 9)),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(0.01, 0.1, 1.0),
-        mass=mass, evaluate=ev)
+        mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
+            y - 40 * math.sqrt(t) - 2, y + 40 * math.sqrt(t) + 2, [y])))
 
 
 def _build_linear_potential(c):
     beta, y = c["beta"], c["y"]
-    K = parse_expression(
-        "(4*pi*t)^(-1/2) * exp(-((x - y)^2/(4*t)) + beta^2*t^3/12"
-        " + beta*t*(x + y)/2)",
-        declared={"x", "t", "y", "beta"})
-    Kb = E.substitute(K, {"y": E.num(y), "beta": E.num(beta)})
+    Kb = _formula("(4*pi*t)^(-1/2) * exp(-((x - y)^2/(4*t)) + beta^2*t^3/12"
+                  " + beta*t*(x + y)/2)", ("x", "t"), y=y, beta=beta)
 
-    def ev(x, t):
-        return E.evaluate(Kb, {"x": x, "t": t})
-
-    def mass(t, phi=None):
+    def window(t, phi):
         # the bump confines the delta integral to a few widths of the source
         if phi:
-            lo, hi = y - 3, y + 3
-        else:
-            lo, hi = y - 40 * math.sqrt(t) - 3, y + 40 * math.sqrt(t) + 3
-        return _mass_quad(lambda x: ev(x, t), phi, y, lo, hi, [y])
+            return y - 3, y + 3, [y]
+        return y - 40 * math.sqrt(t) - 3, y + 40 * math.sqrt(t) + 3, [y]
 
     return KernelEntry(
         name="linear_potential",
         description="heat kernel with linear potential",
-        constants=dict(c), expr=Kb,
-        equation="u_t = u_xx + beta*x*u", domain=(-math.inf, math.inf),
-        diffusion={"x": (E.ONE, E.ZERO)}, potential=E.num(beta) * _X,
+        constants=dict(c), expr=Kb, equation="u_t = u_xx + beta*x*u",
+        potential=E.num(beta) * _X,
         residual_points=_grid_points(("t", "x"), _grid(0.1, 1.0, 7),
                                      _grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: math.exp(
             beta * beta * t ** 3 / 3 + beta * t * y),
         norm_t_list=(0.05, 0.2, 0.5),
-        mass=mass, evaluate=ev)
+        mass=_line_mass(_in_x(Kb), y, window))
 
 
 def _mehler(c, trig):
@@ -246,27 +275,17 @@ def _mehler(c, trig):
         t_norm = (0.05, 0.2, 0.5)
         note = ("the hyperbolic form belongs to the -x^2 potential "
                 "(residual check arbitrates the sign convention)")
-    K = parse_expression(src, declared={"x", "t", "y"})
-    Kb = E.substitute(K, {"y": E.num(y)})
-
-    def ev(x, t):
-        return E.evaluate(Kb, {"x": x, "t": t})
-
-    def mass(t, phi=None):
-        # the bump confines the delta integral to a few widths of the source
-        lo, hi, pts = (y - 3, y + 3, [y]) if phi else (y - 45, y + 45,
-                                                       [y, 0.0])
-        return _mass_quad(lambda x: ev(x, t), phi, y, lo, hi, pts)
-
+    Kb = _formula(src, ("x", "t"), y=y)
     return KernelEntry(
         name=name, description="Mehler kernel (quadratic potential)",
-        constants=dict(c), expr=Kb,
-        equation=equation, domain=(-math.inf, math.inf),
-        diffusion={"x": (E.ONE, E.ZERO)}, potential=E.num(sign) * _X * _X,
+        constants=dict(c), expr=Kb, equation=equation,
+        potential=E.num(sign) * _X * _X,
         residual_points=_grid_points(("t", "x"), t_res,
                                      _grid(-2.5, 2.5, 9)),
         normalization_target=target, norm_t_list=t_norm, note=note,
-        mass=mass, evaluate=ev)
+        # the bump confines the delta integral to a few widths of the source
+        mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
+            (y - 3, y + 3, [y]) if phi else (y - 45, y + 45, [y, 0.0]))))
 
 
 def _build_linear_potential_nd(c):
@@ -287,19 +306,10 @@ def _build_linear_potential_nd(c):
         % (s, yk, bk, bk, s, yk) for s, bk, yk in zip(xsyms, bs, ys))
     K = parse_expression("(4*pi*t)^(-%d/2) * exp(%s)" % (n, terms),
                          declared=set(xsyms) | {"t"})
-    source = dict(zip(xsyms, ys))
 
-    def mass(t, phi=None):
-        # the kernel factorizes: integrate one axis at a time through the
-        # source, then divide out the other axes' factors there
+    def window(t, phi):
         w = 4 if phi else 25        # the bump confines the delta integral
-        total = 1.0
-        for s, yk in zip(xsyms, ys):
-            def f(xk, s=s):
-                return E.evaluate(K, dict(source, **{s: xk, "t": t}))
-            total *= _mass_quad(f, phi, yk, yk - w, yk + w, [yk])
-        center = E.evaluate(K, dict(source, t=t))
-        return total / center ** (n - 1) if n > 1 else total
+        return [(yk - w, yk + w, [yk]) for yk in ys]
 
     rng = np.random.default_rng(_SEED)
     points = []
@@ -318,14 +328,13 @@ def _build_linear_potential_nd(c):
         description="n-dimensional heat kernel with linear potential",
         constants=dict(c), expr=K,
         equation="u_t = Lap u + (sum b_k x_k) u",
-        domain=(-math.inf, math.inf),
         diffusion={s: (E.ONE, E.ZERO) for s in xsyms},
         potential=E.add(*(E.num(bk) * E.sym(s) for s, bk in zip(xsyms, bs))),
         residual_points=points,
         normalization_target=target, norm_t_list=(0.05, 0.15, 0.3),
         note="n <= 4; separable product of one-dimensional kernels",
-        mass=mass, evaluate=lambda *xt: E.evaluate(
-            K, dict(zip(xsyms + ("t",), xt))))
+        mass=_product_mass(K, dict(zip(xsyms, ys)), window, _mass_quad),
+        args=xsyms + ("t",))
 
 
 def _build_radial_gaussian(c):
@@ -333,18 +342,9 @@ def _build_radial_gaussian(c):
     if k <= 0:
         raise ConstraintViolation("radial_gaussian needs k > 0")
     n = k + 1.0
-    K = parse_expression("(4*pi*t)^(-(k + 1)/2) * exp(-(x^2/(4*t)))",
-                         declared={"x", "t", "k"})
-    Kb = E.substitute(K, {"k": E.num(k)})
+    Kb = _formula("(4*pi*t)^(-(k + 1)/2) * exp(-(x^2/(4*t)))", ("x", "t"),
+                  k=k)
     surf = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-
-    def ev(x, t):
-        return E.evaluate(Kb, {"x": x, "t": t})
-
-    def mass(t, phi=None):
-        return _mass_quad(lambda x: ev(x, t) * surf * x ** k, phi, 0.0,
-                          1e-12, 40 * math.sqrt(t) + 1, [math.sqrt(t)])
-
     return KernelEntry(
         name="radial_gaussian",
         description="origin-source elementary kernel of the radial heat "
@@ -354,17 +354,18 @@ def _build_radial_gaussian(c):
         diffusion={"x": (E.ONE, E.num(k) / _X)},
         residual_points=_grid_points(("t", "x"), _grid(0.1, 1.0, 7),
                                      _grid(0.2, 3.0, 9)),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(0.05, 0.2, 0.5),
         note="normalized against the surface measure S_{k} x^k dx of "
              "R^(k+1); delta limit concentrates at the origin",
-        mass=mass, delta_width=0.8, evaluate=ev)
+        mass=_line_mass(
+            lambda x, t: E.evaluate(Kb, {"x": x, "t": t}) * surf * x ** k,
+            0.0, lambda t, phi: (1e-12, 40 * math.sqrt(t) + 1,
+                                 [math.sqrt(t)])),
+        delta_width=0.8)
 
 
 def _build_radial(c):
-    n = float(c["n"])
-    y = float(c["y"])
-    x0 = float(c["x"])
+    n, y, x0 = float(c["n"]), float(c["y"]), float(c["x"])
     if n < 2:
         raise ConstraintViolation("radial (Bessel) entry needs n >= 2")
     if y <= 0 or x0 <= 0:
@@ -379,7 +380,6 @@ def _build_radial(c):
                      E.mul(E.num(4), E.sym("t")))),
         E.besseli(E.num(nu), E.div(E.mul(E.sym("y"), E.sym("x")),
                                    E.mul(E.num(2), E.sym("t"))))))
-    Kb = E.simplify(K)
 
     def ev2(x, t, yv):
         # scaled-Bessel form, stable for small t
@@ -387,32 +387,30 @@ def _build_radial(c):
         return (x ** (1.0 - n / 2.0) * yv ** (n / 2.0) / (2.0 * t)
                 * ive(nu, z) * math.exp(-(x - yv) ** 2 / (4.0 * t)))
 
-    def mass(t, phi=None):
-        # conservation holds in the source variable: the kernel averages
-        # initial data, so constants are preserved exactly
+    def window(t, phi):
         w = 40 * math.sqrt(t) + 1
-        return _mass_quad(lambda yv: ev2(x0, t, yv), phi, x0,
-                          max(1e-12, x0 - w), x0 + w, [x0])
+        return max(1e-12, x0 - w), x0 + w, [x0]
 
     return KernelEntry(
         name="radial",
         description="fundamental solution of the n-dimensional radial "
                     "heat equation (Bessel form)",
-        constants=dict(c), expr=Kb,
+        constants=dict(c), expr=E.simplify(K),
         equation="u_t = u_xx + ((n-1)/x) u_x", domain=(0.0, math.inf),
         diffusion={"x": (E.ONE, E.num(n - 1.0) / _X)},
         residual_points=_grid_points(("t", "x", "y"), _grid(0.15, 0.8, 5),
                                      _grid(0.3, 2.5, 9), [y]),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(0.05, 0.2, 0.5),
         note="integrates initial data over y: the exact unit mass is in "
              "the source variable at fixed x",
-        mass=mass, evaluate=lambda x, t: ev2(x, t, y))
+        # conservation holds in the source variable: the kernel averages
+        # initial data, so constants are preserved exactly
+        mass=_line_mass(lambda yv, t: ev2(x0, t, yv), x0, window),
+        args=("x", "t", "y"), stable=ev2)
 
 
 def _build_second_canonical(c):
-    mu = float(c["mu"])
-    y = float(c["y"])
+    mu, y = float(c["mu"]), float(c["y"])
     if mu > 0.25:
         raise ConstraintViolation("second_canonical needs mu <= 1/4")
     if y <= 0:
@@ -425,34 +423,31 @@ def _build_second_canonical(c):
                      E.mul(E.num(4), E.sym("t")))),
         E.besseli(E.num(nu), E.div(E.mul(E.num(y), E.sym("x")),
                                    E.mul(E.num(2), E.sym("t"))))))
-    Kb = E.simplify(K)
 
     def ev(x, t):
         z = x * y / (2.0 * t)
         return (math.sqrt(x * y) / (2.0 * t) * ive(nu, z)
                 * math.exp(-(x - y) ** 2 / (4.0 * t)))
 
-    def mass(t, phi=None):
+    def window(t, phi):
         w = 40 * math.sqrt(t) + 0.5
-        return _mass_quad(lambda x: ev(x, t), phi, y,
-                          max(1e-14, y - w), y + w, [y])
+        return max(1e-14, y - w), y + w, [y]
 
     return KernelEntry(
         name="second_canonical",
         description="fundamental solution of the second canonical form "
                     "(inverse-square potential)",
-        constants=dict(c), expr=Kb,
+        constants=dict(c), expr=E.simplify(K),
         equation="u_t = u_xx + (mu/x^2) u", domain=(0.0, math.inf),
-        diffusion={"x": (E.ONE, E.ZERO)}, potential=E.num(mu) / (_X * _X),
+        potential=E.num(mu) / (_X * _X),
         residual_points=_grid_points(("t", "x"), _grid(0.15, 0.8, 5),
                                      _grid(0.3, 2.5, 9)),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(2.5e-7, 1e-7, 5e-8),
         delta_t_list=(1e-4, 1e-5, 1e-6),
         note="the mass is 1 only in the t -> 0 limit: for mu != 0 the "
              "half-line kernel loses mass at rate O(t/y^2), so the "
              "normalization check runs at very small times",
-        mass=mass, evaluate=ev)
+        mass=_line_mass(ev, y, window), stable=ev)
 
 
 def _build_black_scholes(c):
@@ -462,15 +457,9 @@ def _build_black_scholes(c):
     if x <= 0:
         raise ConstraintViolation("evaluation point x must be positive")
     ell = r - sigma * sigma / 2.0
-    K = parse_expression(
-        "exp(-r*t) / (sigma*y*(2*pi*t)^(1/2)) * "
-        "exp(-((log(x/y) + l*t)^2 / (2*sigma^2*t)))",
-        declared={"x", "y", "t", "sigma", "r", "l"})
-    Kb = E.substitute(K, {"sigma": E.num(sigma), "r": E.num(r),
-                          "l": E.num(ell)})
-
-    def ev(xv, t, yv):
-        return E.evaluate(Kb, {"x": xv, "t": t, "y": yv})
+    Kb = _formula("exp(-r*t) / (sigma*y*(2*pi*t)^(1/2)) * "
+                  "exp(-((log(x/y) + l*t)^2 / (2*sigma^2*t)))",
+                  ("x", "y", "t"), sigma=sigma, r=r, l=ell)
 
     def mass(t, phi=None):
         # integrate over the y variable in log space
@@ -479,7 +468,8 @@ def _build_black_scholes(c):
 
         def f(w):
             yv = math.exp(w)
-            v = math.exp(r * t) * ev(x, t, yv) * yv
+            v = (math.exp(r * t) * E.evaluate(Kb, {"x": x, "t": t, "y": yv})
+                 * yv)
             return v * phi(yv - x) if phi else v
         return _quad(f, w0 - wspan, w0 + wspan, points=[w0])
 
@@ -495,31 +485,25 @@ def _build_black_scholes(c):
         potential=E.num(-r),
         residual_points=_grid_points(("t", "x", "y"), _grid(0.1, 1.0, 7),
                                      _grid(0.5, 2.0, 9), [1.0]),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(0.1, 0.5, 1.0),
         note="density in y; the probability check removes the exp(-rt) "
              "discount factor",
-        mass=mass, evaluate=ev)
+        mass=mass, args=("x", "t", "y"))
 
 
 def _build_ou_fp(c):
     b, sigma, y = float(c["b"]), float(c["sigma"]), float(c["y"])
     if b <= 0 or sigma <= 0:
         raise ConstraintViolation("ou_fp needs b > 0 and sigma > 0")
-    K = parse_expression(
+    Kb = _formula(
         "(b/(pi*sigma^2))^(1/2) * (1 - exp(-2*b*t))^(-1/2) * "
         "exp(-b*(x - y*exp(-b*t))^2 / (sigma^2*(1 - exp(-2*b*t))))",
-        declared={"x", "t", "y", "b", "sigma"})
-    Kb = E.substitute(K, {"y": E.num(y), "b": E.num(b),
-                          "sigma": E.num(sigma)})
+        ("x", "t"), y=y, b=b, sigma=sigma)
 
-    def ev(x, t):
-        return E.evaluate(Kb, {"x": x, "t": t})
-
-    def mass(t, phi=None):
+    def window(t, phi):
         m = y * math.exp(-b * t)
         w = 40 * math.sqrt(t) * sigma + 3
-        return _mass_quad(lambda x: ev(x, t), phi, y, m - w, m + w, [m])
+        return m - w, m + w, [m]
 
     return KernelEntry(
         name="ou_fp",
@@ -527,28 +511,25 @@ def _build_ou_fp(c):
                     "(Fokker-Planck form)",
         constants=dict(c), expr=Kb,
         equation="u_t = (sigma^2/2) u_xx + b x u_x + b u",
-        domain=(-math.inf, math.inf),
         diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
         potential=E.num(b),
         residual_points=_grid_points(("t", "x"), _grid(0.1, 1.5, 7),
                                      _grid(y - 3, y + 3, 9)),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(0.1, 0.5, 1.0),
         note="mean exp(-b t) y (the decaying sign passes the residual "
              "check)",
-        mass=mass, evaluate=ev)
+        mass=_line_mass(_in_x(Kb), y, window))
 
 
 def _build_ou_nonfp(c):
     b, sigma, x = float(c["b"]), float(c["sigma"]), float(c["x"])
     if b <= 0 or sigma <= 0:
         raise ConstraintViolation("ou_nonfp needs b > 0 and sigma > 0")
-    K = parse_expression(
+    Kb = _formula(
         "(2/sigma)*(b/pi)^(1/2)*(exp(2*b*t) - 1)^(-1/2) * "
         "exp(-b*((2/sigma^2)*exp(2*b*t)*x^2 + y^2)/(2*(exp(2*b*t) - 1)))"
         " * cosh(2^(1/2)*b/sigma * exp(b*t)*x*y/(exp(2*b*t) - 1))",
-        declared={"x", "y", "t", "b", "sigma"})
-    Kb = E.substitute(K, {"b": E.num(b), "sigma": E.num(sigma)})
+        ("x", "y", "t"), b=b, sigma=sigma)
     target_mass = math.sqrt(2.0) / sigma
 
     def ev(xv, t, yv):
@@ -561,13 +542,11 @@ def _build_ou_nonfp(c):
             math.exp(-b * (yv - xs) ** 2 / (2.0 * e2))
             + math.exp(-b * (yv + xs) ** 2 / (2.0 * e2)))
 
-    def mass(t, phi=None):
+    def window(t, phi):
         # density in y on the half line; peak of the Gaussian-cosh profile
         y_star = math.sqrt(2.0) * x * math.exp(b * t) / sigma
         w = 40 * math.sqrt((math.exp(2 * b * t) - 1.0) / b) + 6
-        return _mass_quad(lambda yv: ev(x, t, yv), phi,
-                          math.sqrt(2.0) * x / sigma,
-                          0.0, y_star + w, [y_star])
+        return 0.0, y_star + w, [y_star]
 
     return KernelEntry(
         name="ou_nonfp",
@@ -584,34 +563,27 @@ def _build_ou_nonfp(c):
         note="stated for y on the half line only; the printed form "
              "integrates to sqrt(2)/sigma, which is the normalization "
              "target used here (equal to 1 when sigma = sqrt(2))",
-        mass=mass, evaluate=ev)
+        mass=_line_mass(lambda yv, t: ev(x, t, yv),
+                        math.sqrt(2.0) * x / sigma, window),
+        args=("x", "t", "y"), stable=ev)
 
 
 def _build_heat2d_timedep(c):
     t0, x0, y0 = float(c["t0"]), float(c["x0"]), float(c["y0"])
     if t0 <= 0:
         raise ConstraintViolation("heat2d_timedep needs t0 > 0")
-    K = parse_expression(
+    Kb = _formula(
         "(t0*t)^(1/2)/(4*pi*(t - t0)) * "
         "exp(-((x - x0)^2/(4*(t - t0))) - t0*t*(y - y0)^2/(4*(t - t0)))",
-        declared={"x", "y", "t", "x0", "y0", "t0"})
-    Kb = E.substitute(K, {"x0": E.num(x0), "y0": E.num(y0),
-                          "t0": E.num(t0)})
+        ("x", "y", "t"), x0=x0, y0=y0, t0=t0)
 
-    def ev(xv, yv, t):
-        return E.evaluate(Kb, {"x": xv, "y": yv, "t": t})
-
-    def mass(t, phi=None):
+    def window(t, phi):
         s = t - t0
         # ~18 Gaussian widths: wide enough for full mass, narrow enough
         # that the fixed-order rule still resolves the peak at small s
         wx = 25 * math.sqrt(s)
         wy = 25 * math.sqrt(s / (t0 * t))
-        # the kernel is P(t) f(x) g(y): integrate one axis at a time
-        # through the source, then divide out the factor counted twice
-        mx = _gl_mass(lambda xv: ev(xv, y0, t), phi, x0, x0 - wx, x0 + wx)
-        my = _gl_mass(lambda yv: ev(x0, yv, t), phi, y0, y0 - wy, y0 + wy)
-        return mx * my / ev(x0, y0, t)
+        return (x0 - wx, x0 + wx), (y0 - wy, y0 + wy)
 
     return KernelEntry(
         name="heat2d_timedep",
@@ -619,19 +591,18 @@ def _build_heat2d_timedep(c):
                     "diffusion in y",
         constants=dict(c), expr=Kb,
         equation="u_t = u_xx + t^-2 u_yy  (t > t0)",
-        domain=(-math.inf, math.inf),
         diffusion={"x": (E.ONE, E.ZERO),
                    "y": (E.sym("t") ** -2, E.ZERO)},
         residual_points=_grid_points(
             ("t", "x", "y"), _grid(t0 + 0.1, t0 + 1.0, 5),
             _grid(x0 - 1.5, x0 + 1.5, 5), _grid(y0 - 1.5, y0 + 1.5, 5)),
-        normalization_target=lambda t: 1.0,
         norm_t_list=(t0 + 0.1, t0 + 0.5, t0 + 1.0),
         delta_t_list=(t0 + 1e-2, t0 + 1e-3, t0 + 1e-4),
         delta_width=1.0,
         note="both exponent terms divided by 4(t - t0): that variant has "
              "unit mass and passes the delta-limit test",
-        mass=mass, evaluate=ev)
+        mass=_product_mass(Kb, {"x": x0, "y": y0}, window, _gl_mass),
+        args=("x", "y", "t"))
 
 
 _CATALOG = {
@@ -673,6 +644,9 @@ def kernel(name, constants=None):
                 "unknown constants for %s: %s" % (name, sorted(unknown)))
         c.update(constants)
     for key, v in c.items():
+        if isinstance(v, tuple) and not isinstance(defaults[key], tuple):
+            raise ConstraintViolation("constant %s of %s takes one value, "
+                                      "got %r" % (key, name, v))
         if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
             raise ConstraintViolation("constant %s of %s must be finite, "
                                       "got %r" % (key, name, v))

@@ -333,6 +333,19 @@ class TestKernels:
                               "must be finite" % (key, name))
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name in KN.list_kernels()
+        for key, default in sorted(KN.kernel(name).constants.items())
+        if not isinstance(default, tuple)])
+    def test_comma_list_for_scalar_constant(self, capsys, name, key):
+        rc, out, err = run(capsys, "kernels", "verify", name,
+                           "--" + key, "1,2")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ConstraintViolation: constant %s of %s "
+                              "takes one value" % (key, name))
+        assert len(err.splitlines()) == 1
+
 
 class TestSelftest:
     def test_every_check_passes(self, capsys):

@@ -103,6 +103,23 @@ class TestGenericVerifier:
             K._pde_residual(P("10*x + t"), {"x": (E.num(1.0), E.num(1e308))},
                             E.num(-1e308), [{"x": 2.0, "t": 1.0}])
 
+    @pytest.mark.parametrize("name, drawn", [
+        ("radial", {"n": 4.5, "y": 1.4, "x": 0.8}),
+        ("second_canonical", {"mu": -1.1, "y": 1.6}),
+        ("ou_nonfp", {"b": 1.6, "sigma": 0.9, "x": 1.1})],
+        ids=["radial", "second_canonical", "ou_nonfp"])
+    def test_stable_form_matches_tree(self, name, drawn):
+        # the mass and delta checks use the stable form, the residual check
+        # differentiates the tree: both must be the same kernel, at the
+        # defaults and at constants drawn inside the bench ranges
+        for constants in ({}, drawn):
+            entry = K.kernel(name, constants)
+            assert entry.stable is not None
+            for env in entry.residual_points:
+                want = E.evaluate(entry.expr, env)
+                got = entry.stable(*(env[s] for s in entry.args))
+                assert abs(got - want) <= 1e-12 * abs(want), (constants, env)
+
     def test_second_canonical_normalization(self):
         # mass = 1 + mu t / y^2 + O((t/y^2)^2) on the half line
         mu, y = -2.0, 1.0
@@ -209,7 +226,7 @@ class TestCrossChecks:
                            {"mu": -(n - 1) * (n - 3) / 4.0, "y": 1.0})
             for t in (0.2, 0.6):
                 for x in K._grid(0.4, 2.2, 7):
-                    a = rad.evaluate(x, t)
+                    a = rad.evaluate(x, t, 1.0)
                     b = x ** ((1 - n) / 2.0) * can.evaluate(x, t)
                     assert abs(a - b) / (abs(a) + 1e-300) <= 1e-9
 
