@@ -11,7 +11,9 @@ The 6-dimensional form is tested first: mu -> 0 degenerates the second form
 into the first, so testing order makes the verdicts disjoint.  The verdict
 and the constants come from least-squares fits of K against I at 64 Chebyshev
 probe points; the shift s of the 4-dimensional form is fitted wherever it
-lies, with (mu, c2, c0) solved for linearly at each s (variable projection).
+lies, with (mu, c2, c0) solved for linearly at each s (variable projection,
+Golub and Pereyra 1973) and s refined by Gauss-Newton steps on the projected
+residual.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import expr as E
 from .expr import chebyshev_points
@@ -31,6 +32,10 @@ from .invariants import (IllConditionedFit, ParabolicEquation,
 
 N_POINTS = 64                  # probe points of the (I, K) fits
 MU_FLOOR = 1e-8                # |mu| at or below this is not a dim-4 verdict
+# the shift fit stops at a relative step or drop in cost of SHIFT_TOL, or
+# after SHIFT_STEPS residuals: scipy's Levenberg-Marquardt defaults
+SHIFT_TOL = 1e-8
+SHIFT_STEPS = 100
 
 
 @dataclass
@@ -106,33 +111,66 @@ def _fit_l4(Iv, Kv, s):
     return coef, resid
 
 
+def _projection(Iv, Kv, s):
+    """The residual of Kv after projecting out the columns (g^-2, g^2, 1),
+    g = Iv + s, and Kaufman's (1975) approximation of its derivative in s,
+    -(1 - QQ^T) (dA/ds) c, both from one QR of the 64x3 matrix A."""
+    g = Iv + s
+    Q, R = np.linalg.qr(np.column_stack([g ** -2.0, g * g, np.ones_like(g)]))
+    qk = Q.T @ Kv
+    mu, c2, _ = np.linalg.solve(R, qk)
+    dAc = 2.0 * (c2 * g - mu * g ** -3.0)
+    return Kv - Q @ qk, Q @ (Q.T @ dAc) - dAc
+
+
 def _shift(Iv, Kv):
     """The gauge shift s of the best dim-4 fit of Kv against Iv, or None.
 
     With z = (I - m)/h in [-1, 1], (z + (s+m)/h)^2 K is a quartic in z, so
     a linear fit of z^2 K on (z K, K, 1, z, ..., z^4) starts s from its z K
     coefficient -2 (s+m)/h.  That start cancels badly near a pole of K, so
-    Levenberg-Marquardt refines s with (mu, c2, c0) projected out.  A
-    floating-point fault, such as a probe point on the pole, is no fit.
+    Gauss-Newton steps refine s with (mu, c2, c0) projected out.  A step
+    that does not lower the cost |r|^2 is halved.  The fit stops when J is
+    orthogonal to r, when a step is at most SHIFT_TOL times the distance
+    from the pole -s to the nearest probe point or lowers the cost by at
+    most SHIFT_TOL of it, when the pole has moved so far off that I + s no
+    longer resolves I (a K with no finite best shift, such as a cubic,
+    sends it there), or after SHIFT_STEPS residuals.  A floating-point fault,
+    such as a probe point on the pole, is no fit.
     """
     m = (Iv.max() + Iv.min()) / 2.0
     h = (Iv.max() - Iv.min()) / 2.0
     z = (Iv - m) / h
 
-    def projected(s):
-        g = Iv + s[0]
-        A = np.column_stack([g ** -2.0, g * g, np.ones_like(g)])
-        return Kv - A @ np.linalg.lstsq(A, Kv, rcond=None)[0]
-
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         try:
             A = np.column_stack([z * Kv, Kv] + [z ** k for k in range(5)])
             coef, *_ = np.linalg.lstsq(A, z * z * Kv, rcond=None)
-            fit = least_squares(projected, [-h * coef[0] / 2.0 - m],
-                                method="lm")
+            s = -h * coef[0] / 2.0 - m
+            r, J = _projection(Iv, Kv, s)
+            cost, step = r @ r, None
+            for _ in range(SHIFT_STEPS):
+                if step is None:
+                    jr, jj = J @ r, J @ J
+                    if abs(jr) <= SHIFT_TOL * math.sqrt(jj * cost):
+                        break           # J is orthogonal to r
+                    step = -jr / jj
+                r1, J1 = _projection(Iv, Kv, s + step)
+                cost1 = r1 @ r1
+                small = abs(step) <= SHIFT_TOL * np.abs(Iv + s).min()
+                if cost1 >= cost:
+                    if small:
+                        break
+                    step /= 2.0
+                    continue
+                s, r, J, drop, cost = s + step, r1, J1, cost - cost1, cost1
+                if small or drop <= SHIFT_TOL * (cost + drop) \
+                        or h <= SHIFT_TOL * abs(s + m):
+                    break
+                step = None
         except (FloatingPointError, np.linalg.LinAlgError):
             return None
-    return float(fit.x[0])
+    return float(s)
 
 
 def classify(inv, tol=1e-7, i_offset=0.0):

@@ -9,12 +9,14 @@ With s(x) = sqrt(a), the three quantities are
 J and K are always produced symbolically.  I is symbolic when 1/s matches a
 small antiderivative pattern table (reciprocal quadratic, power of a linear
 factor, exponential); otherwise it is an adaptive-quadrature sampler anchored
-at a base point.  The additive constant of I is a free gauge; downstream
-classification is invariant under I -> I + s0.
+at a base point: it integrates once between fixed knots across the probe
+window, then from the knot nearest each x.  The additive constant of I is a
+free gauge; downstream classification is invariant under I -> I + s0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,6 +46,7 @@ class IllConditionedFit(ParasymError):
 
 
 VAR = "x"
+KNOT_PANELS = 16               # probe-window panels between quadrature knots
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +180,9 @@ def _interior_root(a, domain):
 
 class Fn1:
     """A function of x with a symbolic derivative: a symbolic Expr, or a
-    quadrature sampler of the derivative anchored at x_ref.  Pure:
-    concurrent evaluation equals serial evaluation."""
+    quadrature sampler of the derivative anchored at x_ref (see
+    quadrature_fn1).  Pure: a value depends on x alone, so concurrent
+    evaluation equals serial evaluation."""
 
     def __init__(self, derivative, expr=None, sampler=None, x_ref=None):
         if expr is None and sampler is None:
@@ -206,7 +210,13 @@ class Fn1:
 def quadrature_fn1(derivative_expr, domain, x_ref):
     """Antiderivative in x of `derivative_expr` from x_ref by adaptive
     quadrature (abs tol 1e-10), insetting 1e-8 from singular domain
-    endpoints."""
+    endpoints.
+
+    The knots are x_ref and the KNOT_PANELS + 1 panel ends of the probe
+    window.  The first call integrates from x_ref to every knot, one
+    interval at a time; each call then adds one short integral from the
+    knot nearest x, so a value depends on x alone, not on the calls
+    before it."""
     lo, hi = domain
     inset_lo = lo + 1e-8 if math.isfinite(lo) else -math.inf
     inset_hi = hi - 1e-8 if math.isfinite(hi) else math.inf
@@ -214,10 +224,26 @@ def quadrature_fn1(derivative_expr, domain, x_ref):
     def f(x):
         return E.evaluate(derivative_expr, {VAR: x})
 
+    def integral(a, b):
+        return quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+
+    @functools.cache
+    def knot_values():
+        knots = sorted({x_ref, *np.linspace(*probe_window(domain),
+                                            KNOT_PANELS + 1).tolist()})
+        k = knots.index(x_ref)
+        values = [0.0] * len(knots)
+        for i in range(k, len(knots) - 1):
+            values[i + 1] = values[i] + integral(knots[i], knots[i + 1])
+        for i in range(k, 0, -1):
+            values[i - 1] = values[i] + integral(knots[i], knots[i - 1])
+        return knots, values
+
     def sampler(x):
         x = min(max(x, inset_lo), inset_hi)
-        val, _err = quad(f, x_ref, x, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return val
+        knots, values = knot_values()
+        i = min(range(len(knots)), key=lambda j: abs(knots[j] - x))
+        return values[i] + integral(knots[i], x)
 
     return Fn1(derivative_expr, sampler=sampler, x_ref=x_ref)
 

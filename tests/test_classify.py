@@ -94,19 +94,36 @@ class TestDimensionFour:
 
 class TestDimensionTwo:
     def test_exponential_potential(self):
-        cls = classify(eq("1", "0", "exp(x)"))
-        assert cls.dim == 2
+        inv = compute_invariants(eq("1", "0", "exp(x)"))
+        assert classify(inv).dim == 2
+        # the linear start lies 0.18 off the best shift (s = -5.96), which
+        # the Gauss-Newton steps must reach
+        Iv, Kv = C._samples(inv, 0.0)
+        s = C._shift(Iv, Kv)
+
+        def cost(t):
+            r, _ = C._projection(Iv, Kv, t)
+            return r @ r
+
+        for d in (1e-3, 1e-5):
+            assert cost(s) < min(cost(s - d), cost(s + d))
 
     def test_sine_potential(self):
         cls = classify(eq("1", "0", "sin(x)"))
         assert cls.dim == 2
 
     @pytest.mark.parametrize("c", ["tanh(x/10)", "tanh(x/100)",
-                                   "x^2 + 1e-6*x^3"])
+                                   "x^2 + 1e-6*x^3", "x^3"])
     def test_close_impostor_is_not_quadratic(self, c):
-        # each K is within 5e-3 of a quadratic in I = x on the probe
-        # points, but outside the fit tolerance
-        assert classify(eq("1", "0", c)).dim == 2
+        # the first three K are within 5e-3 of a quadratic in I = x on the
+        # probe points, but outside the fit tolerance.  No dim-4 form fits
+        # any of them better: x^3 sends the shift fit off toward |s| = 1e13,
+        # where the dim-4 form tends to a quadratic, so the reported
+        # residual is the quadratic fit's
+        inv = compute_invariants(eq("1", "0", c))
+        cls = classify(inv)
+        assert cls.dim == 2
+        assert cls.residual == C._fit_quadratic(*C._samples(inv, 0.0))[1]
 
 
 class TestGaugeRobustness:
@@ -126,11 +143,19 @@ class TestGaugeRobustness:
             classify(tanh).constants
 
     def test_dim4_mu_invariant_under_i_shift(self):
-        inv = compute_invariants(eq("1", "5/x", domain=(0.0, math.inf)))
-        for s in (-1e3, -30.0, -1.0, 0.0, 2.0, 12.0, 1e3):
-            cls = classify(inv, i_offset=s)
-            assert cls.constants["mu"] == pytest.approx(-3.75, abs=1e-8)
-            assert cls.shift == pytest.approx(-s, abs=1e-8)
+        # (equation, mu, shift at offset 0): a pole of K at I = 0, with K
+        # from the drift, from the diffusion, and from a translated potential
+        for e, mu, shift in [
+                (eq("1", "5/x", domain=(0.0, math.inf)), -3.75, 0.0),
+                (eq("x^6", domain=(0.0, math.inf)), 3.0 / 16.0, 0.0),
+                (eq("1", "0", "2/(x-50)^2", domain=(50.0, math.inf)), 2.0,
+                 -50.0)]:
+            inv = compute_invariants(e)
+            for s in (-1e3, -30.0, -1.0, 0.0, 2.0, 12.0, 1e3):
+                cls = classify(inv, i_offset=s)
+                assert cls.dim == 4
+                assert cls.constants["mu"] == pytest.approx(mu, abs=1e-8)
+                assert cls.shift == pytest.approx(shift - s, abs=1e-8)
 
     @pytest.mark.filterwarnings("error")
     def test_shift_fit_on_a_probe_point_is_no_dim4_fit(self, monkeypatch):

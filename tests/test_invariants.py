@@ -6,9 +6,10 @@ import math
 import pytest
 
 from parasym import expr as E
-from parasym.invariants import (NonparabolicError, ParabolicEquation,
-                                UnsupportedCoefficient, base_point,
-                                compute_invariants, normalize, probe_window)
+from parasym.invariants import (KNOT_PANELS, NonparabolicError,
+                                ParabolicEquation, UnsupportedCoefficient,
+                                base_point, compute_invariants, normalize,
+                                probe_window, quadrature_fn1)
 from parasym.parser import parse, parse_expression as P
 from test_classify import fokker_planck_equation
 
@@ -57,6 +58,33 @@ class TestQuadratureFallback:
             want = 1.0 / math.sqrt(1 + math.exp(x))
             got = (inv.I(x + h) - inv.I(x - h)) / (2 * h)
             assert got == pytest.approx(want, rel=1e-7)
+
+    # the knot sampler of 1/sqrt(1 + k^2 x^2), k = 2, against its
+    # antiderivative asinh(k x)/k
+    K = 2.0
+    DOMAIN = (-math.inf, math.inf)
+
+    def asinh_sampler(self, x_ref=0.0):
+        return quadrature_fn1(P("1/sqrt(1 + 4*x^2)"), self.DOMAIN, x_ref)
+
+    @pytest.mark.parametrize("x_ref", [0.0, 0.3])
+    def test_knot_sampler_matches_closed_form(self, x_ref):
+        # x_ref = 0 is a panel end of the window (-4, 4); 0.3 is not
+        I = self.asinh_sampler(x_ref)
+        lo, hi = probe_window(self.DOMAIN)
+        panel = (hi - lo) / KNOT_PANELS
+        assert I(x_ref) == 0.0
+        for x in (lo + 3 * panel, lo + 3.37 * panel, lo - 1.3, hi + 2.7):
+            want = (math.asinh(self.K * x) - math.asinh(self.K * x_ref)) \
+                / self.K
+            assert abs(I(x) - want) <= 1e-13, x
+
+    def test_values_do_not_depend_on_call_order(self):
+        xs = [-5.3, -4.0, -1.1, 0.0, 0.26, 2.5, 3.99, 6.7]
+        forward, backward = self.asinh_sampler(), self.asinh_sampler()
+        got = [forward(x) for x in xs]
+        assert [backward(x) for x in xs[::-1]][::-1] == got
+        assert [forward(x) for x in xs] == got
 
 
 class TestFokkerPlanck:
