@@ -108,13 +108,12 @@ def _classification_section(cls):
 
 
 def _transform_section(ht):
-    d = ht.describe()
-    sec = {"branch": d["branch"], "T": d["T"], "omega": d["omega"],
-           "q2": _round(d["q2"]), "q1": _round(d["q1"]),
-           "q0": _round(d["q0"]),
-           "G": d.get("G"),
-           "t_interval": [_round(v) for v in ht.t_interval]}
-    return sec
+    q2, q1, q0 = ht.q
+    return {"branch": ht.mobius.branch, "T": E.to_text(ht.mobius.expr),
+            "omega": E.to_text(ht.omega_expr),
+            "q2": _round(q2), "q1": _round(q1), "q0": _round(q0),
+            "G": E.to_text(ht.G.expr) if ht.G.expr is not None else None,
+            "t_interval": [_round(v) for v in ht.t_interval]}
 
 
 def _generator_section(cls, inv, grid_n):
@@ -391,12 +390,13 @@ def cmd_selftest(args):
         except Exception as exc:
             row("kernel " + name, False, "%s: %s" % (type(exc).__name__, exc))
 
-    try:
-        spread = KN.mehler_transform_consistency()[0]
-        row("kernel mehler-vs-transform", spread <= 1e-7,
-            "ratio spread %.1e" % spread)
-    except Exception as exc:
-        row("kernel mehler-vs-transform", False, str(exc))
+    for name in KN.APPELL_ENTRIES:
+        try:
+            spread = KN.appell_spread(name)
+            row("appell " + name, spread <= 1e-7,
+                "ratio spread %.1e" % spread)
+        except Exception as exc:
+            row("appell " + name, False, "%s: %s" % (type(exc).__name__, exc))
 
     n_fail = sum(1 for _, ok, _ in rows if not ok)
     print("%d/%d checks passed" % (len(rows) - n_fail, len(rows)))

@@ -503,6 +503,8 @@ _FN_DERIV = {
 
 
 def _d(e, var):
+    # e is simplified (differentiate simplifies first), so it holds no neg,
+    # div or sqrt node
     k = e.kind
     if k == "num":
         return ZERO
@@ -527,14 +529,6 @@ def _d(e, var):
         if not is_num(dex, 0):
             terms.append(mul(e, fn("log", b), dex))
         return Expr("add", terms) if terms else ZERO
-    if k == "neg":
-        return neg(_d(e.args[0], var))
-    if k == "div":
-        a, b = e.args
-        return div(add(mul(_d(a, var), b), neg(mul(a, _d(b, var)))), pow_(b, 2))
-    if k == "sqrt":
-        u = e.args[0]
-        return mul(HALF, pow_(u, num(Fraction(-1, 2))), _d(u, var))
     if k == "abs":
         u = e.args[0]
         return mul(u, pow_(fn("abs", u), MINUS_ONE), _d(u, var))

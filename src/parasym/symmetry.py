@@ -70,12 +70,6 @@ class VectorField:
     inv: InvariantTriple = None
     i_offset: float = 0.0
 
-    def env(self, x, t):
-        env = {X: x, T: t}
-        if self.inv is not None:
-            env[IVAR] = self.inv.I(x) + self.i_offset
-        return env
-
     def describe(self):
         return {"label": self.label, "tau": E.to_text(self.tau),
                 "xi": E.to_text(self.xi), "phi": E.to_text(self.phi)}
@@ -293,14 +287,6 @@ class CommutatorTable:
     dim: int
     structure: dict            # (i, j) -> {k: float}, 1-based, i < j
     residual: float = 0.0
-
-    def coeff(self, i, j, k):
-        if i == j:
-            return 0.0
-        sgn = 1.0
-        if i > j:
-            i, j, sgn = j, i, -1.0
-        return sgn * self.structure.get((i, j), {}).get(k, 0.0)
 
 
 # a stiff field's exp(+-k t) factors can overflow at BRACKET_TIMES: numpy

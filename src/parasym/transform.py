@@ -42,11 +42,13 @@ omega'^2 + 4 q2 omega^2 - 2 q1 omega and omega'(0) = 0, nu's integral is
 omega omega' + 2 q1 int_0^t omega ds - 4 q0 t, where int_0^t omega ds is
 (omega' + 2 q1 t)/(4 q2), or -q1 t^3/3 + omega(0) t when q2 = 0.
 
-verify_pullback checks each heat solution on the whole x-t grid in one
-array pass: the factors of x and of t are computed once per grid point in
-Python floats, and the chain rule above runs on arrays built from them.  A
-grid point where the jet or the residual is not finite is an error, never
-dropped from the maximum.
+HeatTransform.pullback_jet is the one code that evaluates the map: the
+factors of x and of t are computed once per point in Python floats, and the
+chain rule above runs on arrays built from them.  map_solution is its value
+for a heat solution given without derivatives.  verify_pullback checks each
+heat solution on the whole x-t grid in one array pass; a grid point where
+the jet or the residual is not finite is an error, never dropped from the
+maximum.
 """
 
 from __future__ import annotations
@@ -118,9 +120,6 @@ class MobiusMap:
         return ((k1 * w1 + k2 * w2) / den,
                 (k1 * k4 - k2 * k3) * wronskian / (den * den),
                 (k3 * dw1 + k4 * dw2) / den)
-
-    def __call__(self, t):
-        return self.jet(t)[0]
 
     def check(self):
         """Max relative gap |T - tree|/(|T| + |tree| + 1) between the closed
@@ -354,7 +353,7 @@ class HeatTransform:
         self._t_records = {}
         self._x_records = {}
 
-    # -- scalar pieces ----------------------------------------------------
+    # -- per-point records ------------------------------------------------
     def _at_t(self, t):
         """(T, sqrt T', A, omega, omega', nu, T', A', omega'', (ln nu)') at
         t."""
@@ -395,19 +394,6 @@ class HeatTransform:
                    - 0.25 * (4.0 * q2 * w * w + dw * dw - 4.0 * q0))
         return Tt, math.sqrt(dT), A, w, dw, nu, dT, dA, d2w, dlog_nu
 
-    def t_tilde(self, t):
-        return self._at_t(t)[0]
-
-    def x_tilde(self, x, t):
-        _, sqrt_dT, _, w, *_ = self._at_t(t)
-        return sqrt_dT * (self._at_x(x)[0] + w)
-
-    def theta(self, x, t):
-        _, _, At, w, dw, nu, *_ = self._at_t(t)
-        Iv, Gv, *_ = self._at_x(x)
-        expo = (-0.5 * Gv - At * Iv * Iv - 0.5 * (dw + 4.0 * At * w) * Iv)
-        return nu * math.exp(expo)
-
     def pullback_jet(self, v_jet):
         """(x, t) -> (u, u_x, u_xx, u_t) of u = v(x~, t~)/theta, by the chain
         rule of the module docstring, where v_jet(X, T) gives (v, v_X, v_XX,
@@ -433,17 +419,6 @@ class HeatTransform:
                     m * (vX * Xt + vT * dT - v * (Et + dlog_nu)))
         return jet
 
-    def describe(self):
-        parts = {
-            "T": E.to_text(self.mobius.expr),
-            "omega": E.to_text(self.omega_expr),
-            "branch": self.mobius.branch,
-            "q2": self.q[0], "q1": self.q[1], "q0": self.q[2],
-        }
-        if self.G.expr is not None:
-            parts["G"] = E.to_text(self.G.expr)
-        return parts
-
 
 def _gather(at, points):
     """The records at(p) of each float p in `points` (a float or an array),
@@ -463,10 +438,10 @@ def build_heat_transform(cls, inv, mode="default", source_point=None):
 
 def map_solution(ht, u_tilde):
     """Pull a heat-equation solution u~(x~, t~) back to a solution
-    u(x, t) = u~(x~(x,t), T(t)) / theta(x, t) of the original equation."""
-    def u(x, t):
-        return u_tilde(ht.x_tilde(x, t), ht.t_tilde(t)) / ht.theta(x, t)
-    return u
+    u(x, t) = u~(x~(x,t), T(t)) / theta(x, t) of the original equation: the
+    value of ht.pullback_jet for u~ taken with zero derivatives."""
+    jet = ht.pullback_jet(lambda X, Tt: (u_tilde(X, Tt), 0.0, 0.0, 0.0))
+    return lambda x, t: jet(x, t)[0]
 
 
 # ---------------------------------------------------------------------------

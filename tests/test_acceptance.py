@@ -158,8 +158,7 @@ def test_criterion_5_kernel_catalog():
             deltas = rep["delta_limit"]
             assert all(a > b for a, b in zip(deltas, deltas[1:])), name
             assert deltas[-1] <= 1e-3, name
-        spread, _scale = KK.mehler_transform_consistency()
-        assert spread <= 1e-7
+        assert KK.appell_spread("mehler_hyperbolic") <= 1e-7
         assert time.perf_counter() - t0 <= 60.0
 
 

@@ -351,8 +351,9 @@ class TestSelftest:
     def test_every_check_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        n = len(cli.CORPUS_EXPECT) + len(KN.list_kernels()) + 1
-        assert n == 31
+        n = (len(cli.CORPUS_EXPECT) + len(KN.list_kernels())
+             + len(KN.APPELL_ENTRIES))
+        assert n == 35
         assert [ln.split()[0] for ln in lines[:-1]] == ["PASS"] * n
         assert lines[-1] == "%d/%d checks passed" % (n, n)
 

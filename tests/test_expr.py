@@ -340,6 +340,20 @@ _values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 700.0]),
                     st.floats(-50.0, 50.0))
 
 
+def _kinds(e):
+    yield e.kind
+    for a in e.args:
+        yield from _kinds(a)
+
+
+class TestSimplifiedKinds:
+    @given(_trees)
+    @settings(max_examples=250, deadline=None)
+    def test_no_neg_div_or_sqrt_node(self, e):
+        # differentiate simplifies first, so expr._d never meets these kinds
+        assert not {"neg", "div", "sqrt"} & set(_kinds(E.simplify(e)))
+
+
 class TestCompiledEvaluator:
     @given(_trees, _values, _values, st.booleans())
     @settings(max_examples=250, deadline=None)

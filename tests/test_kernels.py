@@ -10,10 +10,7 @@ import pytest
 
 from parasym import expr as E
 from parasym import kernels as K
-from parasym.classify import classify
-from parasym.invariants import ParabolicEquation, compute_invariants
 from parasym.parser import parse_expression as P
-from parasym.transform import build_heat_transform, map_solution
 
 ALL_NAMES = K.list_kernels()
 
@@ -194,28 +191,18 @@ _MOVABLE_SOURCE = {
 
 
 class TestCrossChecks:
-    def test_mehler_matches_transformed_heat_kernel(self):
-        spread, _scale = K.mehler_transform_consistency()
-        assert spread <= 1e-7
-
-    @pytest.mark.parametrize("name", ["heat_1d", "linear_potential",
-                                      "mehler_hyperbolic",
-                                      "mehler_trigonometric", "ou_fp"])
-    def test_appell_route_matches_catalog_kernel(self, name):
+    @pytest.mark.parametrize("name", K.APPELL_ENTRIES)
+    def test_appell_route_matches_catalog_kernel(self, name, monkeypatch):
         # the constant heat solution pulled back through the kernel-mode
         # transform seeded at the source is the catalog kernel up to a
         # constant factor; a source off 0 gives omega(0) != 0
-        y = 0.5
-        entry = K.kernel(name, {"y": y})
-        (a, b), = entry.diffusion.values()
-        inv = compute_invariants(ParabolicEquation(a, b, entry.potential,
-                                                   domain=entry.domain))
-        ht = build_heat_transform(classify(inv), inv, mode="kernel",
-                                  source_point=y)
-        u = map_solution(ht, lambda X, T: 1.0)
-        ratios = [u(x, t) / entry.evaluate(x, t) for t in (0.15, 0.3, 0.45)
-                  for x in (y - 1.5, y - 0.5, y + 0.5, y + 1.5)]
-        assert max(abs(r / ratios[0] - 1.0) for r in ratios) <= 1e-7
+        assert K.appell_spread(name) <= 1e-7
+        # against the catalog kernel with its source moved by 0.01, the
+        # ratio is not constant (spreads 4.9e-2 to 1.0e-1)
+        catalog = K.kernel
+        monkeypatch.setattr(K, "kernel", lambda n, c: catalog(
+            n, {"y": c["y"] + 0.01}))
+        assert K.appell_spread(name) >= 1e-3
 
     def test_radial_kernels_from_canonical_form(self):
         # radial_n = (x/y)^((1-n)/2) second_canonical, mu = -(n-1)(n-3)/4,

@@ -22,9 +22,6 @@ COMMANDS = [["selftest"], ["kernels", "list"],
 ALLOWED = {
     "symmetry.boundary_subalgebra": "ROADMAP item 6 gives it its caller",
     "symmetry._combine": "boundary_subalgebra's helper",
-    "symmetry.VectorField.env": "used by tests/test_symmetry.py",
-    "symmetry.CommutatorTable.coeff": "used by tests/test_symmetry.py",
-    "transform.MobiusMap.__call__": "used by tests/test_transform.py",
 }
 _TRACE = """
 import io, json, sys, contextlib

@@ -50,6 +50,15 @@ def _dx(e, inv):
     return out
 
 
+def field_env(vf, x, t):
+    """The environment of vf's coefficients at (x, t): Ivar is I(x) shifted
+    by the field's gauge offset."""
+    env = {"x": x, "t": t}
+    if vf.inv is not None:
+        env[S.IVAR] = vf.inv.I(x) + vf.i_offset
+    return env
+
+
 # ---------------------------------------------------------------------------
 # reference determining check: each field's printed tau, xi and phi
 # differentiated symbolically and evaluated point by point
@@ -74,7 +83,7 @@ def reference_determining(inv, vf, n=16):
     worst = {"deteq1": 0.0, "deteq2": 0.0, "xieq": 0.0}
     for x in chebyshev_points(lo, hi, n):
         for t in ts:
-            env = vf.env(x, t)
+            env = field_env(vf, x, t)
             av, bv, cv, apv, appv, bpv, cpv, tdv, xv, xtv, xxv, pxv, pxxv, \
                 ptv = (S._value(e, env) for e in (
                     a, b, c, ap, app, bp, cp, taud, vf.xi, xi_t, xi_x,
@@ -125,7 +134,7 @@ def lie_bracket(v, w):
 
 
 def components(vf, x, t):
-    env = vf.env(x, t)
+    env = field_env(vf, x, t)
     return [E.evaluate(e, env) if e is not E.ZERO else 0.0
             for e in (vf.tau, vf.xi, vf.phi)]
 
@@ -262,12 +271,20 @@ class TestBrackets:
         assert S.jacobi_residual(table, 6) <= 1e-10
 
     def test_bracket_antisymmetry_accessor(self):
-        _, _, _, basis = setup_case("1")
-        table = S.commutator_table(basis)
-        for i in range(1, 7):
-            for j in range(1, 7):
-                for k in range(1, 7):
-                    assert table.coeff(i, j, k) == -table.coeff(j, i, k)
+        # the structure holds [X_i, X_j] for i < j; on the reversed basis,
+        # X_i is X'_{n+1-i}, so the same bracket is stored as
+        # [X'_{n+1-j}, X'_{n+1-i}] = -[X_i, X_j] at mirrored indices
+        _, _, _, basis = setup_case("1", "0", "-(x^2)")
+        n = len(basis)
+        got = S.commutator_table(basis).structure
+        rev = S.commutator_table(basis[::-1]).structure
+        assert all(i < j for i, j in got)
+        assert set(rev) == {(n + 1 - j, n + 1 - i) for i, j in got}
+        for (i, j), entry in got.items():
+            mirrored = rev[(n + 1 - j, n + 1 - i)]
+            assert set(mirrored) == {n + 1 - k for k in entry}
+            for k, c in entry.items():
+                assert mirrored[n + 1 - k] == pytest.approx(-c, abs=1e-12)
 
     def test_bracket_of_commuting_pair(self):
         # time translation and the u-scaling M commute

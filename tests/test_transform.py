@@ -13,7 +13,7 @@ import pytest
 from parasym import expr as E
 from parasym import transform
 from parasym.classify import classify
-from parasym.cli import CORPUS_EXPECT
+from parasym.cli import CORPUS_EXPECT, _transform_section
 from parasym.expr import chebyshev_points
 from parasym.invariants import (DegenerateTransform, ParabolicEquation,
                                 compute_invariants, normalize, probe_window)
@@ -112,6 +112,12 @@ REFERENCE_SOLUTIONS = (
 )
 
 
+def x_tilde(ht, x, t):
+    """x~ = sqrt(T') (I(x) + omega(t)) from the transform's records."""
+    _, s, _, w, *_ = ht._at_t(t)
+    return s * (ht._at_x(x)[0] + w)
+
+
 def transform_for(e, mode="default", **kw):
     inv = compute_invariants(e)
     cls = classify(inv)
@@ -130,7 +136,7 @@ class TestSchwarzian:
     def test_default_map_is_regular_at_zero(self, q2):
         # the 16 check nodes skip t = 0, so a pole there would pass check()
         mob = solve_schwarzian(q2)
-        assert math.isfinite(mob(0.0))
+        assert math.isfinite(mob.jet(0.0)[0])
         assert mob.jet(0.0)[1] > 0.0
 
     @pytest.mark.parametrize("mode", ["default", "kernel"])
@@ -153,11 +159,11 @@ class TestSchwarzian:
     def test_rational_branch_is_identity_like(self):
         mob = solve_schwarzian(0.0)
         assert mob.branch == "rational"
-        assert mob(0.3) == pytest.approx(0.3)
+        assert mob.jet(0.3)[0] == pytest.approx(0.3)
 
     def test_kernel_mode_q2_zero_is_appell_inversion(self):
         mob = solve_schwarzian(0.0, mode="kernel")
-        assert mob(0.5) == pytest.approx(-2.0)
+        assert mob.jet(0.5)[0] == pytest.approx(-2.0)
 
     def test_kernel_mode_positive_q2_is_coth(self):
         q2 = 1.0
@@ -165,7 +171,7 @@ class TestSchwarzian:
         k = math.sqrt(q2)
         for t in (0.2, 0.7):
             want = -1.0 / (math.tanh(2 * k * t) * 2 * k)
-            assert mob(t) == pytest.approx(want, rel=1e-12)
+            assert mob.jet(t)[0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("q2", [-0.25, -1.0, -4.0, -25.0])
     def test_kernel_mode_negative_q2_is_cot(self, q2):
@@ -176,7 +182,7 @@ class TestSchwarzian:
         assert hi == pytest.approx(min(1.0, 0.9 * math.pi / (2 * k)))
         for t in (lo, 0.5 * (lo + hi), hi):
             want = -1.0 / (math.tan(2 * k * t) * 2 * k)
-            assert mob(t) == pytest.approx(want, rel=1e-12)
+            assert mob.jet(t)[0] == pytest.approx(want, rel=1e-12)
         assert mob.check()[0] <= 1e-8 * (1 + 8 * abs(q2))
 
     def test_kernel_mode_empty_window_is_refused(self):
@@ -341,25 +347,26 @@ class TestKnownClosedForms:
 
     def test_brownian_x_map_is_arctan(self):
         ht, _, _ = transform_for(eq("(1 + x^2)^2"))
-        offset = ht.x_tilde(0.0, 0.0)
+        offset = x_tilde(ht, 0.0, 0.0)
         for x in (-1.5, 0.4, 2.0):
-            assert ht.x_tilde(x, 0.0) - offset == pytest.approx(
+            assert x_tilde(ht, x, 0.0) - offset == pytest.approx(
                 math.atan(x), rel=1e-9)
 
     def test_heat_is_identity_transform(self):
         ht, _, _ = transform_for(eq("1"))
+        u = map_solution(ht, lambda X, T: 1.0)
         for x, t in [(0.3, 0.1), (-1.0, 0.4)]:
-            assert ht.t_tilde(t) == pytest.approx(t)
-            assert ht.x_tilde(x, t) == pytest.approx(x)
-            assert ht.theta(x, t) == pytest.approx(ht.theta(0.0, 0.0))
+            assert ht._at_t(t)[0] == pytest.approx(t)
+            assert x_tilde(ht, x, t) == pytest.approx(x)
+            assert u(x, t) == pytest.approx(u(0.0, 0.0))
 
     def test_black_scholes_x_map_is_log(self):
         sigma = 0.4
         ht, _, _ = transform_for(
             eq("1/2*(2/5)^2*x^2", "3/50*x", "-3/50", domain=(0.0, math.inf)))
-        base = ht.x_tilde(1.0, 0.0)
+        base = x_tilde(ht, 1.0, 0.0)
         for x in (0.5, 2.0, 4.0):
-            assert ht.x_tilde(x, 0.0) - base == pytest.approx(
+            assert x_tilde(ht, x, 0.0) - base == pytest.approx(
                 math.sqrt(2.0) / sigma * math.log(x), rel=1e-9)
 
 
@@ -383,15 +390,20 @@ class TestErrors:
             build_heat_transform(cls, inv)
 
     def test_describe_fields(self):
+        # the report's transform section, read from the transform's fields
         ht, _, _ = transform_for(eq("(1 + x^2)^2"))
-        d = ht.describe()
-        assert {"T", "omega", "branch", "q2", "q1", "q0"} <= set(d)
+        d = _transform_section(ht)
+        assert set(d) == {"T", "omega", "branch", "q2", "q1", "q0", "G",
+                          "t_interval"}
         assert d["q0"] == pytest.approx(-1.0)
+        assert (d["T"], d["branch"]) == (E.to_text(ht.mobius.expr),
+                                         ht.mobius.branch)
 
 
 class TestFactorRecords:
-    """theta, x~ and t~ read per-t and per-x records; the records hold the
-    same floats as the formula in the module docstring."""
+    """m = 1/theta (the constant heat solution pulled back), x~ and t~ read
+    per-t and per-x records; the records hold the same floats as the
+    formula in the module docstring."""
 
     # name -> (equation, build options, Moebius branch, symbolic I)
     CASES = {
@@ -417,7 +429,8 @@ class TestFactorRecords:
 
     @staticmethod
     def values(ht, points):
-        return [(ht.theta(x, t), ht.x_tilde(x, t), ht.t_tilde(t))
+        u = map_solution(ht, lambda X, T: 1.0)
+        return [(u(x, t), x_tilde(ht, x, t), ht._at_t(t)[0])
                 for x, t in points]
 
     @staticmethod
@@ -438,7 +451,8 @@ class TestFactorRecords:
             nu = dT ** -0.25 * math.exp(-A * w * w - 0.25 * Q)
             Iv = ht.inv.I(x)
             expo = -0.5 * ht.G(x) - A * Iv * Iv - 0.5 * (dw + 4.0 * A * w) * Iv
-            out.append((nu * math.exp(expo), math.sqrt(dT) * (Iv + w), Tt))
+            # np.exp, as in pullback_jet, so the floats are equal
+            out.append((np.exp(-expo) / nu, math.sqrt(dT) * (Iv + w), Tt))
         return out
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -460,9 +474,10 @@ class TestFactorRecords:
         monkeypatch.setattr(transform, "solve_schwarzian",
                             lambda q2, mode: reversed_time)
         bad = HeatTransform(cls, inv)
+        u = map_solution(bad, lambda X, T: 1.0)
         for _ in range(2):
             with pytest.raises(DegenerateTransform):
-                bad.x_tilde(0.3, 0.1)
+                u(0.3, 0.1)
         assert not bad._t_records
 
     def test_transform_is_freed_after_verification(self):
