@@ -10,7 +10,10 @@ import pytest
 
 from parasym import expr as E
 from parasym import kernels as K
+from parasym.classify import classify
+from parasym.invariants import ParabolicEquation, compute_invariants
 from parasym.parser import parse_expression as P
+from parasym.transform import build_heat_transform, map_solution
 
 ALL_NAMES = K.list_kernels()
 
@@ -191,6 +194,24 @@ _MOVABLE_SOURCE = {
 
 
 class TestCrossChecks:
+    def test_mehler_matches_transformed_heat_kernel(self):
+        # u_t = u_xx - x^2 u written out by hand, not read from the catalog:
+        # the constant heat solution pulled back through its kernel-mode
+        # transform seeded at 0.5 is the catalog Mehler kernel up to a
+        # constant factor
+        y = 0.5
+        inv = compute_invariants(ParabolicEquation(
+            a=E.ONE, b=E.ZERO, c=E.neg(E.pow_(E.sym("x"), 2)),
+            domain=(-math.inf, math.inf)))
+        ht = build_heat_transform(classify(inv), inv, mode="kernel",
+                                  source_point=y)
+        u = map_solution(ht, lambda X, T: 1.0)
+        entry = K.kernel("mehler_hyperbolic", {"y": y})
+        ratios = np.array([u(x, t) / entry.evaluate(x, t)
+                           for t in K._grid(0.15, 0.45, 3)
+                           for x in K._grid(-1.5, 1.5, 4)])
+        assert np.max(np.abs(ratios / ratios.mean() - 1.0)) <= 1e-7
+
     @pytest.mark.parametrize("name", K.APPELL_ENTRIES)
     def test_appell_route_matches_catalog_kernel(self, name, monkeypatch):
         # the constant heat solution pulled back through the kernel-mode
