@@ -733,12 +733,13 @@ APPELL_ENTRIES = ("heat_1d", "linear_potential", "mehler_hyperbolic",
                   "mehler_trigonometric", "ou_fp")
 
 
-def appell_spread(name, y=0.5):
+def appell_spread(name):
     """The Appell route to a catalog kernel: the constant heat solution
     pulled back through the kernel-mode transform of the entry's own
-    equation, seeded at the source y, is the entry's kernel up to a constant
-    factor.  Returns the spread max |ratio/mean - 1| of their ratio at
-    t = 0.15, 0.3, 0.45 and four x in y +- 1.5."""
+    equation, seeded at the source y = 0.5, is the entry's kernel up to a
+    constant factor.  Returns the spread max |ratio/mean - 1| of their ratio
+    at t = 0.15, 0.3, 0.45 and four x in y +- 1.5."""
+    y = 0.5
     entry = kernel(name, {"y": y})
     (a, b), = entry.diffusion.values()
     inv = compute_invariants(ParabolicEquation(a, b, entry.potential,
