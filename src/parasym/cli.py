@@ -36,6 +36,9 @@ from .transform import build_heat_transform, verify_pullback
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 20250823
+# check_determining holds several n-by-n float arrays per field: at 1024
+# they take about 300 MB, and at 1e5 one of them alone would be 75 GB
+MAX_GRID = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +234,9 @@ def cmd_analyze(args):
         print("error: --tol-classify and --tol-residual must be positive",
               file=sys.stderr)
         return 1
-    if args.grid < 2:
-        print("error: --grid must be at least 2, got %d" % args.grid,
-              file=sys.stderr)
+    if not 2 <= args.grid <= MAX_GRID:
+        print("error: --grid must be from 2 to %d, got %d"
+              % (MAX_GRID, args.grid), file=sys.stderr)
         return 1
     try:
         report, cls = analyze_report(args)
@@ -428,7 +431,8 @@ def build_parser():
     pa.add_argument("--tol-residual", type=float, default=1e-6,
                     help="pullback residual threshold that raises a warning")
     pa.add_argument("--grid", type=int, default=16,
-                    help="per-axis grid size for determining-equation checks")
+                    help="per-axis grid size for determining-equation "
+                    "checks, 2 to %d" % MAX_GRID)
     pa.add_argument("--require-nontrivial", action="store_true",
                     help="exit with code 2 when only the trivial 2-dim "
                          "algebra is found")

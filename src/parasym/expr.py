@@ -558,19 +558,24 @@ def differentiate(e, var="x", order=1):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# A tree is compiled, on its first evaluation, into one Python function of
-# the environment, kept in the root node's `_fn` slot.  The generated code is
-# straight-line, one assignment per node, so deep trees stay within the
-# parser's nesting limit.  It runs in the order of a recursive walk: for each
-# node its children left to right, then its guard, then its operation.  It
-# does that walk's float arithmetic: sums by math.fsum of all their terms,
+# Trees are compiled into one Python function of a sequence of environments,
+# f(envs), which loops over them and returns, for each, the list of the
+# trees' values.  A single tree's function is kept in its node's `_fn` slot;
+# `evaluate` is its call on one environment.  The loop body is straight-line,
+# one assignment per node, so deep trees stay within the parser's nesting
+# limit.  It runs the trees in turn, each in the order of a recursive walk:
+# for each node its children left to right, then its guard, then its
+# operation, and last the check that the root's value is finite.  It does
+# that walk's float arithmetic: sums by math.fsum of all their terms,
 # products as a left fold, constants converted once with float().  Equal
-# subtrees and repeated symbols are computed once, at their first place in
-# that order: the arithmetic is deterministic, so the copies would give the
-# same floats.  Constants are default arguments, one per distinct value, so
-# trees that differ only in their constants have the same source and share
-# one code object from `_CODES`.  `evaluate` maps what the code raises
-# besides its guards.
+# subtrees and repeated symbols are computed once per environment, at their
+# first place in that order, also across trees: the arithmetic is
+# deterministic, so the copies would give the same floats and raise the
+# same errors.  A symbol of DEFAULT_BINDINGS falls back to its default when
+# the environment lacks it.  Constants are default arguments, one per
+# distinct value, so functions that differ only in their constants have the
+# same source and share one code object from `_CODES`.  `_run` maps what
+# the code raises besides its guards.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
@@ -592,36 +597,49 @@ _FN_GUARD = {
 # function refers to nothing but its code and defaults, and dies with its node.
 _CODE_GLOBALS = dict(
     {"_" + k: f for k, f in _FN_EVAL.items()},
-    __builtins__=builtins, _fsum=math.fsum, _DomainError=DomainError,
-    _ExprError=ExprError)
+    __builtins__=builtins, _fsum=math.fsum, _isfinite=math.isfinite,
+    _DomainError=DomainError, _ExprError=ExprError)
 
 # generated source -> its code object, kept for the life of the process
 _CODES = {}
 
 
 def evaluate(e, bindings=None):
-    env = dict(DEFAULT_BINDINGS)
-    if bindings:
-        env.update(bindings)
-    f = e._fn
+    """The value of `e` with its symbols bound by `bindings`."""
+    return _run(_function((e,)), (bindings or {},))[0][0]
+
+
+def evaluate_many(trees, envs):
+    """[[evaluate(e, env) for e in trees] for env in envs] in one compiled
+    call, raising the first error those loops would raise."""
+    return _run(_function(tuple(trees)), envs)
+
+
+def _function(trees):
+    """The compiled function of `trees`, kept in the node of a single tree."""
+    if len(trees) != 1:
+        return _compile(trees)
+    f = trees[0]._fn
     if f is None:
-        f = _compile(e)
-        object.__setattr__(e, "_fn", f)
+        f = _compile(trees)
+        object.__setattr__(trees[0], "_fn", f)
+    return f
+
+
+def _run(f, envs):
     try:
-        v = f(env)
+        return f(envs)
     except KeyError as exc:               # only env[name] raises it
         raise UnboundIdentifier(exc.args[0]) from None
     except (OverflowError, ValueError) as exc:
         # the reason alone: an OverflowError of ** also carries its errno
         raise DomainError(*exc.args[-1:]) from exc
-    if not math.isfinite(v):
-        raise DomainError("non-finite result")
-    return v
 
 
-def _compile(root):
-    """One function env -> float computing `root` as described above."""
-    lines = []      # the body, one physical line each
+def _compile(roots):
+    """One function envs -> [[value of each root] per env], as described
+    above."""
+    lines = []      # the loop body, one physical line each
     ref = {}        # id(node) -> its local or default-argument name
     seen = {}       # (kind, value, operand names) -> local; checks emitted
     names = {}      # repr of a constant -> its default-argument name
@@ -647,10 +665,15 @@ def _compile(root):
         if line:
             lines.append(line)
 
-    stack = [(root, False)]               # (node, its children are done)
+    stack = []                            # (node, its children are done)
+    for root in reversed(roots):          # None: its value is to be checked
+        stack += [(root, None), (root, False)]
     while stack:
         e, ready = stack.pop()
         k = e.kind
+        if ready is None:
+            emit(None, "not _isfinite(%s)" % ref[id(e)], "non-finite result")
+            continue
         if not ready:
             if id(e) not in ref:
                 stack.append((e, True))
@@ -672,7 +695,10 @@ def _compile(root):
             ref[id(e)] = seen[key]
             continue
         ref[id(e)] = seen[key] = t = local()
-        if k == "sym":
+        if k == "sym" and e.value in DEFAULT_BINDINGS:
+            emit("%s = float(env.get(%r, %s))"
+                 % (t, e.value, const(DEFAULT_BINDINGS[e.value])))
+        elif k == "sym":
             emit("%s = float(env[%r])" % (t, e.value))
         elif k == "add":
             emit("%s = _fsum((%s))" % (t, "".join(x + ", " for x in a)))
@@ -695,9 +721,13 @@ def _compile(root):
             emit("%s = _%s(%s)" % (t, k, a[0]))
         else:
             emit("raise _ExprError(%r)" % ("cannot evaluate node kind %r" % k))
-    src = "\n".join(["def f(env%s):" % "".join(", " + n for n in defaults)]
-                    + ["    " + line for line in lines]
-                    + ["    return %s\n" % ref[id(root)]])
+    src = "\n".join(
+        ["def f(envs%s):" % "".join(", " + n for n in defaults),
+         "    out = []",
+         "    for env in envs:"]
+        + ["        " + line for line in lines]
+        + ["        out.append([%s])" % ", ".join(ref[id(r)] for r in roots),
+           "    return out\n"])
     code = _CODES.get(src)
     if code is None:            # the def's code is the module's first constant
         code = compile(src, "<parasym.expr>", "exec").co_consts[0]

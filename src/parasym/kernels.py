@@ -669,14 +669,19 @@ def _pde_residual(K, diffusion, potential, points):
         Ks = E.differentiate(K, s)
         terms += [(a, E.differentiate(Ks, s)), (b, Ks)]
     terms.append((potential, K))
-    terms = [(coef, d) for coef, d in terms if not E.is_num(coef, 0)]
-    Kt = E.differentiate(K, "t")
+    trees = [E.differentiate(K, "t")] + [
+        f for coef, d in terms if not E.is_num(coef, 0) for f in (coef, d)]
+    try:
+        rows = E.evaluate_many(trees, points)
+    except E.ExprError:
+        # point by point, so that a non-finite residual at an earlier point
+        # is still the error raised
+        rows = (E.evaluate_many(trees, [env])[0] for env in points)
     worst = 0.0
-    for env in points:
-        kt = E.evaluate(Kt, env)
+    for env, (kt, *vals) in zip(points, rows):
         r = kt
-        for coef, d in terms:
-            r -= E.evaluate(coef, env) * E.evaluate(d, env)
+        for cv, dv in zip(vals[::2], vals[1::2]):
+            r -= cv * dv
         if not math.isfinite(r):
             raise E.DomainError("non-finite PDE residual at %s" % ", ".join(
                 "%s = %g" % kv for kv in sorted(env.items())))

@@ -31,11 +31,13 @@ discrepancy rather than an error.
 Every structured field comes from field_from_scalars, which keeps the jet
 (tau, tau', tau'', tau''', rho, rho', rho'', sigma, sigma') of its simplified
 triple; the brackets, the determining check and the boundary subalgebra read
-the jet's values and take no t-derivative.  xi, phi and their x- and
+the jet's values and take no t-derivative.  Each jet row is evaluated over a
+t-grid in one expr.evaluate_many call.  xi, phi and their x- and
 t-derivatives have closed forms in the jet and a fixed set of functions of x
 (s = sqrt(a), I, J, a, b, c and their derivatives, with I' = 1/s), each
-evaluated once per basis (check_determining).  The printed coefficients use
-the extra symbol `Ivar` for I(x), which may be quadrature-defined.
+evaluated once per basis, in one call over the grid x (check_determining).
+The printed coefficients use the extra symbol `Ivar` for I(x), which may be
+quadrature-defined.
 """
 
 from __future__ import annotations
@@ -79,19 +81,16 @@ def _dt(e):
     return E.differentiate(e, T)
 
 
-def _value(e, env):
-    return E.evaluate(e, env) if e is not E.ZERO else 0.0
-
-
 JET = ("tau", "tau1", "tau2", "tau3", "rho", "rho1", "rho2", "sigma",
        "sigma1")                   # tau1 = tau', tau2 = tau'', ...
 
 
 def _jet_values(vf, rows, ts):
     """The jet rows of vf named in `rows` at the times ts, as an array of
-    shape (len(rows), len(ts))."""
-    return np.array([[_value(vf.jet[JET.index(r)], {T: t}) for t in ts]
-                     for r in rows])
+    shape (len(rows), len(ts)): one compiled call per row."""
+    envs = [{T: t} for t in ts]
+    return np.array([E.evaluate_many((vf.jet[JET.index(r)],), envs)
+                     for r in rows]).reshape(len(rows), len(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +213,10 @@ def check_determining(inv, basis, n=16):
     deteq2: c tau' - phi_t + xi c' + b phi_x + a phi_xx = 0
     xieq:   xi_x - a'/(2a) xi - tau'/2 = 0
 
-    The fields enter through their jets.  The x-functions s, s', I, J, J',
-    J'', a, a', a'', b, b', c, c' are evaluated once at the grid x, each
-    jet once at the grid t, and with I' = 1/s
+    The fields enter through their jets.  The x-functions s, s', J, J',
+    J'', a, a', a'', b, b', c, c' are evaluated over the grid x in one
+    expr.evaluate_many call each, in turn, I once at each grid x, and each
+    jet row over the grid t in one call; with I' = 1/s
 
         xi_x   = s' (tau' I/2 + rho) + tau'/2,   xi_t = s (tau'' I/2 + rho'),
         phi_x  = A/s + J' B,   A = -tau'' I/4 - rho'/2 + tau' J/4,
@@ -224,9 +224,10 @@ def check_determining(inv, basis, n=16):
         phi_xx = (-tau''/(4s) + tau' J'/4)/s - A s'/s^2 + J'' B + J' tau'/(4s),
         phi_t  = -tau''' I^2/8 - rho'' I/2 + tau'' I J/4 + rho' J/2 + sigma'.
 
-    "tree" compares the printed tau, xi and phi with these formulas at the n
-    diagonal points (x_j, t_j), |w - v| / (|w| + |v| + 1), so a simplifier
-    fault in what the report prints still shows.
+    "tree" compares the printed tau, xi and phi, evaluated together in one
+    call, with these formulas at the n diagonal points (x_j, t_j),
+    |w - v| / (|w| + |v| + 1), so a simplifier fault in what the report
+    prints still shows.
     """
     lo, hi = probe_window(inv.domain)
     xs = chebyshev_points(lo, hi, n)
@@ -237,8 +238,9 @@ def check_determining(inv, basis, n=16):
     fx = (inv.sqrt_a, sp, inv.J, Jp, d(Jp), inv.a, ap, d(ap),
           inv.b, d(inv.b), inv.c, d(inv.c))
     # x runs down axis 0 and t along axis 1 of every grid array
+    envs = [{X: x} for x in xs]
     s, sp, J, Jp, Jpp, a, ap, app, b, bp, c, cp = (
-        np.array([[_value(e, {X: x})] for x in xs]) for e in fx)
+        np.array(E.evaluate_many((e,), envs)) for e in fx)
     I0 = np.array([[inv.I(x)] for x in xs])
     out = []
     for vf in basis:
@@ -266,9 +268,9 @@ def check_determining(inv, basis, n=16):
             "xieq": _scaled(xi_x, -ap / (2 * a) * xi, -tau1 / 2),
         }
         want = np.column_stack([tau, xi.diagonal(), phi.diagonal()])
-        got = np.array([[_value(e, {X: x, T: t, IVAR: float(i)})
-                         for e in (vf.tau, vf.xi, vf.phi)]
-                        for x, t, i in zip(xs, ts, I[:, 0])])
+        got = np.array(E.evaluate_many(
+            (vf.tau, vf.xi, vf.phi),
+            [{X: x, T: t, IVAR: float(i)} for x, t, i in zip(xs, ts, I[:, 0])]))
         res["tree"] = float((np.abs(want - got)
                              / (np.abs(want) + np.abs(got) + 1.0)).max())
         res["max"] = max(res.values())

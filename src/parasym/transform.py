@@ -474,7 +474,8 @@ def pde_residual(inv, jet, n=21, t_interval=(0.05, 0.45)):
     t0, t1 = t_interval
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
-    av, bv, cv = (np.array([[E.evaluate(f, {"x": x})] for x in xs])
+    envs = [{"x": x} for x in xs]
+    av, bv, cv = (np.array(E.evaluate_many((f,), envs))
                   for f in (inv.a, inv.b, inv.c))
     # 0*inf on an infinite heat-solution value gives NaN, not an error, so
     # the check below names its point

@@ -193,6 +193,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("option", [
         ("--grid", "1"), ("--grid", "0"), ("--grid", "-3"),
+        ("--grid", "1025"),
         ("--tol-classify", "-1"), ("--tol-classify", "0"),
         ("--tol-classify", "nan"), ("--tol-residual", "-0.5"),
     ], ids=" ".join)
@@ -202,6 +203,17 @@ class TestAnalyze:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert option[0] in err
+
+    def test_huge_grid_is_refused_before_any_analysis(self, capsys,
+                                                      monkeypatch):
+        # at 100000 one grid array alone would need 75 GB
+        monkeypatch.setattr(cli, "analyze_report", lambda args: pytest.fail(
+            "analysis started"))
+        rc, out, err = run(capsys, "analyze", eqpath("heat"),
+                           "--grid", "100000")
+        assert (rc, out) == (1, "")
+        assert err == ("error: --grid must be from 2 to %d, got 100000\n"
+                       % cli.MAX_GRID)
 
     def test_grid_of_two_is_accepted(self, capsys):
         rc, out, _ = run(capsys, "--json", "analyze", eqpath("heat"),

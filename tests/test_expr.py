@@ -290,6 +290,27 @@ def _outcome(f, *args):
     return ("value", type(v), v, math.copysign(1.0, v))
 
 
+def _point_major(trees, envs):
+    """The reference walker over each env in turn, every tree at each: the
+    outcome of the first fault, or each value's outcome."""
+    rows = []
+    for env in envs:
+        row = [_outcome(_reference, e, env) for e in trees]
+        faults = [o for o in row if o[0] == "raises"]
+        if faults:
+            return faults[0]
+        rows.append(row)
+    return rows
+
+
+def _many_outcome(trees, envs):
+    try:
+        rows = E.evaluate_many(trees, envs)
+    except Exception as exc:  # compared by type and message
+        return ("raises", type(exc), str(exc))
+    return [[_outcome(lambda: v) for v in row] for row in rows]
+
+
 _leaves = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=6).map(E.num),
     st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e308, -3.0]).map(E.num),
@@ -403,6 +424,53 @@ class TestCompiledEvaluator:
             E.evaluate(e, env)
         assert str(exc.value) == message
         assert _outcome(E.evaluate, e, env) == _outcome(_reference, e, env)
+
+    @given(st.lists(_trees, min_size=1, max_size=4),
+           st.lists(st.tuples(_values, _values, st.booleans()), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_many_matches_reference_point_major(self, trees, points):
+        envs = [dict({"x": x, "y": y}, **({"z": -2.5} if bind_z else {}))
+                for x, y, bind_z in points]
+        assert _many_outcome(trees, envs) == _point_major(trees, envs)
+        assert E.evaluate_many(trees, []) == []
+
+    @pytest.mark.parametrize("envs, message", [
+        # the second tree faults at the first point before the first tree
+        # does at the second
+        ([{"x": 1.0, "y": -1.0}, {"x": -1.0, "y": 1.0}], "sqrt of negative"),
+        ([{"x": -1.0, "y": 1.0}, {"x": 1.0, "y": -1.0}],
+         "log of non-positive"),
+        # the root's value is checked before the next tree runs
+        ([{"x": 1e308, "y": -1.0}], "non-finite result"),
+    ])
+    def test_many_raises_at_the_first_point_and_tree(self, envs, message):
+        trees = [E.mul(E.log_("x"), E.mul("x", 10.0)), E.sqrt_("y")]
+        with pytest.raises(E.DomainError) as exc:
+            E.evaluate_many(trees, envs)
+        assert str(exc.value) == message
+        assert _many_outcome(trees, envs) == _point_major(trees, envs)
+
+    def test_pi_defaults_and_bindings_are_not_mutated(self):
+        pi = E.sym("pi")
+        assert E.evaluate(pi) == math.pi
+        assert E.evaluate(pi, {"pi": 3.0}) == 3.0
+        env = {"x": 2.0}
+        assert E.evaluate(E.mul("x", pi), env) == 2.0 * math.pi
+        envs = [{"x": 1.0}, {"x": 1.0, "pi": 0.5}]
+        assert E.evaluate_many([pi, E.mul("x", pi)], envs) == [
+            [math.pi, math.pi], [0.5, 0.5]]
+        assert env == {"x": 2.0}
+        assert envs == [{"x": 1.0}, {"x": 1.0, "pi": 0.5}]
+
+    def test_tree_lists_equal_up_to_constants_share_one_code(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(E, "_CODES", {})
+        x = E.sym("x")
+        for c in (2.0, 3.0):
+            trees = [E.add(E.mul(x, c), 1.0), E.exp_(E.mul(x, c))]
+            assert E.evaluate_many(trees, [{"x": 0.5}]) == [
+                [c * 0.5 + 1.0, math.exp(c * 0.5)]]
+        assert len(E._CODES) == 1
 
     def test_signed_zeros_are_different_constants(self):
         x = E.sym("x")

@@ -103,6 +103,18 @@ class TestGenericVerifier:
             K._pde_residual(P("10*x + t"), {"x": (E.num(1.0), E.num(1e308))},
                             E.num(-1e308), [{"x": 2.0, "t": 1.0}])
 
+    def test_first_point_fault_wins_over_a_later_tree_fault(self):
+        # K_xx = exp(x): at x = 700 the term 1e300 * e^700 overflows though
+        # each tree is finite; at x = 800 exp itself overflows.  The points
+        # are checked in order, so the first one is named.
+        points = [{"x": 700.0, "t": 0.5}, {"x": 800.0, "t": 0.5}]
+        with pytest.raises(E.DomainError, match="t = 0.5, x = 700"):
+            K._pde_residual(P("exp(x)"), {"x": (E.num(1e300), E.ZERO)},
+                            E.ZERO, points)
+        with pytest.raises(E.DomainError, match="math range error"):
+            K._pde_residual(P("exp(x)"), {"x": (E.num(1e300), E.ZERO)},
+                            E.ZERO, points[::-1])
+
     @pytest.mark.parametrize("name, drawn", [
         ("radial", {"n": 4.5, "y": 1.4, "x": 0.8}),
         ("second_canonical", {"mu": -1.1, "y": 1.6}),

@@ -85,7 +85,7 @@ def reference_determining(inv, vf, n=16):
         for t in ts:
             env = field_env(vf, x, t)
             av, bv, cv, apv, appv, bpv, cpv, tdv, xv, xtv, xxv, pxv, pxxv, \
-                ptv = (S._value(e, env) for e in (
+                ptv = (E.evaluate(e, env) for e in (
                     a, b, c, ap, app, bp, cp, taud, vf.xi, xi_t, xi_x,
                     phi_x, phi_xx, phi_t))
             for key, terms in (
