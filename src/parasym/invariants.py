@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expr as E
 from .expr import Expr, DomainError, ParasymError, chebyshev_points
@@ -225,6 +224,7 @@ def quadrature_fn1(derivative_expr, domain, x_ref):
         return E.evaluate(derivative_expr, {VAR: x})
 
     def integral(a, b):
+        from scipy.integrate import quad
         return quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
 
     @functools.cache

@@ -32,12 +32,12 @@ variant is the one that passes the residual and delta-limit checks:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import expr as E
 from .expr import Expr, ParasymError
@@ -54,6 +54,11 @@ class UnknownKernel(ParasymError):
 
 class ConstraintViolation(ParasymError):
     """Entry-specific parameter constraint violated."""
+
+
+class OutOfFloatRange(ParasymError):
+    """An entry's formulas overflow, or divide by zero, in floats at its
+    constants."""
 
 
 class NonconvergentQuadrature(ParasymError):
@@ -74,7 +79,8 @@ def _quad(f, lo, hi, points=None):
         pts = [p for p in points if lo < p < hi]
         if pts:
             kw["points"] = pts
-    val, err = integrate.quad(f, lo, hi, **kw)
+    from scipy.integrate import quad
+    val, err = quad(f, lo, hi, **kw)
     if err > 1e-7 * (1.0 + abs(val)):
         raise NonconvergentQuadrature(
             "quadrature error %.2e for value %.6g" % (err, val))
@@ -89,18 +95,23 @@ def _mass_quad(f, phi, source, lo, hi, points):
     return _quad(lambda v: f(v) * phi(v - source), lo, hi, points)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
+@functools.cache
+def _gl_rule():
+    """Nodes and weights of the 120-node Gauss-Legendre rule on [-1, 1],
+    computed on first use."""
+    return np.polynomial.legendre.leggauss(120)
 
 
 def _gl_mass(f, phi, source, lo, hi):
     """_mass_quad's integral by the fixed 120-node Gauss-Legendre rule.
     Nodes that collapse in floats are refused."""
-    x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
+    nodes, weights = _gl_rule()
+    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     if not (np.diff(x) > 0).all():
         raise NonconvergentQuadrature(
             "quadrature nodes on [%.17g, %.17g] collapse in floats"
             % (lo, hi))
-    w = 0.5 * (hi - lo) * _GL_WEIGHTS
+    w = 0.5 * (hi - lo) * weights
     g = (lambda v: f(v) * phi(v - source)) if phi else f
     # Python floats, not numpy scalars: the same IEEE sums, done faster
     return sum(wi * g(xi) for xi, wi in zip(x.tolist(), w.tolist()))
@@ -715,11 +726,19 @@ def verify_delta_limit(entry):
 
 
 def verify_entry(name, constants=None):
-    """Full per-entry report: residual, normalization, delta-limit."""
-    entry = kernel(name, constants)
-    resid = verify_pde_residual(entry)
-    norm = verify_normalization(entry)
-    delta = verify_delta_limit(entry)
+    """Full per-entry report: residual, normalization, delta-limit.  An
+    overflow or a division by zero on the way raises OutOfFloatRange, naming
+    the entry and its constants."""
+    try:
+        entry = kernel(name, constants)
+        resid = verify_pde_residual(entry)
+        norm = verify_normalization(entry)
+        delta = verify_delta_limit(entry)
+    except (OverflowError, ZeroDivisionError) as exc:
+        c = {**_CATALOG[name][1], **(constants or {})}
+        raise OutOfFloatRange("%s with %s: %s: %s" % (
+            name, ", ".join("%s = %r" % kv for kv in sorted(c.items())),
+            type(exc).__name__, exc)) from exc
     ok = (resid <= 1e-9 and max(norm) <= 1e-6
           and all(a > b for a, b in zip(delta, delta[1:]))
           and delta[-1] <= 1e-3)

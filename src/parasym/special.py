@@ -4,22 +4,30 @@
 the kernel catalog uses where its argument x*y/(2t) grows large at small t.
 Both take a real order and return a Python float.
 
+scipy.special is loaded on the first call of either function, not when this
+module is imported: most equations are analysed without a Bessel value.
+
 Errors: `z < 0` raises DomainError, and so does `iv` when I_nu(z) is not a
 finite float; I_0 overflows past z = 713.98.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-import scipy.special
 
 from .expr import DomainError
 
 
+@functools.cache
+def _scipy_special():
+    import scipy.special
+    return scipy.special
+
+
 def iv(nu, z):
     """I_nu(z) for z >= 0."""
-    v = float(scipy.special.iv(nu, _argument(z)))
+    v = float(_scipy_special().iv(nu, _argument(z)))
     if not math.isfinite(v):
         raise DomainError("I_nu(z) is not finite at nu=%g, z=%g" % (nu, z))
     return v
@@ -27,7 +35,7 @@ def iv(nu, z):
 
 def ive(nu, z):
     """exp(-z) * I_nu(z) for z >= 0."""
-    return float(scipy.special.ive(nu, _argument(z)))
+    return float(_scipy_special().ive(nu, _argument(z)))
 
 
 def _argument(z):

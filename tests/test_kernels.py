@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from parasym import cli
 from parasym import expr as E
 from parasym import kernels as K
 from parasym.classify import classify
@@ -59,6 +60,24 @@ class TestCatalogVerification:
     def test_ou_fp_other_constants(self):
         rep = K.verify_entry("ou_fp", {"b": 0.7, "sigma": 1.3})
         assert rep["pass"]
+
+    @pytest.mark.parametrize("args, cause", [
+        (("radial_gaussian", "--k", "600"), "OverflowError"),
+        (("radial", "--n", "600"), "OverflowError"),
+        (("mehler_trigonometric", "--y", "600"), "OverflowError"),
+        (("black_scholes", "--r", "1e6"), "OverflowError"),
+        (("mehler_hyperbolic", "--y", "600"), "ZeroDivisionError"),
+        (("linear_potential", "--y", "-1e6"), "ZeroDivisionError"),
+    ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
+    def test_float_range_is_one_error_line(self, capsys, args, cause):
+        # a closed form that leaves the floats is refused, naming the
+        # entry and the constant that took it there
+        name, flag, value = args
+        assert cli.main(["kernels", "verify", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: OutOfFloatRange: %s with " % name)
+        assert "%s = %r" % (flag[2:], float(value)) in err and cause in err
 
 
 class TestGenericVerifier:
@@ -144,8 +163,9 @@ class TestGenericVerifier:
 def _gl_quad(f, lo, hi):
     """One axis of the nested scalar Gauss-Legendre rule over the full node
     grid, the reference that heat2d's per-axis mass must match."""
-    x = (0.5 * (hi - lo) * K._GL_NODES + 0.5 * (hi + lo)).tolist()
-    w = (0.5 * (hi - lo) * K._GL_WEIGHTS).tolist()
+    nodes, weights = K._gl_rule()
+    x = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).tolist()
+    w = (0.5 * (hi - lo) * weights).tolist()
     return float(sum(wi * f(xi) for xi, wi in zip(x, w)))
 
 
