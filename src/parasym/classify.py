@@ -10,10 +10,10 @@ The nontrivial symmetry algebra has dimension 6, 4, or 2:
 The 6-dimensional form is tested first: mu -> 0 degenerates the second form
 into the first, so testing order makes the verdicts disjoint.  The verdict
 and the constants come from least-squares fits of K against I at 64 Chebyshev
-probe points; the shift s of the 4-dimensional form is fitted wherever it
-lies, with (mu, c2, c0) solved for linearly at each s (variable projection,
-Golub and Pereyra 1973) and s refined by Gauss-Newton steps on the projected
-residual.
+probe points, sampled by invariants.values_at; the shift s of the
+4-dimensional form is fitted wherever it lies, with (mu, c2, c0) solved for
+linearly at each s (variable projection, Golub and Pereyra 1973) and s
+refined by Gauss-Newton steps on the projected residual.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import expr as E
 from .expr import chebyshev_points
 from .invariants import (IllConditionedFit, ParabolicEquation,
-                         compute_invariants, probe_window)
+                         compute_invariants, probe_window, values_at)
 
 
 N_POINTS = 64                  # probe points of the (I, K) fits
@@ -60,20 +59,9 @@ def _snap(v, tol=1e-7):
 def _samples(inv, i_offset):
     """(I, K) at the probe points.  Raises DomainError at the first point
     where I or K is undefined: the fit never silently drops a point."""
-    lo, hi = probe_window(inv.domain)
-    xs = chebyshev_points(lo, hi, N_POINTS)
-    Iv, Kv = [], []
-    for x in xs:
-        try:
-            Iv.append(inv.I(x) + i_offset)
-        except E.DomainError as exc:
-            raise E.DomainError("I undefined at x=%g: %s" % (x, exc)) from exc
-        try:
-            Kv.append(E.evaluate(inv.K, {"x": x}))
-        except E.DomainError as exc:
-            raise E.DomainError("K undefined at x=%g: %s" % (x, exc)) from exc
-    Iv = np.array(Iv)
-    Kv = np.array(Kv)
+    xs = chebyshev_points(*probe_window(inv.domain), N_POINTS)
+    Iv, Kv = values_at([("I", inv.I), ("K", inv.K)], xs).T
+    Iv = Iv + i_offset
     top = np.abs(Iv).max()
     if top >= 2.0 ** 512:                 # the I^2 column would overflow
         raise IllConditionedFit("I^2 overflows on the probe grid: |I| "

@@ -30,7 +30,8 @@ from . import kernels as KN
 from . import symmetry as S
 from .classify import classify
 from .expr import ParasymError
-from .invariants import ParabolicEquation, compute_invariants, probe_window
+from .invariants import (ParabolicEquation, compute_invariants, probe_window,
+                         values_at)
 from .parser import parse_file
 from .transform import build_heat_transform, verify_pullback
 
@@ -85,17 +86,13 @@ def _invariant_section(inv):
         "I_mode": "symbolic" if inv.symbolic_I else "quadrature",
         "time_reversed": bool(inv.flipped),
     }
-    lo, hi = probe_window(inv.domain)
-    samples = []
-    for i in range(5):
-        x = lo + (hi - lo) * i / 4
+    sec["samples"] = []
+    for x in E.grid(*probe_window(inv.domain), 5):
         try:
-            samples.append({"x": _round(x),
-                            "I": _round(inv.I(x)),
-                            "K": _round(E.evaluate(inv.K, {"x": x}))})
+            i, k = values_at([("I", inv.I), ("K", inv.K)], [x])[0].tolist()
         except E.DomainError:
-            samples.append({"x": _round(x), "I": None, "K": None})
-    sec["samples"] = samples
+            i = k = None
+        sec["samples"].append({"x": _round(x), "I": _round(i), "K": _round(k)})
     return sec
 
 

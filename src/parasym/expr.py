@@ -869,6 +869,11 @@ def chebyshev_points(lo, hi, n):
     return sorted(pts)
 
 
+def grid(lo, hi, n):
+    """The n evenly spaced points of [lo, hi], ends included (n >= 2)."""
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # printing
 

@@ -12,6 +12,7 @@ factor, exponential); otherwise it is an adaptive-quadrature sampler anchored
 at a base point: it integrates once between fixed knots across the probe
 window, then from the knot nearest each x.  The additive constant of I is a
 free gauge; downstream classification is invariant under I -> I + s0.
+values_at samples functions of x at a list of points for every caller.
 """
 
 from __future__ import annotations
@@ -68,11 +69,8 @@ class ParabolicEquation:
     bindings: dict = field(default_factory=dict)
 
     def bound_coefficients(self):
-        sub = dict(self.bindings)
-        out = []
-        for e in (self.a, self.b, self.c):
-            out.append(E.substitute(E.to_expr(e), sub))
-        return tuple(out)
+        return tuple(E.substitute(E.to_expr(e), self.bindings)
+                     for e in (self.a, self.b, self.c))
 
     @staticmethod
     def from_program(prog):
@@ -131,22 +129,22 @@ def normalize(eq):
                 "time-dependent coefficients are outside the time-autonomous class")
         if free:
             raise E.UnboundIdentifier(", ".join(sorted(free)))
-    lo, hi = probe_window(eq.domain)
-    signs = set()
-    for x in chebyshev_points(lo, hi, 32):
-        try:
-            v = E.evaluate(a, {VAR: x})
-        except DomainError as exc:
-            raise NonparabolicError("a undefined at x=%g: %s" % (x, exc)) from exc
+    xs = chebyshev_points(*probe_window(eq.domain), 32)
+    try:
+        av, undefined = values_at([("a", a)], xs)[:, 0], None
+    except DomainError as exc:    # a zero at an earlier x is still named
+        av, undefined = values_at([("a", a)], xs[:xs.index(exc.x)])[:, 0], exc
+    for x, v in zip(xs, av):
         if v == 0.0:
             raise NonparabolicError("a vanishes at x=%g" % x)
-        signs.add(v > 0)
-    if len(signs) != 1:
+    if undefined is not None:
+        raise NonparabolicError(str(undefined)) from undefined
+    if (av > 0).any() and (av < 0).any():
         raise NonparabolicError("a changes sign on the domain")
     root = _interior_root(a, eq.domain)
     if root is not None:
         raise NonparabolicError("a vanishes at x=%g" % root)
-    flipped = not signs.pop()
+    flipped = bool(av[0] < 0)
     if flipped:
         # backward equation: t -> -t
         a, b, c = (E.simplify(E.mul(E.MINUS_ONE, e)) for e in (a, b, c))
@@ -192,9 +190,14 @@ class Fn1:
         self.x_ref = x_ref
 
     def __call__(self, x):
+        return self.many([x])[0]
+
+    def many(self, xs):
+        """[self(x) for x in xs]: one compiled call when symbolic."""
         if self.expr is not None:
-            return E.evaluate(self.expr, {VAR: float(x)})
-        return self._sampler(float(x))
+            return [row[0] for row in E.evaluate_many(
+                (self.expr,), [{VAR: float(x)} for x in xs])]
+        return [self._sampler(float(x)) for x in xs]
 
     def d(self, x):
         """First derivative value."""
@@ -204,6 +207,28 @@ class Fn1:
         if self.expr is not None:
             return "Fn1<%s>" % E.to_text(self.expr)
         return "Fn1<quadrature from x_ref=%g>" % self.x_ref
+
+
+def values_at(named, xs):
+    """The array [[f(x) for each f] for x in xs] of the (label, Expr or Fn1)
+    pairs `named`, one batched call per function.  On a DomainError the
+    points are rerun in order, and the error names the first x, and the
+    first function there, that is undefined; it carries that x as `.x`."""
+    fns = [(label, f if isinstance(f, Fn1) else Fn1(None, expr=f))
+           for label, f in named]
+    try:
+        return np.array([f.many(xs) for _, f in fns], dtype=float).T
+    except DomainError:
+        for x in xs:
+            for label, f in fns:
+                try:
+                    f(x)
+                except DomainError as exc:
+                    err = DomainError("%s undefined at x=%g: %s"
+                                      % (label, x, exc))
+                    err.x = x
+                    raise err from exc
+        raise
 
 
 def quadrature_fn1(derivative_expr, domain, x_ref):
@@ -262,26 +287,15 @@ def symbolic_sqrt(a, window):
 
 
 def _sign_on(e, window):
-    lo, hi = window
-    signs = set()
-    for x in chebyshev_points(lo, hi, 9):
-        try:
-            v = E.evaluate(e, {VAR: x})
-        except DomainError:
-            return 0
-        if v == 0:
-            return 0
-        signs.add(v > 0)
-    if len(signs) != 1:
+    try:
+        v = values_at([("e", e)], chebyshev_points(*window, 9))
+    except DomainError:
         return 0
-    return 1 if signs.pop() else -1
+    return 1 if (v > 0).all() else -1 if (v < 0).all() else 0
 
 
 def _half(ev):
-    v = ev.value
-    if isinstance(v, Fraction):
-        return E.num(v / 2)
-    return E.num(v / 2.0)
+    return E.num(ev.value / 2)            # exact for a Fraction
 
 
 def _sqrt_try(a, window):

@@ -80,10 +80,12 @@ def _quad(f, lo, hi, points=None):
         if pts:
             kw["points"] = pts
     from scipy.integrate import quad
-    val, err = quad(f, lo, hi, **kw)
-    if err > 1e-7 * (1.0 + abs(val)):
+    # full_output makes quad return its warning, if any, not print it
+    val, err, _, *warning = quad(f, lo, hi, full_output=1, **kw)
+    if warning or not (math.isfinite(val) and err <= 1e-7 * (1 + abs(val))):
         raise NonconvergentQuadrature(
-            "quadrature error %.2e for value %.6g" % (err, val))
+            "quadrature error %.2e for value %.6g%s" % (err, val, "".join(
+                ": " + " ".join(w.split()) for w in warning)))
     return val
 
 
@@ -104,9 +106,11 @@ def _gl_rule():
 
 def _gl_mass(f, phi, source, lo, hi):
     """_mass_quad's integral by the fixed 120-node Gauss-Legendre rule.
-    Nodes that collapse in floats are refused."""
+    Nodes that overflow or collapse in floats are refused."""
     nodes, weights = _gl_rule()
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    if not np.isfinite(x).all():
+        raise OverflowError("nodes on [%g, %g] overflow" % (lo, hi))
     if not (np.diff(x) > 0).all():
         raise NonconvergentQuadrature(
             "quadrature nodes on [%.17g, %.17g] collapse in floats"
@@ -149,10 +153,6 @@ def _bump(width):
         return math.exp(-d ** 2 / s2)
 
     return phi
-
-
-def _grid(lo, hi, n):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _grid_points(names, *axes):
@@ -227,8 +227,8 @@ def _build_heat_1d(c):
         name="heat_1d",
         description="fundamental solution of the heat equation",
         constants=dict(c), expr=Kb, equation="u_t = u_xx",
-        residual_points=_grid_points(("t", "x"), _grid(0.1, 2.0, 7),
-                                     _grid(y - 3, y + 3, 9)),
+        residual_points=_grid_points(("t", "x"), E.grid(0.1, 2.0, 7),
+                                     E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.01, 0.1, 1.0),
         mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
             y - 40 * math.sqrt(t) - 2, y + 40 * math.sqrt(t) + 2, [y])))
@@ -250,8 +250,8 @@ def _build_linear_potential(c):
         description="heat kernel with linear potential",
         constants=dict(c), expr=Kb, equation="u_t = u_xx + beta*x*u",
         potential=E.num(beta) * _X,
-        residual_points=_grid_points(("t", "x"), _grid(0.1, 1.0, 7),
-                                     _grid(y - 3, y + 3, 9)),
+        residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.0, 7),
+                                     E.grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: math.exp(
             beta * beta * t ** 3 / 3 + beta * t * y),
         norm_t_list=(0.05, 0.2, 0.5),
@@ -270,7 +270,7 @@ def _mehler(c, trig):
             return math.cos(2 * t) ** -0.5 * math.exp(
                 y * y * math.tan(2 * t) / 2)
 
-        t_res = _grid(0.05, 0.7, 7)
+        t_res = E.grid(0.05, 0.7, 7)
         t_norm = (0.05, 0.15, 0.3)
         note = ("valid for 0 < t < pi/4; the hyperbolic/trigonometric "
                 "pairing follows the residual check: the trigonometric "
@@ -285,7 +285,7 @@ def _mehler(c, trig):
             return math.cosh(2 * t) ** -0.5 * math.exp(
                 -y * y * math.tanh(2 * t) / 2)
 
-        t_res = _grid(0.1, 1.5, 7)
+        t_res = E.grid(0.1, 1.5, 7)
         t_norm = (0.05, 0.2, 0.5)
         note = ("the hyperbolic form belongs to the -x^2 potential "
                 "(residual check arbitrates the sign convention)")
@@ -295,7 +295,7 @@ def _mehler(c, trig):
         constants=dict(c), expr=Kb, equation=equation,
         potential=E.num(sign) * _X * _X,
         residual_points=_grid_points(("t", "x"), t_res,
-                                     _grid(-2.5, 2.5, 9)),
+                                     E.grid(-2.5, 2.5, 9)),
         normalization_target=target, norm_t_list=t_norm, note=note,
         # the bump confines the delta integral to a few widths of the source
         mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
@@ -327,7 +327,7 @@ def _build_linear_potential_nd(c):
 
     rng = np.random.default_rng(_SEED)
     points = []
-    for t in _grid(0.1, 0.8, 4):
+    for t in E.grid(0.1, 0.8, 4):
         for _ in range(12):
             p = {s: yk + rng.uniform(-2, 2) for s, yk in zip(xsyms, ys)}
             p["t"] = t
@@ -366,8 +366,8 @@ def _build_radial_gaussian(c):
         constants=dict(c), expr=Kb,
         equation="u_t = u_xx + (k/x) u_x", domain=(0.0, math.inf),
         diffusion={"x": (E.ONE, E.num(k) / _X)},
-        residual_points=_grid_points(("t", "x"), _grid(0.1, 1.0, 7),
-                                     _grid(0.2, 3.0, 9)),
+        residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.0, 7),
+                                     E.grid(0.2, 3.0, 9)),
         norm_t_list=(0.05, 0.2, 0.5),
         note="normalized against the surface measure S_{k} x^k dx of "
              "R^(k+1); delta limit concentrates at the origin",
@@ -412,8 +412,8 @@ def _build_radial(c):
         constants=dict(c), expr=E.simplify(K),
         equation="u_t = u_xx + ((n-1)/x) u_x", domain=(0.0, math.inf),
         diffusion={"x": (E.ONE, E.num(n - 1.0) / _X)},
-        residual_points=_grid_points(("t", "x", "y"), _grid(0.15, 0.8, 5),
-                                     _grid(0.3, 2.5, 9), [y]),
+        residual_points=_grid_points(("t", "x", "y"), E.grid(0.15, 0.8, 5),
+                                     E.grid(0.3, 2.5, 9), [y]),
         norm_t_list=(0.05, 0.2, 0.5),
         note="integrates initial data over y: the exact unit mass is in "
              "the source variable at fixed x",
@@ -454,8 +454,8 @@ def _build_second_canonical(c):
         constants=dict(c), expr=E.simplify(K),
         equation="u_t = u_xx + (mu/x^2) u", domain=(0.0, math.inf),
         potential=E.num(mu) / (_X * _X),
-        residual_points=_grid_points(("t", "x"), _grid(0.15, 0.8, 5),
-                                     _grid(0.3, 2.5, 9)),
+        residual_points=_grid_points(("t", "x"), E.grid(0.15, 0.8, 5),
+                                     E.grid(0.3, 2.5, 9)),
         norm_t_list=(2.5e-7, 1e-7, 5e-8),
         delta_t_list=(1e-4, 1e-5, 1e-6),
         note="the mass is 1 only in the t -> 0 limit: for mu != 0 the "
@@ -497,8 +497,8 @@ def _build_black_scholes(c):
         diffusion={"x": (E.num(sigma) * sigma * _X * _X / 2.0,
                          E.num(r) * _X)},
         potential=E.num(-r),
-        residual_points=_grid_points(("t", "x", "y"), _grid(0.1, 1.0, 7),
-                                     _grid(0.5, 2.0, 9), [1.0]),
+        residual_points=_grid_points(("t", "x", "y"), E.grid(0.1, 1.0, 7),
+                                     E.grid(0.5, 2.0, 9), [1.0]),
         norm_t_list=(0.1, 0.5, 1.0),
         note="density in y; the probability check removes the exp(-rt) "
              "discount factor",
@@ -527,8 +527,8 @@ def _build_ou_fp(c):
         equation="u_t = (sigma^2/2) u_xx + b x u_x + b u",
         diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
         potential=E.num(b),
-        residual_points=_grid_points(("t", "x"), _grid(0.1, 1.5, 7),
-                                     _grid(y - 3, y + 3, 9)),
+        residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.5, 7),
+                                     E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.1, 0.5, 1.0),
         note="mean exp(-b t) y (the decaying sign passes the residual "
              "check)",
@@ -570,8 +570,8 @@ def _build_ou_nonfp(c):
         equation="u_t = (sigma^2/2) u_xx + b x u_x",
         domain=(0.0, math.inf),
         diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
-        residual_points=_grid_points(("t", "x", "y"), _grid(0.1, 1.0, 7),
-                                     _grid(-2.0, 2.0, 9), [0.8]),
+        residual_points=_grid_points(("t", "x", "y"), E.grid(0.1, 1.0, 7),
+                                     E.grid(-2.0, 2.0, 9), [0.8]),
         normalization_target=lambda t: target_mass,
         norm_t_list=(0.1, 0.5, 1.0),
         note="stated for y on the half line only; the printed form "
@@ -608,8 +608,8 @@ def _build_heat2d_timedep(c):
         diffusion={"x": (E.ONE, E.ZERO),
                    "y": (E.sym("t") ** -2, E.ZERO)},
         residual_points=_grid_points(
-            ("t", "x", "y"), _grid(t0 + 0.1, t0 + 1.0, 5),
-            _grid(x0 - 1.5, x0 + 1.5, 5), _grid(y0 - 1.5, y0 + 1.5, 5)),
+            ("t", "x", "y"), E.grid(t0 + 0.1, t0 + 1.0, 5),
+            E.grid(x0 - 1.5, x0 + 1.5, 5), E.grid(y0 - 1.5, y0 + 1.5, 5)),
         norm_t_list=(t0 + 0.1, t0 + 0.5, t0 + 1.0),
         delta_t_list=(t0 + 1e-2, t0 + 1e-3, t0 + 1e-4),
         delta_width=1.0,
@@ -770,7 +770,7 @@ def appell_spread(name):
                                                domain=entry.domain))
     ht = build_heat_transform(classify(inv), inv, mode="kernel",
                               source_point=y)
-    xs, ts = _grid(y - 1.5, y + 1.5, 4), _grid(0.15, 0.45, 3)
+    xs, ts = E.grid(y - 1.5, y + 1.5, 4), E.grid(0.15, 0.45, 3)
     u = map_solution(ht, lambda X, T: 1.0)(np.array(xs)[:, None],
                                              np.array(ts))
     ratios = u / np.array([[entry.evaluate(x, t) for t in ts] for x in xs])

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import expr as E
 from .expr import Expr, ParasymError, chebyshev_points
-from .invariants import InvariantTriple, probe_window
+from .invariants import InvariantTriple, probe_window, values_at
 
 
 class RankDeficiency(ParasymError):
@@ -215,8 +215,8 @@ def check_determining(inv, basis, n=16):
 
     The fields enter through their jets.  The x-functions s, s', J, J',
     J'', a, a', a'', b, b', c, c' are evaluated over the grid x in one
-    expr.evaluate_many call each, in turn, I once at each grid x, and each
-    jet row over the grid t in one call; with I' = 1/s
+    expr.evaluate_many call each, in turn, I by invariants.values_at, and
+    each jet row over the grid t in one call; with I' = 1/s
 
         xi_x   = s' (tau' I/2 + rho) + tau'/2,   xi_t = s (tau'' I/2 + rho'),
         phi_x  = A/s + J' B,   A = -tau'' I/4 - rho'/2 + tau' J/4,
@@ -229,10 +229,8 @@ def check_determining(inv, basis, n=16):
     |w - v| / (|w| + |v| + 1), so a simplifier fault in what the report
     prints still shows.
     """
-    lo, hi = probe_window(inv.domain)
-    xs = chebyshev_points(lo, hi, n)
-    t0, t1 = 0.05, 0.45
-    ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
+    xs = chebyshev_points(*probe_window(inv.domain), n)
+    ts = E.grid(0.05, 0.45, n)
     d = lambda e: E.differentiate(e, X)
     sp, Jp, ap = d(inv.sqrt_a), d(inv.J), d(inv.a)
     fx = (inv.sqrt_a, sp, inv.J, Jp, d(Jp), inv.a, ap, d(ap),
@@ -241,7 +239,7 @@ def check_determining(inv, basis, n=16):
     envs = [{X: x} for x in xs]
     s, sp, J, Jp, Jpp, a, ap, app, b, bp, c, cp = (
         np.array(E.evaluate_many((e,), envs)) for e in fx)
-    I0 = np.array([[inv.I(x)] for x in xs])
+    I0 = values_at([("I", inv.I)], xs)
     out = []
     for vf in basis:
         I = I0 + vf.i_offset

@@ -470,10 +470,7 @@ def pde_residual(inv, jet, n=21, t_interval=(0.05, 0.45)):
     under np.errstate raising on overflow and division by zero
     (FloatingPointError).  Raises DomainError naming the first grid point
     where a jet value or the residual is not finite."""
-    lo, hi = probe_window(inv.domain)
-    t0, t1 = t_interval
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    ts = [t0 + (t1 - t0) * j / (n - 1) for j in range(n)]
+    xs, ts = E.grid(*probe_window(inv.domain), n), E.grid(*t_interval, n)
     envs = [{"x": x} for x in xs]
     av, bv, cv = (np.array(E.evaluate_many((f,), envs))
                   for f in (inv.a, inv.b, inv.c))

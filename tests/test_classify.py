@@ -13,7 +13,7 @@ from parasym import cli
 from parasym.classify import (IllConditionedFit, SymmetryClassification,
                               classify)
 from parasym.expr import DomainError, chebyshev_points
-from parasym.invariants import (ParabolicEquation, compute_invariants,
+from parasym.invariants import (Fn1, ParabolicEquation, compute_invariants,
                                 probe_window)
 from parasym.parser import parse_expression as P
 
@@ -173,12 +173,8 @@ class TestGaugeRobustness:
 class TestDegenerateInput:
     def test_nearly_constant_I_raises(self):
         inv = compute_invariants(eq("1"))
-
-        class Flat:
-            def __call__(self, x):
-                return 0.0
-
-        inv2 = type(inv)(I=Flat(), J=inv.J, K=inv.K, symbolic_I=False,
+        flat = Fn1(E.ZERO, sampler=lambda x: 0.0)
+        inv2 = type(inv)(I=flat, J=inv.J, K=inv.K, symbolic_I=False,
                          sqrt_a=inv.sqrt_a, a=inv.a, b=inv.b, c=inv.c,
                          domain=inv.domain, flipped=False)
         with pytest.raises(IllConditionedFit):

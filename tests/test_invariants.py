@@ -6,10 +6,10 @@ import math
 import pytest
 
 from parasym import expr as E
-from parasym.invariants import (KNOT_PANELS, NonparabolicError,
+from parasym.invariants import (KNOT_PANELS, Fn1, NonparabolicError,
                                 ParabolicEquation, UnsupportedCoefficient,
                                 base_point, compute_invariants, normalize,
-                                probe_window, quadrature_fn1)
+                                probe_window, quadrature_fn1, values_at)
 from parasym.parser import parse, parse_expression as P
 from test_classify import fokker_planck_equation
 
@@ -85,6 +85,51 @@ class TestQuadratureFallback:
         got = [forward(x) for x in xs]
         assert [backward(x) for x in xs[::-1]][::-1] == got
         assert [forward(x) for x in xs] == got
+
+
+class TestValuesAt:
+    XS = [-1.0, 0.0, 2.0]
+
+    def test_values_by_point_then_function(self):
+        got = values_at([("I", P("2*x")), ("K", Fn1(E.ONE, expr=P("x^2")))],
+                        self.XS)
+        assert got.tolist() == [[-2.0, 1.0], [0.0, 0.0], [4.0, 4.0]]
+
+    def test_earlier_point_wins_over_earlier_function(self):
+        # I fails only at x = 2, K already at x = -1
+        with pytest.raises(E.DomainError) as exc:
+            values_at([("I", P("sqrt(1 - x)")), ("K", P("log(x + 0.5)"))],
+                      self.XS)
+        assert str(exc.value) == "K undefined at x=-1: log of non-positive"
+        assert exc.value.x == -1.0
+
+    def test_first_function_named_at_one_point(self):
+        with pytest.raises(E.DomainError) as exc:
+            values_at([("I", P("sqrt(1 - x)")), ("K", P("log(1.5 - x)"))],
+                      self.XS)
+        assert str(exc.value) == ("I undefined at x=2: negative base with "
+                                  "fractional exponent")
+
+    def test_zero_of_a_before_an_undefined_point_is_named(self):
+        # a = 0 at a probe point of (-4, 4); a is undefined from x = 3.9 on
+        e = eq("(x - (-3.766176260732083))*sqrt(3.9 - x)")
+        with pytest.raises(NonparabolicError) as exc:
+            normalize(e)
+        assert str(exc.value) == "a vanishes at x=-3.76618"
+
+    def test_many_is_the_pointwise_values(self):
+        xs = [-5.3, -4.0, -1.1, 0.0, 0.26, 2.5, 3.99, 6.7]
+        inv = compute_invariants(eq("(1 + x^2)^2"))
+        assert inv.symbolic_I
+        want = [E.evaluate(inv.I.expr, {"x": x}).hex() for x in xs]
+        assert [v.hex() for v in inv.I.many(xs)] == want
+        inv = compute_invariants(eq("1 + exp(x)"))
+        assert not inv.symbolic_I
+        # a fresh sampler for each point: no value depends on the others
+        fresh = [quadrature_fn1(inv.I.derivative, inv.domain, inv.I.x_ref)
+                 for _ in xs]
+        want = [f(x).hex() for f, x in zip(fresh, xs)]
+        assert [v.hex() for v in inv.I.many(xs)] == want
 
 
 class TestFokkerPlanck:

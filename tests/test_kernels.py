@@ -1,12 +1,16 @@
 """Heat-kernel catalog verification, cross-checks between independently
 stated kernels, and heat polynomials."""
 
+import contextlib
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parasym import cli
 from parasym import expr as E
@@ -78,6 +82,62 @@ class TestCatalogVerification:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: OutOfFloatRange: %s with " % name)
         assert "%s = %r" % (flag[2:], float(value)) in err and cause in err
+
+
+    @pytest.mark.parametrize("args", [
+        ("heat_1d", "--y", "1e12"), ("ou_fp", "--y", "1e12"),
+        ("ou_nonfp", "--x", "1e12"), ("radial", "--x", "600"),
+    ], ids=" ".join)
+    def test_quadrature_warning_is_one_error_line(self, capsys, args):
+        # scipy's IntegrationWarning (roundoff far from the origin) is a
+        # failed quadrature, not a warning beside a report or an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["kernels", "verify", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: NonconvergentQuadrature: quadrature "
+                              "error ")
+        assert "roundoff error is detected" in err
+
+
+def _constants(name):
+    """Any subset of the entry's constants, each a finite float (1 to 4 of
+    them for a tuple constant; linear_potential_nd's n also 1..4)."""
+    num = st.floats(allow_nan=False, allow_infinity=False)
+    optional = {}
+    for key, default in K._CATALOG[name][1].items():
+        if isinstance(default, tuple):
+            optional[key] = st.lists(num, min_size=1, max_size=4).map(tuple)
+        elif (name, key) == ("linear_potential_nd", "n"):
+            optional[key] = st.sampled_from([1.0, 2.0, 3.0, 4.0]) | num
+        else:
+            optional[key] = num
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+class TestAnyConstants:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_report_or_one_error_line(self, name, data):
+        # any finite constants give a report (exit 0, or 1 on a failed
+        # check) or one error line, never a traceback or a warning
+        args = []
+        for key, v in data.draw(_constants(name)).items():
+            args += ["--" + key, ",".join(map(repr, v))
+                     if isinstance(v, tuple) else repr(v)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(["kernels", "verify", name, *args])
+        if err.getvalue():
+            assert code == 1 and out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code in (0, 1) and out.getvalue()
 
 
 class TestGenericVerifier:
@@ -240,8 +300,8 @@ class TestCrossChecks:
         u = map_solution(ht, lambda X, T: 1.0)
         entry = K.kernel("mehler_hyperbolic", {"y": y})
         ratios = np.array([u(x, t) / entry.evaluate(x, t)
-                           for t in K._grid(0.15, 0.45, 3)
-                           for x in K._grid(-1.5, 1.5, 4)])
+                           for t in E.grid(0.15, 0.45, 3)
+                           for x in E.grid(-1.5, 1.5, 4)])
         assert np.max(np.abs(ratios / ratios.mean() - 1.0)) <= 1e-7
 
     @pytest.mark.parametrize("name", K.APPELL_ENTRIES)
@@ -265,7 +325,7 @@ class TestCrossChecks:
             can = K.kernel("second_canonical",
                            {"mu": -(n - 1) * (n - 3) / 4.0, "y": 1.0})
             for t in (0.2, 0.6):
-                for x in K._grid(0.4, 2.2, 7):
+                for x in E.grid(0.4, 2.2, 7):
                     a = rad.evaluate(x, t, 1.0)
                     b = x ** ((1 - n) / 2.0) * can.evaluate(x, t)
                     assert abs(a - b) / (abs(a) + 1e-300) <= 1e-9
@@ -306,9 +366,9 @@ class TestCrossChecks:
         # c = mu/x^2, mu = -2(a+1)(2a+1) = -2 and -3/4 at a = -3/2 and
         # -5/4; the trigonometric ones at mu = -2; and the heat polynomial
         heat = {"x": (E.ONE, E.ZERO)}
-        half_line = (K._grid(0.2, 1.0, 5), K._grid(0.4, 2.5, 9))
-        trig = (K._grid(0.1, 1.0, 5), K._grid(0.4, 2.8, 9))
-        line = (K._grid(0.1, 1.0, 5), K._grid(-2.0, 2.0, 7))
+        half_line = (E.grid(0.2, 1.0, 5), E.grid(0.4, 2.5, 9))
+        trig = (E.grid(0.1, 1.0, 5), E.grid(0.4, 2.8, 9))
+        line = (E.grid(0.1, 1.0, 5), E.grid(-2.0, 2.0, 7))
         cases = [
             ("x^2 * t^(-5/2) * exp(-(x^2/(4*t)))", "-2/x^2", half_line),
             ("x^(3/2) * t^(-2) * exp(-(x^2/(4*t)))", "-0.75/x^2", half_line),
