@@ -29,7 +29,7 @@ from . import expr as E
 from . import kernels as KN
 from . import symmetry as S
 from .classify import classify
-from .expr import ParasymError
+from .expr import Check, ParasymError
 from .invariants import (ParabolicEquation, compute_invariants, probe_window,
                          values_at)
 from .parser import parse_file
@@ -52,13 +52,9 @@ def _expr_dict(e):
 
 def _round(v):
     """Round to 12 decimals for byte-stable JSON across platforms."""
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return round(v, 12)
-    return v
+    if not isinstance(v, float):
+        return v
+    return round(v, 12) if math.isfinite(v) else str(v)   # inf, -inf, nan
 
 
 def _config_hash(cfg):
@@ -116,19 +112,24 @@ def _transform_section(ht):
             "t_interval": [_round(v) for v in ht.t_interval]}
 
 
+def _exceeded(checks):
+    """The warning of each record over its bound."""
+    return ["%s %.3g exceeds %.3g" % c for c in checks if not c.ok]
+
+
 def _generator_section(cls, inv, grid_n):
+    """The generators section, its determining records and its warnings."""
     if cls.dim not in (4, 6):
-        return None, []
-    warnings = []
+        return None, [], []
     basis = S.emit_basis(cls, inv)
-    gens = []
+    gens, checks = [], []
     for vf, res in zip(basis, S.check_determining(inv, basis, n=grid_n)):
         d = vf.describe()
         d["determining_residual"] = _round(res["max"])
         gens.append(d)
-        if res["max"] > S.DETERMINING_TOL:
-            warnings.append("determining residual of %s %.3g exceeds %.3g"
-                            % (vf.label, res["max"], S.DETERMINING_TOL))
+        checks.append(Check("determining residual of " + vf.label,
+                            res["max"], S.DETERMINING_TOL))
+    warnings = _exceeded(checks)
     table = S.commutator_table(basis)
     struct = {"%d,%d" % ij: {str(k): _round(v) for k, v in sorted(cs.items())}
               for ij, cs in sorted(table.structure.items())}
@@ -158,27 +159,27 @@ def _generator_section(cls, inv, grid_n):
         "published_table": {"matched": len(rep.matched),
                             "flagged": flagged},
     }
-    return sec, warnings
+    return sec, checks, warnings
 
 
 def analyze_report(args):
-    """The `analyze` report of args.file and the classification it rests
-    on.  Raises ParasymError or OSError."""
+    """The `analyze` report of args.file, the classification it rests on
+    and the records of its bounded checks: the determining residual of each
+    generator, then the pullback.  Raises ParasymError or OSError."""
     prog = parse_file(args.file)
     eq = ParabolicEquation.from_program(prog)
     inv = compute_invariants(eq)
     cls = classify(inv, args.tol_classify)
     ht = build_heat_transform(cls, inv) if cls.dim == 6 else None
-    gens, warnings = _generator_section(cls, inv, args.grid)
+    gens, checks, warnings = _generator_section(cls, inv, args.grid)
     verification = None
     if ht is not None:
         pb = verify_pullback(ht)
-        worst = max(pb.values())
         verification = {"pullback_residuals": {k: _round(v)
                                                for k, v in sorted(pb.items())}}
-        if worst > args.tol_residual:
-            warnings.append("pullback residual %.3g exceeds %.3g"
-                            % (worst, args.tol_residual))
+        checks.append(Check("pullback residual", max(pb.values()),
+                            args.tol_residual))
+        warnings += _exceeded(checks[-1:])
     cfg = {"tol_classify": args.tol_classify,
            "tol_residual": args.tol_residual,
            "grid": args.grid, "seed": args.seed}
@@ -202,10 +203,10 @@ def analyze_report(args):
         "verification": verification,
         "warnings": warnings,
     }
-    return report, cls
+    return report, cls, checks
 
 
-def _analyze_lines(report, cls):
+def _analyze_lines(report, cls, checks):
     """The text summary of an `analyze` report."""
     lines = ["%s: symmetry algebra dimension %d"
              % (report["input"]["path"], cls.dim)]
@@ -219,7 +220,7 @@ def _analyze_lines(report, cls):
     if gens:
         lines.append("  %d generators emitted, worst determining residual %.2e"
                      % (len(gens["basis"]),
-                        max(g["determining_residual"] for g in gens["basis"])))
+                        max(c.value for c in checks[:len(gens["basis"])])))
         if gens["published_table"]["flagged"]:
             lines.append("  flagged %d published commutator line(s)"
                          % len(gens["published_table"]["flagged"]))
@@ -236,11 +237,11 @@ def cmd_analyze(args):
               % (MAX_GRID, args.grid), file=sys.stderr)
         return 1
     try:
-        report, cls = analyze_report(args)
+        report, cls, checks = analyze_report(args)
     except (ParasymError, OSError) as exc:
         print("error: %s: %s" % (args.file, exc), file=sys.stderr)
         return 1
-    _emit(report, args.json, _analyze_lines(report, cls))
+    _emit(report, args.json, _analyze_lines(report, cls, checks))
     if cls.dim == 2 and args.require_nontrivial:
         return 2
     return 0
@@ -272,12 +273,14 @@ def cmd_kernels(args, extra):
 
     # verb == verify
     constants = {}
-    i = 0
-    while i < len(extra):
+    for i in range(0, len(extra), 2):
         tok = extra[i]
         if not tok.startswith("--") or i + 1 >= len(extra):
             print("error: expected --NAME VALUE constant pairs, got %r"
                   % " ".join(extra[i:]), file=sys.stderr)
+            return 1
+        if tok[2:] in constants:
+            print("error: constant %s is given twice" % tok, file=sys.stderr)
             return 1
         try:
             constants[tok[2:]] = _parse_constant(extra[i + 1])
@@ -285,7 +288,6 @@ def cmd_kernels(args, extra):
             print("error: constant %s needs a numeric value, got %r"
                   % (tok, extra[i + 1]), file=sys.stderr)
             return 1
-        i += 2
     try:
         rep = KN.verify_entry(args.name, constants or None)
     except (ParasymError, OSError) as exc:
@@ -347,60 +349,54 @@ def _corpus_dir():
     return os.path.join(os.getcwd(), "equations")
 
 
+def _corpus_checks(stem):
+    """The records of `parasym analyze` on the corpus file at its defaults,
+    and one per expected constant.  Raises on a wrong dim."""
+    want_dim, want_consts = CORPUS_EXPECT[stem]
+    _, cls, checks = analyze_report(build_parser().parse_args(
+        ["analyze", os.path.join(_corpus_dir(), stem + ".eq")]))
+    if cls.dim != want_dim:
+        raise ParasymError("dim %d, want %d" % (cls.dim, want_dim))
+    return checks + [Check("constant " + k, abs(cls.constants[k] - v)
+                           / (1.0 + abs(v)), 1e-7)
+                     for k, v in want_consts.items()]
+
+
+def _kernel_checks(name):
+    """verify_entry's records; raises on delta limits that do not decrease."""
+    rep = KN.verify_entry(name)
+    if not rep["pass"] and all(c.ok for c in rep["checks"]):
+        raise ParasymError("delta limits %r do not decrease"
+                           % rep["delta_limit"])
+    return rep["checks"]
+
+
+def _appell_checks(name):
+    return [Check("ratio spread", KN.appell_spread(name), 1e-7)]
+
+
 def cmd_selftest(args):
-    rows = []
-
-    def row(name, ok, detail=""):
-        rows.append((name, ok, detail))
-        print("%s  %-38s %s" % ("PASS" if ok else "FAIL", name, detail))
-
-    corpus = _corpus_dir()
-    for stem, (want_dim, want_consts) in sorted(CORPUS_EXPECT.items()):
-        path = os.path.join(corpus, stem + ".eq")
-        try:
-            # the report `parasym analyze FILE` prints, at its defaults
-            report, cls = analyze_report(
-                build_parser().parse_args(["analyze", path]))
-            ok = cls.dim == want_dim
-            detail = "dim %d" % cls.dim
-            for k, v in want_consts.items():
-                got = cls.constants.get(k)
-                if got is None or abs(got - v) > 1e-7 * (1.0 + abs(v)):
-                    ok = False
-                    detail += " %s=%r (want %g)" % (k, got, v)
-            if ok and report["verification"]:
-                worst = max(report["verification"]
-                            ["pullback_residuals"].values())
-                detail += ", pullback %.1e" % worst
-                ok = worst <= 1e-6
-            if ok and report["generators"]:
-                worst = max(g["determining_residual"]
-                            for g in report["generators"]["basis"])
-                detail += ", deteq %.1e" % worst
-                ok = worst <= S.DETERMINING_TOL
-            row("analyze " + stem, ok, detail)
-        except Exception as exc:  # selftest reports, never crashes
-            row("analyze " + stem, False, "%s: %s" % (type(exc).__name__, exc))
-
-    for name in KN.list_kernels():
-        try:
-            rep = KN.verify_entry(name)
-            row("kernel " + name, bool(rep["pass"]),
-                "residual %.1e" % rep["residual"])
-        except Exception as exc:
-            row("kernel " + name, False, "%s: %s" % (type(exc).__name__, exc))
-
-    for name in KN.APPELL_ENTRIES:
-        try:
-            spread = KN.appell_spread(name)
-            row("appell " + name, spread <= 1e-7,
-                "ratio spread %.1e" % spread)
-        except Exception as exc:
-            row("appell " + name, False, "%s: %s" % (type(exc).__name__, exc))
-
-    n_fail = sum(1 for _, ok, _ in rows if not ok)
-    print("%d/%d checks passed" % (len(rows) - n_fail, len(rows)))
-    return 0 if n_fail == 0 else 1
+    oks = []
+    for kind, checks_of, names in (
+            ("analyze", _corpus_checks, sorted(CORPUS_EXPECT)),
+            ("kernel", _kernel_checks, KN.list_kernels()),
+            ("appell", _appell_checks, KN.APPELL_ENTRIES)):
+        for name in names:
+            try:
+                checks = checks_of(name)
+                ok = all(c.ok for c in checks)
+                # the record nearest its bound, a failing one first
+                worst = min(checks, key=lambda c: (c.ok, -c.value / c.bound),
+                            default=None)
+                detail = ("%s %.2e (bound %.0e)" % worst if worst
+                          else "no bounded check")
+            except Exception as exc:  # selftest reports, never crashes
+                ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
+            oks.append(ok)
+            print("%s  %-38s %s" % ("PASS" if ok else "FAIL",
+                                    kind + " " + name, detail))
+    print("%d/%d checks passed" % (sum(oks), len(oks)))
+    return 0 if all(oks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import itertools
 import math
 import types
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class ParasymError(Exception):
@@ -31,6 +32,15 @@ class DomainError(ExprError):
 
 class UnboundIdentifier(ExprError):
     pass
+
+
+class Check(NamedTuple):
+    """One criterion: a number compared with its bound.  It is ok only
+    when value <= bound, so a nan never passes."""
+    name: str
+    value: float
+    bound: float
+    ok = property(lambda self: self.value <= self.bound)
 
 
 FUNCTIONS = (

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .expr import Expr, ParasymError
+from .expr import Check, Expr, ParasymError
 from .special import ive
 from .invariants import ParabolicEquation, compute_invariants
 from .classify import classify
@@ -206,7 +206,6 @@ class KernelEntry:
                                    # over- or underflows at small t
     delta_t_list: tuple = (1e-2, 1e-3, 1e-4)
     delta_width: float = 0.5       # test-bump width for the delta limit
-    note: str = ""
 
     def evaluate(self, *args):
         """The kernel at the values of `args`: by the stable form where the
@@ -270,11 +269,8 @@ def _mehler(c, trig):
             return math.cos(2 * t) ** -0.5 * math.exp(
                 y * y * math.tan(2 * t) / 2)
 
-        t_res = E.grid(0.05, 0.7, 7)
+        t_res = E.grid(0.05, 0.7, 7)       # the kernel holds for t < pi/4
         t_norm = (0.05, 0.15, 0.3)
-        note = ("valid for 0 < t < pi/4; the hyperbolic/trigonometric "
-                "pairing follows the residual check: the trigonometric "
-                "form belongs to the +x^2 potential")
     else:
         src = ("(2*pi*sinh(2*t))^(-1/2) * "
                "exp(-(cosh(2*t)*(x^2 + y^2) - 2*x*y)/(2*sinh(2*t)))")
@@ -287,8 +283,6 @@ def _mehler(c, trig):
 
         t_res = E.grid(0.1, 1.5, 7)
         t_norm = (0.05, 0.2, 0.5)
-        note = ("the hyperbolic form belongs to the -x^2 potential "
-                "(residual check arbitrates the sign convention)")
     Kb = _formula(src, ("x", "t"), y=y)
     return KernelEntry(
         name=name, description="Mehler kernel (quadratic potential)",
@@ -296,7 +290,7 @@ def _mehler(c, trig):
         potential=E.num(sign) * _X * _X,
         residual_points=_grid_points(("t", "x"), t_res,
                                      E.grid(-2.5, 2.5, 9)),
-        normalization_target=target, norm_t_list=t_norm, note=note,
+        normalization_target=target, norm_t_list=t_norm,
         # the bump confines the delta integral to a few widths of the source
         mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
             (y - 3, y + 3, [y]) if phi else (y - 45, y + 45, [y, 0.0]))))
@@ -346,7 +340,6 @@ def _build_linear_potential_nd(c):
         potential=E.add(*(E.num(bk) * E.sym(s) for s, bk in zip(xsyms, bs))),
         residual_points=points,
         normalization_target=target, norm_t_list=(0.05, 0.15, 0.3),
-        note="n <= 4; separable product of one-dimensional kernels",
         mass=_product_mass(K, dict(zip(xsyms, ys)), window, _mass_quad),
         args=xsyms + ("t",))
 
@@ -358,6 +351,7 @@ def _build_radial_gaussian(c):
     n = k + 1.0
     Kb = _formula("(4*pi*t)^(-(k + 1)/2) * exp(-(x^2/(4*t)))", ("x", "t"),
                   k=k)
+    # the mass is taken against the surface measure S_k x^k dx of R^(k+1)
     surf = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     return KernelEntry(
         name="radial_gaussian",
@@ -369,8 +363,6 @@ def _build_radial_gaussian(c):
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.0, 7),
                                      E.grid(0.2, 3.0, 9)),
         norm_t_list=(0.05, 0.2, 0.5),
-        note="normalized against the surface measure S_{k} x^k dx of "
-             "R^(k+1); delta limit concentrates at the origin",
         mass=_line_mass(
             lambda x, t: E.evaluate(Kb, {"x": x, "t": t}) * surf * x ** k,
             0.0, lambda t, phi: (1e-12, 40 * math.sqrt(t) + 1,
@@ -415,8 +407,6 @@ def _build_radial(c):
         residual_points=_grid_points(("t", "x", "y"), E.grid(0.15, 0.8, 5),
                                      E.grid(0.3, 2.5, 9), [y]),
         norm_t_list=(0.05, 0.2, 0.5),
-        note="integrates initial data over y: the exact unit mass is in "
-             "the source variable at fixed x",
         # conservation holds in the source variable: the kernel averages
         # initial data, so constants are preserved exactly
         mass=_line_mass(lambda yv, t: ev2(x0, t, yv), x0, window),
@@ -456,11 +446,10 @@ def _build_second_canonical(c):
         potential=E.num(mu) / (_X * _X),
         residual_points=_grid_points(("t", "x"), E.grid(0.15, 0.8, 5),
                                      E.grid(0.3, 2.5, 9)),
+        # for mu != 0 the half-line kernel loses mass at rate O(t/y^2):
+        # the mass is 1 only in the limit t -> 0
         norm_t_list=(2.5e-7, 1e-7, 5e-8),
         delta_t_list=(1e-4, 1e-5, 1e-6),
-        note="the mass is 1 only in the t -> 0 limit: for mu != 0 the "
-             "half-line kernel loses mass at rate O(t/y^2), so the "
-             "normalization check runs at very small times",
         mass=_line_mass(ev, y, window), stable=ev)
 
 
@@ -476,7 +465,7 @@ def _build_black_scholes(c):
                   ("x", "y", "t"), sigma=sigma, r=r, l=ell)
 
     def mass(t, phi=None):
-        # integrate over the y variable in log space
+        # the density in y without its exp(-r t) discount, in log space
         w0 = math.log(x) + ell * t
         wspan = 40 * sigma * math.sqrt(t) + 1
 
@@ -500,8 +489,6 @@ def _build_black_scholes(c):
         residual_points=_grid_points(("t", "x", "y"), E.grid(0.1, 1.0, 7),
                                      E.grid(0.5, 2.0, 9), [1.0]),
         norm_t_list=(0.1, 0.5, 1.0),
-        note="density in y; the probability check removes the exp(-rt) "
-             "discount factor",
         mass=mass, args=("x", "t", "y"))
 
 
@@ -530,8 +517,6 @@ def _build_ou_fp(c):
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.5, 7),
                                      E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.1, 0.5, 1.0),
-        note="mean exp(-b t) y (the decaying sign passes the residual "
-             "check)",
         mass=_line_mass(_in_x(Kb), y, window))
 
 
@@ -544,6 +529,7 @@ def _build_ou_nonfp(c):
         "exp(-b*((2/sigma^2)*exp(2*b*t)*x^2 + y^2)/(2*(exp(2*b*t) - 1)))"
         " * cosh(2^(1/2)*b/sigma * exp(b*t)*x*y/(exp(2*b*t) - 1))",
         ("x", "y", "t"), b=b, sigma=sigma)
+    # over y > 0 the kernel integrates to sqrt(2)/sigma, 1 at the default
     target_mass = math.sqrt(2.0) / sigma
 
     def ev(xv, t, yv):
@@ -574,9 +560,6 @@ def _build_ou_nonfp(c):
                                      E.grid(-2.0, 2.0, 9), [0.8]),
         normalization_target=lambda t: target_mass,
         norm_t_list=(0.1, 0.5, 1.0),
-        note="stated for y on the half line only; the printed form "
-             "integrates to sqrt(2)/sigma, which is the normalization "
-             "target used here (equal to 1 when sigma = sqrt(2))",
         mass=_line_mass(lambda yv, t: ev(x, t, yv),
                         math.sqrt(2.0) * x / sigma, window),
         args=("x", "t", "y"), stable=ev)
@@ -613,8 +596,6 @@ def _build_heat2d_timedep(c):
         norm_t_list=(t0 + 0.1, t0 + 0.5, t0 + 1.0),
         delta_t_list=(t0 + 1e-2, t0 + 1e-3, t0 + 1e-4),
         delta_width=1.0,
-        note="both exponent terms divided by 4(t - t0): that variant has "
-             "unit mass and passes the delta-limit test",
         mass=_product_mass(Kb, {"x": x0, "y": y0}, window, _gl_mass),
         args=("x", "y", "t"))
 
@@ -726,27 +707,36 @@ def verify_delta_limit(entry):
 
 
 def verify_entry(name, constants=None):
-    """Full per-entry report: residual, normalization, delta-limit.  An
-    overflow or a division by zero on the way raises OutOfFloatRange, naming
-    the entry and its constants."""
+    """Full per-entry report: residual, normalization, delta-limit and the
+    records of their bounds ("checks").  It passes when every record is ok
+    and the delta-limit sequence strictly decreases.  An overflow, also one
+    inside a tree, or a division by zero on the way raises OutOfFloatRange,
+    naming the entry and its constants."""
     try:
         entry = kernel(name, constants)
         resid = verify_pde_residual(entry)
         norm = verify_normalization(entry)
         delta = verify_delta_limit(entry)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, E.DomainError) as exc:
+        # expr's evaluator turns an OverflowError into a DomainError
+        cause = exc.__cause__ or exc
+        if not isinstance(cause, (OverflowError, ZeroDivisionError)):
+            raise
         c = {**_CATALOG[name][1], **(constants or {})}
+        # the reason alone: an OverflowError of ** also carries its errno
         raise OutOfFloatRange("%s with %s: %s: %s" % (
             name, ", ".join("%s = %r" % kv for kv in sorted(c.items())),
-            type(exc).__name__, exc)) from exc
-    ok = (resid <= 1e-9 and max(norm) <= 1e-6
-          and all(a > b for a, b in zip(delta, delta[1:]))
-          and delta[-1] <= 1e-3)
+            type(cause).__name__, exc.args[-1])) from exc
+    checks = [Check("PDE residual", resid, 1e-9),
+              Check("normalization", max(norm), 1e-6),
+              Check("delta limit", delta[-1], 1e-3)]
     return {"name": name, "constants": {k: (list(v) if isinstance(v, tuple)
                                             else v)
                                         for k, v in entry.constants.items()},
-            "residual": resid, "normalization": norm,
-            "delta_limit": delta, "note": entry.note, "pass": ok}
+            "residual": resid, "normalization": norm, "delta_limit": delta,
+            "checks": checks,
+            "pass": (all(c.ok for c in checks)
+                     and all(a > b for a, b in zip(delta, delta[1:])))}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,9 @@ from scipy.integrate import IntegrationWarning
 from parasym import cli
 from parasym import kernels as KN
 from parasym import symmetry as S
+from parasym.classify import classify
+from parasym.invariants import ParabolicEquation, compute_invariants
+from parasym.parser import parse_file
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EQDIR = os.path.join(ROOT, "equations")
@@ -191,6 +195,17 @@ class TestAnalyze:
         assert rc == 0
         assert "dimension 6" in out
 
+    def test_summary_reads_the_unrounded_determining_residual(self, capsys):
+        # the JSON report rounds it to 0.0; the summary prints the value
+        rc, out, _ = run(capsys, "analyze", eqpath("cir_reducible"))
+        assert rc == 0
+        inv = compute_invariants(ParabolicEquation.from_program(
+            parse_file(eqpath("cir_reducible"))))
+        basis = S.emit_basis(classify(inv), inv)
+        worst = max(r["max"] for r in S.check_determining(inv, basis))
+        assert worst > 0
+        assert ("worst determining residual %.2e\n" % worst) in out
+
     @pytest.mark.parametrize("option", [
         ("--grid", "1"), ("--grid", "0"), ("--grid", "-3"),
         ("--grid", "1025"),
@@ -278,13 +293,11 @@ class TestKernels:
                          "--y", "zero")
         assert rc == 1
 
-    @pytest.mark.parametrize("args", [("radial", "--n", "1e6"),
-                                      ("mehler_trigonometric", "--y", "1e200")],
-                             ids=" ".join)
-    def test_overflow_reads_as_its_reason(self, capsys, args):
-        rc, out, err = run(capsys, "kernels", "verify", *args)
-        assert rc == 1 and out == ""
-        assert err == "error: DomainError: Numerical result out of range\n"
+    def test_repeated_constant_is_refused(self, capsys):
+        rc, out, err = run(capsys, "kernels", "verify", "heat_1d",
+                           "--y", "1", "--y", "2")
+        assert (rc, out) == (1, "")
+        assert err == "error: constant --y is given twice\n"
 
     @pytest.mark.parametrize("args", [("heat_1d", "--y", "1e308"),
                                       ("heat2d_timedep", "--x0", "1e17")],
@@ -368,6 +381,76 @@ class TestSelftest:
         assert n == 35
         assert [ln.split()[0] for ln in lines[:-1]] == ["PASS"] * n
         assert lines[-1] == "%d/%d checks passed" % (n, n)
+        # each row prints its worst record unrounded
+        row, = [ln for ln in lines if ln.split()[2] == "cir_reducible"]
+        value = re.search(r" determining residual of v\d (\S+) ", row)
+        assert float(value.group(1)) > 0
+
+    @staticmethod
+    def selftest(capsys, monkeypatch, stems=(), kernels=(), appell=()):
+        """Run selftest on the given rows only; its exit code and rows."""
+        monkeypatch.setattr(cli, "CORPUS_EXPECT",
+                            {s: cli.CORPUS_EXPECT[s] for s in stems})
+        monkeypatch.setattr(KN, "list_kernels", lambda: list(kernels))
+        monkeypatch.setattr(KN, "APPELL_ENTRIES", tuple(appell))
+        rc = cli.main(["selftest"])
+        return rc, capsys.readouterr().out.splitlines()[:-1]
+
+    def test_determining_record_over_its_bound_fails_the_row(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(S, "DETERMINING_TOL", 1e-15)
+        rc, rows = self.selftest(capsys, monkeypatch,
+                                 stems=("heat", "cir_reducible"))
+        assert rc == 1
+        # heat's residuals are exactly 0, so only cir_reducible fails
+        assert rows[0].startswith("FAIL  analyze cir_reducible ")
+        assert "determining residual of v2 " in rows[0]
+        assert rows[0].endswith("(bound 1e-15)")
+        assert rows[1].startswith("PASS  analyze heat ")
+
+    def test_corpus_constant_over_its_bound_fails_the_row(
+            self, capsys, monkeypatch):
+        dim, consts = cli.CORPUS_EXPECT["brownian"]
+        monkeypatch.setitem(cli.CORPUS_EXPECT, "brownian",
+                            (dim, dict(consts, c0=consts["c0"] + 1e-6)))
+        rc, rows = self.selftest(capsys, monkeypatch, stems=("brownian",))
+        assert rc == 1
+        assert rows == ["FAIL  %-38s constant c0 5.00e-07 (bound 1e-07)"
+                        % "analyze brownian"]
+
+    def test_wrong_dim_fails_the_row(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.CORPUS_EXPECT, "radial", (6, {}))
+        rc, rows = self.selftest(capsys, monkeypatch, stems=("radial",))
+        assert rc == 1
+        assert rows == ["FAIL  %-38s ParasymError: dim 4, want 6"
+                        % "analyze radial"]
+
+    def test_kernel_record_over_its_bound_fails_the_row(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(KN, "verify_normalization",
+                            lambda entry: [0.0, 2e-6, 0.0])
+        rc, rows = self.selftest(capsys, monkeypatch, kernels=("heat_1d",))
+        assert rc == 1
+        assert rows == ["FAIL  %-38s normalization 2.00e-06 (bound 1e-06)"
+                        % "kernel heat_1d"]
+
+    def test_delta_limits_that_do_not_decrease_fail_the_row(
+            self, capsys, monkeypatch):
+        # every record is ok, but the sequence does not decrease
+        monkeypatch.setattr(KN, "verify_delta_limit",
+                            lambda entry: [1e-4, 1e-4, 1e-5])
+        rc, rows = self.selftest(capsys, monkeypatch, kernels=("heat_1d",))
+        assert rc == 1
+        assert rows == ["FAIL  %-38s ParasymError: delta limits [0.0001, "
+                        "0.0001, 1e-05] do not decrease" % "kernel heat_1d"]
+
+    def test_appell_record_over_its_bound_fails_the_row(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(KN, "appell_spread", lambda name: float("nan"))
+        rc, rows = self.selftest(capsys, monkeypatch, appell=("ou_fp",))
+        assert rc == 1
+        assert rows == ["FAIL  %-38s ratio spread nan (bound 1e-07)"
+                        % "appell ou_fp"]
 
 
 class TestReportCompleteness:

@@ -65,11 +65,28 @@ class TestCatalogVerification:
         rep = K.verify_entry("ou_fp", {"b": 0.7, "sigma": 1.3})
         assert rep["pass"]
 
+    def test_pass_is_derived_from_the_records(self, monkeypatch):
+        rep = K.verify_entry("heat_1d")
+        assert [(c.name, c.bound) for c in rep["checks"]] == [
+            ("PDE residual", 1e-9), ("normalization", 1e-6),
+            ("delta limit", 1e-3)]
+        assert [c.value for c in rep["checks"]] == [
+            rep["residual"], max(rep["normalization"]), rep["delta_limit"][-1]]
+        # a nan never passes
+        monkeypatch.setattr(K, "verify_pde_residual", lambda e: math.nan)
+        rep = K.verify_entry("heat_1d")
+        assert [c.ok for c in rep["checks"]] == [False, True, True]
+        assert not rep["pass"]
+
     @pytest.mark.parametrize("args, cause", [
         (("radial_gaussian", "--k", "600"), "OverflowError"),
         (("radial", "--n", "600"), "OverflowError"),
         (("mehler_trigonometric", "--y", "600"), "OverflowError"),
         (("black_scholes", "--r", "1e6"), "OverflowError"),
+        # these overflow inside a compiled tree
+        (("radial", "--n", "1e6"), "OverflowError"),
+        (("mehler_trigonometric", "--y", "1e200"), "OverflowError"),
+        (("black_scholes", "--sigma", "1e200"), "OverflowError"),
         (("mehler_hyperbolic", "--y", "600"), "ZeroDivisionError"),
         (("linear_potential", "--y", "-1e6"), "ZeroDivisionError"),
     ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
@@ -82,6 +99,7 @@ class TestCatalogVerification:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: OutOfFloatRange: %s with " % name)
         assert "%s = %r" % (flag[2:], float(value)) in err and cause in err
+        assert "(34, " not in err        # the reason, not the errno tuple
 
 
     @pytest.mark.parametrize("args", [
