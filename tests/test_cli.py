@@ -293,6 +293,19 @@ class TestKernels:
                          "--y", "zero")
         assert rc == 1
 
+    @pytest.mark.parametrize("args, named", [
+        pytest.param(("radial", "--n", "1e6"),
+                     "n = 1000000.0, x = 1.0, y = 1.0", id="radial --n 1e6"),
+        pytest.param(("mehler_trigonometric", "--y", "1e200"), "y = 1e+200",
+                     id="mehler_trigonometric --y 1e200"),
+    ])
+    def test_overflow_reads_as_its_reason(self, capsys, args, named):
+        # the entry and its constants, then the reason, not the errno tuple
+        rc, out, err = run(capsys, "kernels", "verify", *args)
+        assert rc == 1 and out == ""
+        assert err == ("error: OutOfFloatRange: %s with %s: OverflowError: "
+                       "Numerical result out of range\n" % (args[0], named))
+
     def test_repeated_constant_is_refused(self, capsys):
         rc, out, err = run(capsys, "kernels", "verify", "heat_1d",
                            "--y", "1", "--y", "2")
