@@ -34,6 +34,11 @@ class UnboundIdentifier(ExprError):
     pass
 
 
+class NonconvergentQuadrature(ParasymError):
+    """A quadrature failed to reach its tolerance, or its window or nodes
+    cannot be told apart in floats."""
+
+
 class Check(NamedTuple):
     """One criterion: a number compared with its bound.  It is ok only
     when value <= bound, so a nan never passes."""
@@ -623,6 +628,16 @@ def evaluate_many(trees, envs):
     """[[evaluate(e, env) for e in trees] for env in envs] in one compiled
     call, raising the first error those loops would raise."""
     return _run(_function(tuple(trees)), envs)
+
+
+def function_of(e, name, bindings=None):
+    """v -> evaluate(e, {**bindings, name: v}) by e's compiled function, on
+    one environment copied here once and reused by every call."""
+    f, env = _function((e,)), dict(bindings or {})
+    def at(v):
+        env[name] = v
+        return _run(f, (env,))[0][0]
+    return at
 
 
 def _function(trees):

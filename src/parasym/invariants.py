@@ -245,12 +245,17 @@ def quadrature_fn1(derivative_expr, domain, x_ref):
     inset_lo = lo + 1e-8 if math.isfinite(lo) else -math.inf
     inset_hi = hi - 1e-8 if math.isfinite(hi) else math.inf
 
-    def f(x):
-        return E.evaluate(derivative_expr, {VAR: x})
+    f = E.function_of(derivative_expr, VAR)
 
     def integral(a, b):
         from scipy.integrate import quad
-        return quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+        val, _, _, *warning = quad(f, a, b, epsabs=1e-10, epsrel=1e-10,
+                                   limit=200, full_output=1)
+        if warning:                 # raised where quad would print it
+            raise E.NonconvergentQuadrature(
+                "quadrature of %s from %g to %g: %s" % (E.to_text(
+                    derivative_expr), a, b, " ".join(warning[0].split())))
+        return val
 
     @functools.cache
     def knot_values():

@@ -1,21 +1,21 @@
 """Closed-form heat-kernel catalog with uniform numeric verification.
 
 Twelve catalog entries, each given as data: the kernel as a symbolic
-expression, the coefficients of the PDE it solves, the points where that PDE
-is checked, an analytic normalization target, and a mass function.  A
-builder states only what differs between entries: the formula, coefficients,
-grids, source and an integration window.  Nine entries integrate along one
-axis through `_line_mass`, the two separable ones axis by axis through
-`_product_mass`, and black_scholes in log space.  Entries are evaluated from
-their trees, except radial, second_canonical and ou_nonfp, whose trees over-
-or underflow at small t: their mass uses a numerically stable pointwise form
-(scaled Bessel function, cosh split into two Gaussians).  One generic
-verifier covers them all: symbolic PDE residual at the sample points,
-quadrature normalization at several times, and a delta-initial-condition
-limit with a Gaussian test bump.  `appell_spread` derives the five
-one-dimensional whole-line kernels of APPELL_ENTRIES a second way, by the
-Appell route: the constant heat solution pulled back through the kernel-mode
-heat transform of the entry's own equation.
+expression, the coefficients of the PDE it solves, the points where that PDE is
+checked, an analytic normalization target, and a mass function.  A builder
+states only what differs between entries: the formula, coefficients, grids,
+source and an integration window.  Nine entries integrate along one axis
+through `_line_mass`, the two separable ones axis by axis through
+`_product_mass`, and black_scholes in log space.  A mass binds its tree once
+per time by `expr.function_of` (heat2d_timedep's rule: one `evaluate_many` call
+per axis); radial, second_canonical and ou_nonfp, whose trees over- or
+underflow at small t, integrate a stable pointwise form (scaled Bessel
+function, cosh split into two Gaussians).  One generic verifier covers them
+all: symbolic PDE residual at the sample points, quadrature normalization at
+several times, and a delta-initial-condition limit with a Gaussian test bump.
+`appell_spread` derives the five one-dimensional whole-line kernels of
+APPELL_ENTRIES a second way, by the Appell route: the constant heat solution
+pulled back through the kernel-mode heat transform of the entry's own equation.
 
 Where the source formulas were internally inconsistent, the implemented
 variant is the one that passes the residual and delta-limit checks:
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as E
-from .expr import Check, Expr, ParasymError
+from .expr import Check, Expr, NonconvergentQuadrature, ParasymError
 from .special import ive
 from .invariants import ParabolicEquation, compute_invariants
 from .classify import classify
@@ -59,11 +59,6 @@ class ConstraintViolation(ParasymError):
 class OutOfFloatRange(ParasymError):
     """An entry's formulas overflow, or divide by zero, in floats at its
     constants."""
-
-
-class NonconvergentQuadrature(ParasymError):
-    """A quadrature failed to reach its tolerance, or its window or nodes
-    cannot be told apart in floats."""
 
 
 _SEED = 20250823
@@ -104,9 +99,9 @@ def _gl_rule():
     return np.polynomial.legendre.leggauss(120)
 
 
-def _gl_mass(f, phi, source, lo, hi):
-    """_mass_quad's integral by the fixed 120-node Gauss-Legendre rule.
-    Nodes that overflow or collapse in floats are refused."""
+def _gl_mass(K, s, env, phi, source, lo, hi):
+    """_mass_quad's integral along s by the fixed 120-node Gauss-Legendre
+    rule.  Nodes that overflow or collapse in floats are refused."""
     nodes, weights = _gl_rule()
     x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     if not np.isfinite(x).all():
@@ -116,31 +111,33 @@ def _gl_mass(f, phi, source, lo, hi):
             "quadrature nodes on [%.17g, %.17g] collapse in floats"
             % (lo, hi))
     w = 0.5 * (hi - lo) * weights
-    g = (lambda v: f(v) * phi(v - source)) if phi else f
     # Python floats, not numpy scalars: the same IEEE sums, done faster
-    return sum(wi * g(xi) for xi, wi in zip(x.tolist(), w.tolist()))
+    rows = E.evaluate_many((K,), [{**env, s: v} for v in x.tolist()])
+    return sum(wi * (fi * phi(xi - source) if phi else fi)
+               for (fi,), xi, wi in zip(rows, x.tolist(), w.tolist()))
 
 
 def _line_mass(f, source, window):
-    """mass(t, phi=None) of the integrand f(v, t) along one axis, by
-    _mass_quad over the (lo, hi, breakpoints) that window(t, phi) gives."""
+    """mass(t, phi=None) of a tree f in x and t, or a stable form f(v, t),
+    by _mass_quad over the (lo, hi, breakpoints) that window(t, phi) gives."""
     def mass(t, phi=None):
-        return _mass_quad(lambda v: f(v, t), phi, source, *window(t, phi))
+        g = (E.function_of(f, "x", {"t": t}) if isinstance(f, Expr)
+             else lambda v: f(v, t))
+        return _mass_quad(g, phi, source, *window(t, phi))
     return mass
 
 
 def _product_mass(K, source, window, rule):
     """mass(t, phi=None) of a kernel K that is a product of one factor per
     axis of `source` (symbol -> source value) and a factor of t: integrate
-    one axis at a time through the source by rule(f, phi, source value,
-    *limits), with window(t, phi) giving the limits per axis, then divide
-    out the other axes' factors there."""
+    one axis at a time through the source by rule(K, axis, environment,
+    phi, source value, *limits), with window(t, phi) giving the limits per
+    axis, then divide out the other axes' factors there."""
     def mass(t, phi=None):
         at = dict(source, t=t)
         total = 1.0
         for (s, s0), limits in zip(source.items(), window(t, phi)):
-            total *= rule(lambda v, s=s: E.evaluate(K, {**at, s: v}),
-                          phi, s0, *limits)
+            total *= rule(K, s, at, phi, s0, *limits)
         return total / E.evaluate(K, at) ** (len(source) - 1)
     return mass
 
@@ -161,15 +158,13 @@ def _grid_points(names, *axes):
     return [dict(zip(names, p)) for p in itertools.product(*axes)]
 
 
-def _in_x(K):
-    """The tree K as a function f(x, t), for _line_mass along x."""
-    return lambda x, t: E.evaluate(K, {"x": x, "t": t})
+_parse_once = functools.cache(parse_expression)
 
 
 def _formula(text, names, **consts):
     """The kernel formula in the symbols `names` with the constants
-    substituted."""
-    K = parse_expression(text, declared=set(names) | set(consts))
+    substituted; each text is parsed once per process."""
+    K = _parse_once(text, declared=frozenset(names) | set(consts))
     return E.substitute(K, consts)
 
 
@@ -229,7 +224,7 @@ def _build_heat_1d(c):
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 2.0, 7),
                                      E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.01, 0.1, 1.0),
-        mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
+        mass=_line_mass(Kb, y, lambda t, phi: (
             y - 40 * math.sqrt(t) - 2, y + 40 * math.sqrt(t) + 2, [y])))
 
 
@@ -254,7 +249,7 @@ def _build_linear_potential(c):
         normalization_target=lambda t: math.exp(
             beta * beta * t ** 3 / 3 + beta * t * y),
         norm_t_list=(0.05, 0.2, 0.5),
-        mass=_line_mass(_in_x(Kb), y, window))
+        mass=_line_mass(Kb, y, window))
 
 
 def _mehler(c, trig):
@@ -292,7 +287,7 @@ def _mehler(c, trig):
                                      E.grid(-2.5, 2.5, 9)),
         normalization_target=target, norm_t_list=t_norm,
         # the bump confines the delta integral to a few widths of the source
-        mass=_line_mass(_in_x(Kb), y, lambda t, phi: (
+        mass=_line_mass(Kb, y, lambda t, phi: (
             (y - 3, y + 3, [y]) if phi else (y - 45, y + 45, [y, 0.0]))))
 
 
@@ -340,7 +335,8 @@ def _build_linear_potential_nd(c):
         potential=E.add(*(E.num(bk) * E.sym(s) for s, bk in zip(xsyms, bs))),
         residual_points=points,
         normalization_target=target, norm_t_list=(0.05, 0.15, 0.3),
-        mass=_product_mass(K, dict(zip(xsyms, ys)), window, _mass_quad),
+        mass=_product_mass(K, dict(zip(xsyms, ys)), window, lambda K, s, env,
+                           *rest: _mass_quad(E.function_of(K, s, env), *rest)),
         args=xsyms + ("t",))
 
 
@@ -353,6 +349,7 @@ def _build_radial_gaussian(c):
                   k=k)
     # the mass is taken against the surface measure S_k x^k dx of R^(k+1)
     surf = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+    weighted = E.mul(Kb, surf, E.pow_(_X, k))
     return KernelEntry(
         name="radial_gaussian",
         description="origin-source elementary kernel of the radial heat "
@@ -363,10 +360,8 @@ def _build_radial_gaussian(c):
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.0, 7),
                                      E.grid(0.2, 3.0, 9)),
         norm_t_list=(0.05, 0.2, 0.5),
-        mass=_line_mass(
-            lambda x, t: E.evaluate(Kb, {"x": x, "t": t}) * surf * x ** k,
-            0.0, lambda t, phi: (1e-12, 40 * math.sqrt(t) + 1,
-                                 [math.sqrt(t)])),
+        mass=_line_mass(weighted, 0.0, lambda t, phi: (
+            1e-12, 40 * math.sqrt(t) + 1, [math.sqrt(t)])),
         delta_width=0.8)
 
 
@@ -468,11 +463,11 @@ def _build_black_scholes(c):
         # the density in y without its exp(-r t) discount, in log space
         w0 = math.log(x) + ell * t
         wspan = 40 * sigma * math.sqrt(t) + 1
+        k, ert = E.function_of(Kb, "y", {"x": x, "t": t}), math.exp(r * t)
 
         def f(w):
             yv = math.exp(w)
-            v = (math.exp(r * t) * E.evaluate(Kb, {"x": x, "t": t, "y": yv})
-                 * yv)
+            v = ert * k(yv) * yv
             return v * phi(yv - x) if phi else v
         return _quad(f, w0 - wspan, w0 + wspan, points=[w0])
 
@@ -517,7 +512,7 @@ def _build_ou_fp(c):
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.5, 7),
                                      E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.1, 0.5, 1.0),
-        mass=_line_mass(_in_x(Kb), y, window))
+        mass=_line_mass(Kb, y, window))
 
 
 def _build_ou_nonfp(c):

@@ -190,6 +190,22 @@ class TestAnalyze:
         assert not [w for w in caught
                     if issubclass(w.category, IntegrationWarning)]
 
+    @pytest.mark.parametrize("a", ["x^2*exp(x)", "(2 + sin(3000*x))^2"],
+                             ids=["double-root", "oscillating"])
+    def test_nonconvergent_quadrature_of_I_is_one_line(self, capsys, tmp_path,
+                                                       a):
+        # quad does not converge on I' = 1/sqrt(a): at the double root x = 0
+        # that sampling misses, or over 3000 periods; refused, not warned
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = %s\nb = 0\nc = 0\ndomain = (-3, 3)\n" % a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "analyze", str(path))
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: %s: quadrature of " % path)
+        assert "The maximum number of subdivisions (200)" in err
+
     def test_human_summary(self, capsys):
         rc, out, _ = run(capsys, "analyze", eqpath("brownian"))
         assert rc == 0

@@ -434,6 +434,35 @@ class TestCompiledEvaluator:
         assert _many_outcome(trees, envs) == _point_major(trees, envs)
         assert E.evaluate_many(trees, []) == []
 
+    @given(_trees, st.sampled_from(["x", "y", "z", "pi"]),
+           st.lists(_values, min_size=1, max_size=6),
+           st.one_of(st.none(), _values), st.booleans())
+    @settings(max_examples=250, deadline=None)
+    def test_function_of_matches_evaluate_call_after_call(self, e, name, vs,
+                                                          y, bind_z):
+        # one bound function at several values in a row: a raised error
+        # leaves nothing behind for the next call
+        bindings = dict({} if y is None else {"y": y},
+                        **({"z": -2.5} if bind_z else {}))
+        before = dict(bindings)
+        f = E.function_of(e, name, bindings or None)
+        for v in vs:
+            assert (_outcome(f, v)
+                    == _outcome(E.evaluate, e, {**bindings, name: v}))
+        assert bindings == before
+
+    def test_function_of_after_a_raised_error(self):
+        f = E.function_of(E.div(E.log_("x"), "y"), "x", {"y": 2.0})
+        for x in (4.0, -1.0, 4.0, 0.0, 1e308, -0.0, 9.0):
+            assert (_outcome(f, x)
+                    == _outcome(E.evaluate, E.div(E.log_("x"), "y"),
+                                {"y": 2.0, "x": x}))
+        with pytest.raises(E.DomainError, match="log of non-positive"):
+            f(-1.0)
+        assert f(math.e) == 0.5
+        with pytest.raises(E.UnboundIdentifier, match="y"):
+            E.function_of(E.mul("x", "y"), "x")(1.0)
+
     @pytest.mark.parametrize("envs, message", [
         # the second tree faults at the first point before the first tree
         # does at the second

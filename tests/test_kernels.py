@@ -3,10 +3,12 @@ stated kernels, and heat polynomials."""
 
 import contextlib
 import io
+import json
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +284,61 @@ class TestTensorQuadrature:
                        + [(t, bump) for t in entry.delta_t_list]):
             want = _heat2d_reference_mass(entry, t, phi)
             assert abs(entry.mass(t, phi) - want) <= 1e-13
+
+
+def _drawn_constants(name):
+    """The constants of the committed drawn-constants report of an entry."""
+    path = (Path(__file__).parent / "data" / "kernels_drawn"
+            / ("%s.json" % name))
+    return {k: tuple(v) if isinstance(v, list) else v
+            for k, v in json.loads(path.read_text())["constants"].items()}
+
+
+def _per_point_function_of(e, name, bindings=None):
+    """expr.function_of as a fresh environment and an evaluate per point."""
+    return lambda v: E.evaluate(e, {**(bindings or {}), name: v})
+
+
+class TestBoundIntegrands:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_verify_entry_is_bit_identical_to_per_point_evaluate(
+            self, name, monkeypatch):
+        for constants in (None, _drawn_constants(name)):
+            got = K.verify_entry(name, constants)
+            with monkeypatch.context() as m:
+                m.setattr(E, "function_of", _per_point_function_of)
+                want = K.verify_entry(name, constants)
+            for key in ("residual", "normalization", "delta_limit"):
+                assert got[key] == want[key], (constants, key)
+
+    @pytest.mark.parametrize("constants", [{}, _drawn_constants(
+        "heat2d_timedep")], ids=["default", "drawn"])
+    def test_batched_gauss_legendre_equals_the_per_point_sum(self,
+                                                             constants):
+        entry = K.kernel("heat2d_timedep", constants)
+        c, bump = entry.constants, K._bump(entry.delta_width)
+        for t in entry.norm_t_list + entry.delta_t_list:
+            env = {"x": c["x0"], "y": c["y0"], "t": t}
+            for s in ("x", "y"):
+                src = env[s]
+                lo, hi = src - 25 * math.sqrt(t - c["t0"]), src + 0.5
+                for phi in (None, bump):
+                    def f(v, s=s, phi=phi, src=src):
+                        k = E.evaluate(entry.expr, {**env, s: v})
+                        return k * phi(v - src) if phi else k
+                    got = K._gl_mass(entry.expr, s, env, phi, src, lo, hi)
+                    assert got == _gl_quad(f, lo, hi), (t, s, phi)
+
+    def test_formula_is_parsed_once_and_substituted_per_draw(self):
+        text = ("(b/(pi*sigma^2))^(1/2) * (1 - exp(-2*b*t))^(-1/2) * "
+                "exp(-b*(x - y*exp(-b*t))^2 / (sigma^2*(1 - exp(-2*b*t))))")
+        for consts in ({"y": 0.5, "b": 1.0, "sigma": 1.0},
+                       {"y": -0.45, "b": 0.7, "sigma": 1.3}):
+            got = K._formula(text, ("x", "t"), **consts)
+            want = E.substitute(P(text, declared={"x", "t", *consts}),
+                                consts)
+            assert E.to_text(got) == E.to_text(want)
+        assert K._parse_once.cache_info().hits >= 1
 
 
 def _log_evaluate(e, env):
