@@ -337,6 +337,7 @@ CORPUS_EXPECT = {
     "harmonic_stiff": (6, {"c2": -1.21, "c1": 1.0, "c0": 0.0}),
     "generic_dim2": (2, {}),
     "inverse_square_translated": (4, {"mu": 2.0}),
+    "inverse_square_harmonic": (4, {"mu": 2.0, "c2": 1.0}),
 }
 
 

@@ -808,80 +808,6 @@ def _subst(e, mapping):
     return Expr(e.kind, [_subst(a, mapping) for a in e.args], e.value)
 
 
-_MAX_POLY_DEGREE = 64
-
-
-def as_polynomial(e, var):
-    """Coefficient list [c0, c1, ...] of e as a polynomial in `var` with
-    var-free Expr coefficients, or None if e is not polynomial in var."""
-    e = simplify(e)
-    coeffs = _poly(e, var)
-    if coeffs is None:
-        return None
-    return [simplify(c) for c in coeffs]
-
-
-def _poly_mul(p, q):
-    if len(p) + len(q) - 2 > _MAX_POLY_DEGREE:
-        return None
-    out = [[] for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j].append(mul(a, b))
-    return [Expr("add", terms) if terms else ZERO for terms in out]
-
-
-def _poly(e, var):
-    if not contains_symbol(e, var):
-        return [e]
-    k = e.kind
-    if k == "sym":
-        return [ZERO, ONE]
-    if k == "add":
-        parts = []
-        for a in e.args:
-            p = _poly(a, var)
-            if p is None:
-                return None
-            parts.append(p)
-        n = max(len(p) for p in parts)
-        out = []
-        for i in range(n):
-            terms = [p[i] for p in parts if i < len(p)]
-            out.append(Expr("add", terms))
-        return out
-    if k == "mul":
-        acc = [ONE]
-        for a in e.args:
-            p = _poly(a, var)
-            if p is None:
-                return None
-            acc = _poly_mul(acc, p)
-            if acc is None:
-                return None
-        return acc
-    if k == "pow":
-        b, ex = e.args
-        if contains_symbol(ex, var):
-            return None
-        if not (is_num(ex) and isinstance(ex.value, Fraction)
-                and ex.value.denominator == 1 and ex.value >= 0):
-            return None
-        n = int(ex.value)
-        if n > _MAX_POLY_DEGREE:
-            return None
-        p = _poly(b, var)
-        if p is None:
-            return None
-        acc = [ONE]
-        for _ in range(n):
-            acc = _poly_mul(acc, p)
-            if acc is None:
-                return None
-        return acc
-    return None
-
-
 # ---------------------------------------------------------------------------
 # probe points
 

@@ -118,7 +118,7 @@ def normalize(eq):
 
     Returns (a, b, c, flipped) with a > 0 on the probe window.
     Raises NonparabolicError if a vanishes or changes sign at the 32 sample
-    points, or is a polynomial with a root inside the open domain;
+    points, or has a polynomial factor with a root inside the open domain;
     UnsupportedCoefficient on time dependence or unbound symbols.
     """
     a, b, c = eq.bound_coefficients()
@@ -157,18 +157,20 @@ ROOT_TOL = 1e-6
 
 
 def _interior_root(a, domain):
-    """A real root of a inside the open domain when a is a polynomial with
-    numeric coefficients, else None.  Roots within ROOT_TOL of the real
-    axis count as real, and roots within ROOT_TOL of an endpoint as the
-    endpoint."""
-    poly = numeric_poly(a)
-    if poly is None:
-        return None
+    """A real root inside the open domain of a polynomial with numeric
+    coefficients that divides a: a itself, a factor of a product, or the
+    base of such a factor's positive literal power; else None.  Roots
+    within ROOT_TOL of the real axis count as real, and roots within
+    ROOT_TOL of an endpoint as the endpoint."""
     lo, hi = domain
-    for r in np.roots([float(c) for c in reversed(poly)]):
-        x, tol = float(r.real), ROOT_TOL * max(1.0, abs(r))
-        if abs(r.imag) <= tol and lo + tol < x < hi - tol:
-            return x + 0.0                    # -0.0 prints as "-0"
+    for f in a.args if a.kind == "mul" else (a,):
+        if f.kind == "pow" and E.is_num(f.args[1]) and f.args[1].value > 0:
+            f = f.args[0]
+        poly = numeric_poly(f) or [1]
+        for r in np.roots([float(c) for c in reversed(poly)]):
+            x, tol = float(r.real), ROOT_TOL * max(1.0, abs(r))
+            if abs(r.imag) <= tol and lo + tol < x < hi - tol:
+                return x + 0.0                # -0.0 prints as "-0"
     return None
 
 
@@ -336,24 +338,51 @@ def _sqrt_try(a, window):
 # ---------------------------------------------------------------------------
 # antiderivative pattern table for 1/s
 
+MAX_POLY_DEGREE = 64
+
+
 def numeric_poly(e):
-    """Coefficients [c0, c1, ...] of e as a polynomial in x, exact where the
-    tree's are, or None unless each is a number."""
-    coeffs = E.as_polynomial(e, VAR)
-    if coeffs is None:
-        return None
-    out = []
-    for c in coeffs:
-        if c.kind == "num":
-            out.append(c.value)
-        elif not E.free_symbols(c) - set(E.DEFAULT_BINDINGS):
-            try:
-                out.append(E.evaluate(c, {}))
-            except DomainError:
-                return None
-        else:
+    """Coefficients [c0, c1, ...] of e as a polynomial in x of degree at most
+    MAX_POLY_DEGREE, exact where the tree's are, or None unless each is a
+    number.  The arithmetic is what `simplify` does to numbers: sums from
+    Fraction(0) in term order, products in factor order, a zero product
+    as Fraction(0)."""
+    return _poly(E.simplify(e))
+
+
+def _poly(e):
+    if not E.contains_symbol(e, VAR):
+        if e.kind == "num":
+            return [e.value]
+        if E.free_symbols(e) - set(E.DEFAULT_BINDINGS):
             return None
-    return out
+        try:
+            return [E.evaluate(e, {})]
+        except DomainError:
+            return None
+    if e.kind == "sym":
+        return [Fraction(0), Fraction(1)]
+    n = e.args[1].value if e.kind == "pow" and E.is_num(e.args[1]) else None
+    if e.kind in ("add", "mul"):
+        parts = [_poly(a) for a in e.args]
+    elif (isinstance(n, Fraction) and n.denominator == 1
+          and 0 <= n <= MAX_POLY_DEGREE):
+        parts = [_poly(e.args[0])] * int(n)
+    else:
+        return None
+    if None in parts:
+        return None
+    if e.kind == "add":
+        return [sum((p[i] for p in parts if i < len(p)), Fraction(0))
+                for i in range(max(map(len, parts)))]
+    acc = [Fraction(1)]
+    for p in parts:
+        if len(acc) + len(p) - 2 > MAX_POLY_DEGREE:
+            return None
+        acc = [sum((acc[i] * p[k - i] or Fraction(0) for i in range(len(acc))
+                    if 0 <= k - i < len(p)), Fraction(0))
+               for k in range(len(acc) + len(p) - 1)]
+    return acc
 
 
 def _sqrt_value(v):

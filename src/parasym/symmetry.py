@@ -1,6 +1,5 @@
 """Symmetry generators of u_t = a u_xx + b u_x + c u, their determining
-equations, Lie brackets, commutator tables, and the delta-initial-condition
-subalgebra.
+equations, Lie brackets and commutator tables.
 
 Generators have the form X = tau(t) d_t + xi(x,t) d_x + phi(x,t) u d_u.
 For a dim-4/6 classification every generator comes from three scalar
@@ -30,10 +29,10 @@ discrepancy rather than an error.
 
 Every structured field comes from field_from_scalars, which keeps the jet
 (tau, tau', tau'', tau''', rho, rho', rho'', sigma, sigma') of its simplified
-triple; the brackets, the determining check and the boundary subalgebra read
-the jet's values and take no t-derivative.  Each jet row is evaluated over a
-t-grid in one expr.evaluate_many call.  xi, phi and their x- and
-t-derivatives have closed forms in the jet and a fixed set of functions of x
+triple; the brackets and the determining check read the jet's values and
+take no t-derivative.  Each jet row is evaluated over a t-grid in one
+expr.evaluate_many call.  xi, phi and their x- and t-derivatives have
+closed forms in the jet and a fixed set of functions of x
 (s = sqrt(a), I, J, a, b, c and their derivatives, with I' = 1/s), each
 evaluated once per basis, in one call over the grid x (check_determining).
 The printed coefficients use the extra symbol `Ivar` for I(x), which may be
@@ -48,12 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as E
-from .expr import Expr, ParasymError, chebyshev_points
+from .expr import Expr, chebyshev_points
 from .invariants import InvariantTriple, probe_window, values_at
-
-
-class RankDeficiency(ParasymError):
-    """Boundary-subalgebra constraint system is degenerate."""
 
 
 IVAR = "Ivar"
@@ -425,59 +420,3 @@ def verify_table(computed, expected):
             else:
                 flagged.append((i, j, exp, got, diff))
     return TableReport(matched=matched, flagged=flagged)
-
-
-# ---------------------------------------------------------------------------
-# delta-initial-condition subalgebra
-
-def boundary_subalgebra(basis, x0):
-    """The subspace of sum a_i v_i leaving the delta initial condition at
-    x = x0 invariant; dimension 3 for a dim-6 basis (six fields), 1 for
-    dim-4.  A singular value at most 1e-9 max(1, largest) counts as zero.
-    Each member is field_from_scalars of the combined triple.
-
-    Constraints on the scalar triple (tau, rho, sigma) at t = 0, with
-    I0 = I(x0) (+ shift):
-        dim 6:  tau(0) = 0,
-                rho(0) + tau'(0) I0 / 2 = 0,
-                sigma(0) - tau''(0) I0^2 / 8 - rho'(0) I0 / 2
-                         + tau'(0) / 2 = 0.
-        dim 4:  tau(0) = 0,  tau'(0) = 0,
-                sigma(0) - tau''(0) I0^2 / 8 = 0.
-    """
-    inv, i_offset = basis[0].inv, basis[0].i_offset
-    I0 = inv.I(x0) + i_offset
-    dim6 = len(basis) == 6
-    rows = []
-    for vf in basis:
-        t0v, td0, tdd0, r0, rd0, s0 = _jet_values(
-            vf, ("tau", "tau1", "tau2", "rho", "rho1", "sigma"), [0.0])[:, 0]
-        if dim6:
-            rows.append([t0v,
-                         r0 + 0.5 * td0 * I0,
-                         s0 - 0.125 * tdd0 * I0 * I0 - 0.5 * rd0 * I0
-                         + 0.5 * td0])
-        else:
-            rows.append([t0v, td0, s0 - 0.125 * tdd0 * I0 * I0])
-    A = np.array(rows).T          # 3 x n constraint matrix
-    u, sv, vt = np.linalg.svd(A)
-    ns = [vt[irow] for irow in range(vt.shape[0])
-          if irow >= len(sv) or sv[irow] <= 1e-9 * max(1.0, sv[0])]
-    expected = 3 if dim6 else 1
-    if len(ns) != expected:
-        raise RankDeficiency(
-            "expected a %d-dimensional subalgebra at x0=%g, got %d"
-            % (expected, x0, len(ns)))
-    return [field_from_scalars(*(_combine([vf.jet[JET.index(r)]
-                                           for vf in basis], coefs)
-                                 for r in ("tau", "rho", "sigma")),
-                               inv, label="X%d" % (idx + 1),
-                               i_offset=i_offset)
-            for idx, coefs in enumerate(ns)]
-
-
-def _combine(exprs, coefs):
-    """sum_i coefs[i] exprs[i], left for field_from_scalars to simplify."""
-    parts = [E.mul(E.num(float(cc)), ee) for cc, ee in zip(coefs, exprs)
-             if abs(cc) > 1e-13 and ee is not E.ZERO]
-    return Expr("add", parts) if parts else E.ZERO

@@ -115,7 +115,7 @@ class TestSimplifyMemo:
             return out
 
         memo = trees()
-        assert len(memo) == 18
+        assert len(memo) == 19
         monkeypatch.setattr(E, "simplify", _unmemoized)
         assert trees() == memo
 

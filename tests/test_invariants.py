@@ -2,13 +2,16 @@
 time-direction normalization."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parasym import expr as E
-from parasym.invariants import (KNOT_PANELS, Fn1, NonparabolicError,
-                                ParabolicEquation, UnsupportedCoefficient,
-                                base_point, compute_invariants, normalize,
+from parasym.invariants import (KNOT_PANELS, MAX_POLY_DEGREE, Fn1,
+                                NonparabolicError, ParabolicEquation,
+                                UnsupportedCoefficient, base_point,
+                                compute_invariants, normalize, numeric_poly,
                                 probe_window, quadrature_fn1, values_at)
 from parasym.parser import parse, parse_expression as P
 from test_classify import fokker_planck_equation
@@ -130,6 +133,191 @@ class TestValuesAt:
                  for _ in xs]
         want = [f(x).hex() for f, x in zip(fresh, xs)]
         assert [v.hex() for v in inv.I.many(xs)] == want
+
+
+# The earlier coefficient-tree path of numeric_poly, kept as the reference:
+# one Expr per coefficient, simplified, then evaluated.
+
+def _tree_poly_mul(p, q):
+    if len(p) + len(q) - 2 > MAX_POLY_DEGREE:
+        return None
+    out = [[] for _ in range(len(p) + len(q) - 1)]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j].append(E.mul(a, b))
+    return [E.Expr("add", terms) if terms else E.ZERO for terms in out]
+
+
+def _tree_poly(e, var):
+    if not E.contains_symbol(e, var):
+        return [e]
+    k = e.kind
+    if k == "sym":
+        return [E.ZERO, E.ONE]
+    if k == "add":
+        parts = []
+        for a in e.args:
+            p = _tree_poly(a, var)
+            if p is None:
+                return None
+            parts.append(p)
+        n = max(len(p) for p in parts)
+        return [E.Expr("add", [p[i] for p in parts if i < len(p)])
+                for i in range(n)]
+    if k == "mul":
+        acc = [E.ONE]
+        for a in e.args:
+            p = _tree_poly(a, var)
+            if p is None:
+                return None
+            acc = _tree_poly_mul(acc, p)
+            if acc is None:
+                return None
+        return acc
+    if k == "pow":
+        b, ex = e.args
+        if not (E.is_num(ex) and isinstance(ex.value, Fraction)
+                and ex.value.denominator == 1 and ex.value >= 0):
+            return None
+        n = int(ex.value)
+        if n > MAX_POLY_DEGREE:
+            return None
+        p = _tree_poly(b, var)
+        if p is None:
+            return None
+        acc = [E.ONE]
+        for _ in range(n):
+            acc = _tree_poly_mul(acc, p)
+            if acc is None:
+                return None
+        return acc
+    return None
+
+
+def tree_numeric_poly(e):
+    coeffs = _tree_poly(E.simplify(e), "x")
+    if coeffs is None:
+        return None
+    out = []
+    for c in (E.simplify(c) for c in coeffs):
+        if c.kind == "num":
+            out.append(c.value)
+        elif not E.free_symbols(c) - set(E.DEFAULT_BINDINGS):
+            try:
+                out.append(E.evaluate(c, {}))
+            except E.DomainError:
+                return None
+        else:
+            return None
+    return out
+
+
+def _same(u, v):
+    """u and v are the same number: equal type, value and sign of zero."""
+    return type(u) is type(v) and (
+        u == v and math.copysign(1, u) == math.copysign(1, v)
+        or u != u and v != v)
+
+
+def _numbers_only(e):
+    """Every x-free subtree of the simplified tree e is a number.  A leaf
+    such as pi or 3^65, which simplify does not fold, enters a coefficient
+    tree that simplify rearranges and evaluate sums by fsum, so the last
+    bits of such a coefficient may differ."""
+    if not E.contains_symbol(e, "x"):
+        return e.kind == "num"
+    return all(_numbers_only(a) for a in e.args)
+
+
+def assert_same_coefficients(e):
+    """numeric_poly(e) is what the coefficient trees give: the same numbers
+    when _numbers_only, else within 1e-12 of the largest magnitude."""
+    want, got = tree_numeric_poly(e), numeric_poly(e)
+    exact = _numbers_only(E.simplify(e))
+    if want is None and got is not None and not exact:
+        # evaluate refuses a coefficient tree whose value leaves the floats,
+        # while numeric_poly multiplies the leaf's value and keeps the inf
+        assert not all(map(math.isfinite, got)), got
+        return
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert len(got) == len(want)
+    if exact:
+        assert all(_same(u, v) for u, v in zip(got, want)), (got, want)
+    else:
+        scale = max(abs(v) for v in want)
+        assert all(_same(u, v) or abs(u - v) <= 1e-12 * scale
+                   for u, v in zip(got, want)), (got, want)
+
+
+_HUGE = [1e300, -1e300, 1e-300, -1e-300]
+
+
+def _coefficients(pi):
+    plain = st.one_of(
+        st.integers(1, 4), st.integers(-4, 0),
+        st.fractions(-3, 3, max_denominator=7),
+        st.floats(0.1, 9), st.floats(-9, 9), st.just(0.0), st.just(-0.0))
+    if pi:
+        # moderate, so that no coefficient leaves the floats
+        return st.one_of(plain, plain.map(lambda c: E.mul(c, E.sym("pi"))),
+                         st.just(E.sym("pi")))
+    return st.one_of(plain, st.sampled_from(_HUGE))
+
+
+@st.composite
+def _polynomial_trees(draw, pi=False):
+    """A product of 1-3 factors, each a sum of c x^k terms or a power of
+    one, reaching degree 65 and beyond; with pi only up to degree 45, as
+    the coefficient trees of pi grow too fast to simplify beyond."""
+    x = E.sym("x")
+    coef = _coefficients(pi)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = [E.mul(draw(coef), E.pow_(x, draw(st.integers(1, 3))))
+                 for _ in range(draw(st.integers(1, 3)))]
+        factor = E.add(draw(coef), *terms)
+        n = draw(st.sampled_from([1, 1, 2, 3, 5] if pi else
+                                 [1, 1, 2, 3, 5, 11, 21, 32, 33, 64, 65]))
+        factors.append(factor if n == 1 else E.pow_(factor, n))
+    return E.mul(*factors)
+
+
+class TestNumericPoly:
+    """numeric_poly gives the numbers the coefficient trees simplified to."""
+
+    @given(_polynomial_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_same_numbers_as_the_coefficient_trees(self, e):
+        assert_same_coefficients(e)
+
+    @given(_polynomial_trees(pi=True))
+    @settings(max_examples=80, deadline=None)
+    def test_pi_coefficients_agree_to_rounding(self, e):
+        assert_same_coefficients(e)
+
+    @pytest.mark.parametrize("text", [
+        "x^64", "x^65", "(x + 1)^33*(x + 2)^32", "(x + 1)^32*(x + 2)^32",
+        "0*x + 0.0*x^2 + 1", "0.0*x", "-0.0", "2.5*x", "(1e300*x + 1)^2",
+        "(1e-300*x)^2 + x", "(0.5*x - 0.5*x^2)*(x + 1)", "x^2.0",
+        "exp(x)*x", "sqrt(2)*x^2 + x", "k*x", "log(-1)*x + 1",
+        "(x + 1)^3*3^65", "(2 + 0*x)^65*(1e300 + x)",
+        "pi*x^2 + 2*pi*(x + 1)^2",
+    ])
+    def test_edge_cases(self, text):
+        assert_same_coefficients(P(text))
+
+    def test_degree_cap(self):
+        assert numeric_poly(P("x^64")) == [0] * 64 + [1]
+        assert numeric_poly(P("x^65")) is None
+        assert numeric_poly(P("(x + 1)^33*(x + 2)^32")) is None
+
+    def test_zero_product_is_exact(self):
+        # c1 = 1*2 + 0.5*0: the float times zero adds an exact 0
+        got = numeric_poly(P("(0.5*x + 1)*(2*x - 0.25*x^2)"))
+        assert got == [0, 2, 0.75, -0.125]
+        assert [type(c) for c in got] == [Fraction, Fraction, float, float]
 
 
 class TestFokkerPlanck:

@@ -19,10 +19,7 @@ SRC = ROOT / "src"
 COMMANDS = [["selftest"], ["kernels", "list"],
             ["analyze", str(ROOT / "equations" / "tanh_drift.eq")],
             ["kernels", "verify", "heat_1d", "--y", "0.5"]]
-ALLOWED = {
-    "symmetry.boundary_subalgebra": "ROADMAP item 6 gives it its caller",
-    "symmetry._combine": "boundary_subalgebra's helper",
-}
+ALLOWED = {}
 _TRACE = """
 import io, json, sys, contextlib
 seen = set()

@@ -1,5 +1,4 @@
-"""Generator bases, determining equations, commutator tables, and
-boundary-condition subalgebras."""
+"""Generator bases, determining equations and commutator tables."""
 
 import dataclasses
 import math
@@ -367,29 +366,6 @@ class TestRandomBindings:
             assert S.commutator_table(basis).residual <= 1e-7
             checked += 1
         assert checked == 20
-
-
-class TestBoundarySubalgebra:
-    def test_heat_dim3(self):
-        _, _, _, basis = setup_case("1")
-        sub = S.boundary_subalgebra(basis, x0=0.5)
-        assert len(sub) == 3
-
-    def test_dim4_dim1(self):
-        _, _, _, basis = setup_case("1", "5/x", domain=(0.0, math.inf))
-        sub = S.boundary_subalgebra(basis, x0=1.0)
-        assert len(sub) == 1
-
-    def test_rank_deficiency_detected(self):
-        _, _, _, basis = setup_case("1")
-        # a 7-element spanning set cannot have the expected 3-dim subalgebra
-        with pytest.raises(S.RankDeficiency):
-            S.boundary_subalgebra(basis + [basis[5]], x0=0.0)
-
-    def test_subalgebra_members_are_symmetries(self):
-        _, inv, _, basis = setup_case("1")
-        assert worst_determining(
-            inv, S.boundary_subalgebra(basis, x0=0.5)) <= 1e-8
 
 
 class TestJet:
