@@ -186,7 +186,8 @@ def sqrt_(e):
 
 
 def besseli(nu, z):
-    """Modified Bessel I_nu(z) node (internal; order must be numeric)."""
+    """Modified Bessel I_nu(z) node (internal; its order may be a number or
+    a tree free of the variable it is differentiated in)."""
     return Expr("besseli", (to_expr(nu), to_expr(z)))
 
 
@@ -549,12 +550,14 @@ def _d(e, var):
         return mul(u, pow_(fn("abs", u), MINUS_ONE), _d(u, var))
     if k == "besseli":
         nu, z = e.args
-        if nu.kind != "num":
-            raise ExprError("besseli order must be numeric")
-        dz = _d(z, var)
-        lower = besseli(num(nu.value - 1), z)
-        upper = besseli(num(nu.value + 1), z)
-        return mul(HALF, add(lower, upper), dz)
+        if contains_symbol(nu, var):
+            raise ExprError("besseli order must not depend on %s" % var)
+        if nu.kind == "num":
+            lower, upper = num(nu.value - 1), num(nu.value + 1)
+        else:
+            lower, upper = add(nu, MINUS_ONE), add(nu, ONE)
+        return mul(HALF, add(besseli(lower, z), besseli(upper, z)),
+                   _d(z, var))
     if k in _FN_DERIV:
         u = e.args[0]
         return mul(_FN_DERIV[k](u), _d(u, var))
@@ -627,7 +630,13 @@ def evaluate(e, bindings=None):
 def evaluate_many(trees, envs):
     """[[evaluate(e, env) for e in trees] for env in envs] in one compiled
     call, raising the first error those loops would raise."""
-    return _run(_function(tuple(trees)), envs)
+    return evaluator(trees)(envs)
+
+
+def evaluator(trees):
+    """envs -> evaluate_many(trees, envs), by one function compiled here."""
+    f = _function(tuple(trees))
+    return lambda envs: _run(f, envs)
 
 
 def function_of(e, name, bindings=None):

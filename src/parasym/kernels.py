@@ -4,18 +4,25 @@ Twelve catalog entries, each given as data: the kernel as a symbolic
 expression, the coefficients of the PDE it solves, the points where that PDE is
 checked, an analytic normalization target, and a mass function.  A builder
 states only what differs between entries: the formula, coefficients, grids,
-source and an integration window.  Nine entries integrate along one axis
-through `_line_mass`, the two separable ones axis by axis through
-`_product_mass`, and black_scholes in log space.  A mass binds its tree once
-per time by `expr.function_of` (heat2d_timedep's rule: one `evaluate_many` call
-per axis); radial, second_canonical and ou_nonfp, whose trees over- or
-underflow at small t, integrate a stable pointwise form (scaled Bessel
-function, cosh split into two Gaussians).  One generic verifier covers them
-all: symbolic PDE residual at the sample points, quadrature normalization at
-several times, and a delta-initial-condition limit with a Gaussian test bump.
-`appell_spread` derives the five one-dimensional whole-line kernels of
-APPELL_ENTRIES a second way, by the Appell route: the constant heat solution
-pulled back through the kernel-mode heat transform of the entry's own equation.
+source and an integration window.  The trees hold an entry's constants as
+symbols (`y`, `beta`, `sigma`, ..., radial's half-dimension `h`), so each
+formula's kernel and coefficient trees are built once per process, on its
+first draw, and a draw only binds the values: `KernelEntry.bindings` joins
+every environment in which the trees are evaluated.  The PDE residual
+therefore differentiates and compiles each formula once.  Nine entries
+integrate along one axis through `_line_mass`, the two separable ones axis
+by axis through `_product_mass`, and black_scholes in log space.  A mass
+binds its tree once per time by `expr.function_of` (heat2d_timedep's rule:
+one `evaluate_many` call per axis); radial, second_canonical and ou_nonfp,
+whose trees over- or underflow at small t, integrate a stable pointwise form
+(scaled Bessel function, cosh split into two Gaussians).  One generic
+verifier covers them all: symbolic PDE residual at the sample points,
+quadrature normalization at several times, and a delta-initial-condition
+limit with a Gaussian test bump.  `appell_spread` derives the five
+one-dimensional whole-line kernels of APPELL_ENTRIES a second way, by the
+Appell route: the constant heat solution pulled back through the
+kernel-mode heat transform of the entry's own equation, whose coefficients
+get the draw's constants substituted.
 
 Where the source formulas were internally inconsistent, the implemented
 variant is the one that passes the residual and delta-limit checks:
@@ -117,24 +124,26 @@ def _gl_mass(K, s, env, phi, source, lo, hi):
                for (fi,), xi, wi in zip(rows, x.tolist(), w.tolist()))
 
 
-def _line_mass(f, source, window):
-    """mass(t, phi=None) of a tree f in x and t, or a stable form f(v, t),
-    by _mass_quad over the (lo, hi, breakpoints) that window(t, phi) gives."""
+def _line_mass(f, source, window, bindings=()):
+    """mass(t, phi=None) of a tree f in x and t, its constants bound by
+    `bindings`, or of a stable form f(v, t), by _mass_quad over the (lo, hi,
+    breakpoints) that window(t, phi) gives."""
     def mass(t, phi=None):
-        g = (E.function_of(f, "x", {"t": t}) if isinstance(f, Expr)
+        g = (E.function_of(f, "x", dict(bindings, t=t)) if isinstance(f, Expr)
              else lambda v: f(v, t))
         return _mass_quad(g, phi, source, *window(t, phi))
     return mass
 
 
-def _product_mass(K, source, window, rule):
-    """mass(t, phi=None) of a kernel K that is a product of one factor per
-    axis of `source` (symbol -> source value) and a factor of t: integrate
-    one axis at a time through the source by rule(K, axis, environment,
-    phi, source value, *limits), with window(t, phi) giving the limits per
-    axis, then divide out the other axes' factors there."""
+def _product_mass(K, bindings, source, window, rule):
+    """mass(t, phi=None) of a kernel K, its constants bound by `bindings`,
+    that is a product of one factor per axis of `source` (symbol -> source
+    value) and a factor of t: integrate one axis at a time through the
+    source by rule(K, axis, environment, phi, source value, *limits), with
+    window(t, phi) giving the limits per axis, then divide out the other
+    axes' factors there."""
     def mass(t, phi=None):
-        at = dict(source, t=t)
+        at = dict(bindings, **source, t=t)
         total = 1.0
         for (s, s0), limits in zip(source.items(), window(t, phi)):
             total *= rule(K, s, at, phi, s0, *limits)
@@ -158,14 +167,17 @@ def _grid_points(names, *axes):
     return [dict(zip(names, p)) for p in itertools.product(*axes)]
 
 
-_parse_once = functools.cache(parse_expression)
+# catalog key -> the trees its build() returned, kept for the process
+_TREES = {}
 
 
-def _formula(text, names, **consts):
-    """The kernel formula in the symbols `names` with the constants
-    substituted; each text is parsed once per process."""
-    K = _parse_once(text, declared=frozenset(names) | set(consts))
-    return E.substitute(K, consts)
+def _once(key, build):
+    """The trees of a catalog formula: build() on the first use of `key`,
+    the same trees on every later draw."""
+    trees = _TREES.get(key)
+    if trees is None:
+        trees = _TREES[key] = build()
+    return trees
 
 
 _X = E.sym("x")
@@ -181,11 +193,14 @@ class KernelEntry:
         u_t = sum over s of (a_s u_ss + b_s u_s) + c u
 
     with `diffusion` mapping each spatial symbol s to (a_s, b_s) and
-    `potential` holding c; any coefficient may depend on t."""
+    `potential` holding c; any coefficient may depend on t.  The trees hold
+    the draw's constants as symbols, and `bindings` gives their values."""
     name: str
     description: str
     constants: dict
     expr: Expr                     # closed-form kernel
+    bindings: dict                 # constant symbol -> value, in every
+                                   # environment of expr and the coefficients
     equation: str                  # human-readable PDE
     residual_points: list          # environments where the PDE is checked
     norm_t_list: tuple
@@ -207,7 +222,8 @@ class KernelEntry:
         entry has one, else from the tree."""
         if self.stable:
             return self.stable(*args)
-        return E.evaluate(self.expr, dict(zip(self.args, args)))
+        return E.evaluate(self.expr,
+                          {**self.bindings, **dict(zip(self.args, args))})
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +231,28 @@ class KernelEntry:
 
 def _build_heat_1d(c):
     y = c["y"]
-    Kb = _formula("(4*pi*t)^(-1/2) * exp(-((x - y)^2 / (4*t)))", ("x", "t"),
-                  y=y)
+    Kb = _once("heat_1d", lambda: parse_expression(
+        "(4*pi*t)^(-1/2) * exp(-((x - y)^2 / (4*t)))",
+        declared=("x", "t", "y")))
+    bind = {"y": y}
     return KernelEntry(
         name="heat_1d",
         description="fundamental solution of the heat equation",
-        constants=dict(c), expr=Kb, equation="u_t = u_xx",
+        constants=dict(c), expr=Kb, bindings=bind, equation="u_t = u_xx",
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 2.0, 7),
                                      E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.01, 0.1, 1.0),
         mass=_line_mass(Kb, y, lambda t, phi: (
-            y - 40 * math.sqrt(t) - 2, y + 40 * math.sqrt(t) + 2, [y])))
+            y - 40 * math.sqrt(t) - 2, y + 40 * math.sqrt(t) + 2, [y]), bind))
 
 
 def _build_linear_potential(c):
     beta, y = c["beta"], c["y"]
-    Kb = _formula("(4*pi*t)^(-1/2) * exp(-((x - y)^2/(4*t)) + beta^2*t^3/12"
-                  " + beta*t*(x + y)/2)", ("x", "t"), y=y, beta=beta)
+    Kb, potential = _once("linear_potential", lambda: (parse_expression(
+        "(4*pi*t)^(-1/2) * exp(-((x - y)^2/(4*t)) + beta^2*t^3/12"
+        " + beta*t*(x + y)/2)", declared=("x", "t", "y", "beta")),
+        E.sym("beta") * _X))
+    bind = {"beta": beta, "y": y}
 
     def window(t, phi):
         # the bump confines the delta integral to a few widths of the source
@@ -242,14 +263,14 @@ def _build_linear_potential(c):
     return KernelEntry(
         name="linear_potential",
         description="heat kernel with linear potential",
-        constants=dict(c), expr=Kb, equation="u_t = u_xx + beta*x*u",
-        potential=E.num(beta) * _X,
+        constants=dict(c), expr=Kb, bindings=bind,
+        equation="u_t = u_xx + beta*x*u", potential=potential,
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.0, 7),
                                      E.grid(y - 3, y + 3, 9)),
         normalization_target=lambda t: math.exp(
             beta * beta * t ** 3 / 3 + beta * t * y),
         norm_t_list=(0.05, 0.2, 0.5),
-        mass=_line_mass(Kb, y, window))
+        mass=_line_mass(Kb, y, window, bind))
 
 
 def _mehler(c, trig):
@@ -278,17 +299,34 @@ def _mehler(c, trig):
 
         t_res = E.grid(0.1, 1.5, 7)
         t_norm = (0.05, 0.2, 0.5)
-    Kb = _formula(src, ("x", "t"), y=y)
+    Kb, potential = _once(name, lambda: (
+        parse_expression(src, declared=("x", "t", "y")),
+        E.num(sign) * _X * _X))
+    bind = {"y": y}
     return KernelEntry(
         name=name, description="Mehler kernel (quadratic potential)",
-        constants=dict(c), expr=Kb, equation=equation,
-        potential=E.num(sign) * _X * _X,
+        constants=dict(c), expr=Kb, bindings=bind, equation=equation,
+        potential=potential,
         residual_points=_grid_points(("t", "x"), t_res,
                                      E.grid(-2.5, 2.5, 9)),
         normalization_target=target, norm_t_list=t_norm,
         # the bump confines the delta integral to a few widths of the source
         mass=_line_mass(Kb, y, lambda t, phi: (
-            (y - 3, y + 3, [y]) if phi else (y - 45, y + 45, [y, 0.0]))))
+            (y - 3, y + 3, [y]) if phi else (y - 45, y + 45, [y, 0.0])),
+            bind))
+
+
+def _linear_potential_nd_trees(n):
+    """Kernel, diffusion and potential in x1..xn, t and the constants
+    b1..bn, y1..yn."""
+    ks = range(1, n + 1)
+    terms = " + ".join("-((x%d - y%d)^2/(4*t)) + b%d^2*t^3/12"
+                       " + b%d*t*(x%d + y%d)/2" % ((k,) * 6) for k in ks)
+    names = ["t"] + ["%s%d" % (s, k) for k in ks for s in "xby"]
+    return (parse_expression("(4*pi*t)^(-%d/2) * exp(%s)" % (n, terms),
+                             declared=names),
+            {"x%d" % k: (E.ONE, E.ZERO) for k in ks},
+            E.add(*(E.sym("b%d" % k) * E.sym("x%d" % k) for k in ks)))
 
 
 def _build_linear_potential_nd(c):
@@ -304,11 +342,10 @@ def _build_linear_potential_nd(c):
     bs = tuple(float(v) for v in bs)[:n]
     ys = tuple(float(v) for v in ys)[:n]
     xsyms = tuple("x%d" % (k + 1) for k in range(n))
-    terms = " + ".join(
-        "-((%s - (%r))^2/(4*t)) + (%r)^2*t^3/12 + (%r)*t*(%s + (%r))/2"
-        % (s, yk, bk, bk, s, yk) for s, bk, yk in zip(xsyms, bs, ys))
-    K = parse_expression("(4*pi*t)^(-%d/2) * exp(%s)" % (n, terms),
-                         declared=set(xsyms) | {"t"})
+    K, diffusion, potential = _once(("linear_potential_nd", n),
+                                    lambda: _linear_potential_nd_trees(n))
+    bind = {"%s%d" % (s, k + 1): v for s, vs in (("b", bs), ("y", ys))
+            for k, v in enumerate(vs)}
 
     def window(t, phi):
         w = 4 if phi else 25        # the bump confines the delta integral
@@ -329,15 +366,23 @@ def _build_linear_potential_nd(c):
     return KernelEntry(
         name="linear_potential_nd",
         description="n-dimensional heat kernel with linear potential",
-        constants=dict(c), expr=K,
+        constants=dict(c), expr=K, bindings=bind,
         equation="u_t = Lap u + (sum b_k x_k) u",
-        diffusion={s: (E.ONE, E.ZERO) for s in xsyms},
-        potential=E.add(*(E.num(bk) * E.sym(s) for s, bk in zip(xsyms, bs))),
-        residual_points=points,
+        diffusion=diffusion, potential=potential, residual_points=points,
         normalization_target=target, norm_t_list=(0.05, 0.15, 0.3),
-        mass=_product_mass(K, dict(zip(xsyms, ys)), window, lambda K, s, env,
-                           *rest: _mass_quad(E.function_of(K, s, env), *rest)),
+        mass=_product_mass(K, bind, dict(zip(xsyms, ys)), window,
+                           lambda K, s, env, *rest: _mass_quad(
+                               E.function_of(K, s, env), *rest)),
         args=xsyms + ("t",))
+
+
+def _radial_gaussian_trees():
+    """Kernel, diffusion and the kernel times S_k x^k in x, t and the
+    constants k and S_k."""
+    Kb = parse_expression("(4*pi*t)^(-(k + 1)/2) * exp(-(x^2/(4*t)))",
+                          declared=("x", "t", "k"))
+    k = E.sym("k")
+    return Kb, {"x": (E.ONE, k / _X)}, E.mul(Kb, E.sym("S_k"), E.pow_(_X, k))
 
 
 def _build_radial_gaussian(c):
@@ -345,24 +390,36 @@ def _build_radial_gaussian(c):
     if k <= 0:
         raise ConstraintViolation("radial_gaussian needs k > 0")
     n = k + 1.0
-    Kb = _formula("(4*pi*t)^(-(k + 1)/2) * exp(-(x^2/(4*t)))", ("x", "t"),
-                  k=k)
+    Kb, diffusion, weighted = _once("radial_gaussian", _radial_gaussian_trees)
     # the mass is taken against the surface measure S_k x^k dx of R^(k+1)
-    surf = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    weighted = E.mul(Kb, surf, E.pow_(_X, k))
+    bind = {"k": k, "S_k": 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)}
     return KernelEntry(
         name="radial_gaussian",
         description="origin-source elementary kernel of the radial heat "
                     "equation",
-        constants=dict(c), expr=Kb,
+        constants=dict(c), expr=Kb, bindings=bind,
         equation="u_t = u_xx + (k/x) u_x", domain=(0.0, math.inf),
-        diffusion={"x": (E.ONE, E.num(k) / _X)},
+        diffusion=diffusion,
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.0, 7),
                                      E.grid(0.2, 3.0, 9)),
         norm_t_list=(0.05, 0.2, 0.5),
         mass=_line_mass(weighted, 0.0, lambda t, phi: (
-            1e-12, 40 * math.sqrt(t) + 1, [math.sqrt(t)])),
+            1e-12, 40 * math.sqrt(t) + 1, [math.sqrt(t)]), bind),
         delta_width=0.8)
+
+
+def _radial_trees():
+    """Kernel and diffusion in x, t, y and the half-dimension h = n/2."""
+    x, t, y, h = map(E.sym, ("x", "t", "y", "h"))
+    K = Expr("mul", (
+        E.div(E.ONE, E.mul(E.num(2), t)),
+        E.pow_(x, E.add(E.ONE, E.neg(h))),
+        E.pow_(y, h),
+        E.exp_(E.div(E.neg(E.add(E.pow_(x, 2), E.pow_(y, 2))),
+                     E.mul(E.num(4), t))),
+        E.besseli(E.add(h, E.MINUS_ONE),
+                  E.div(E.mul(y, x), E.mul(E.num(2), t)))))
+    return E.simplify(K), {"x": (E.ONE, (E.num(2) * h - 1.0) / _X)}
 
 
 def _build_radial(c):
@@ -372,15 +429,7 @@ def _build_radial(c):
     if y <= 0 or x0 <= 0:
         raise ConstraintViolation("points x and y must be positive")
     nu = n / 2.0 - 1.0
-    K = Expr("mul", (
-        E.div(E.ONE, E.mul(E.num(2), E.sym("t"))),
-        E.pow_(E.sym("x"), E.num(1.0 - n / 2.0)),
-        E.pow_(E.sym("y"), E.num(n / 2.0)),
-        E.exp_(E.div(E.neg(E.add(E.pow_(E.sym("x"), 2),
-                                 E.pow_(E.sym("y"), 2))),
-                     E.mul(E.num(4), E.sym("t")))),
-        E.besseli(E.num(nu), E.div(E.mul(E.sym("y"), E.sym("x")),
-                                   E.mul(E.num(2), E.sym("t"))))))
+    K, diffusion = _once("radial", _radial_trees)
 
     def ev2(x, t, yv):
         # scaled-Bessel form, stable for small t
@@ -396,9 +445,9 @@ def _build_radial(c):
         name="radial",
         description="fundamental solution of the n-dimensional radial "
                     "heat equation (Bessel form)",
-        constants=dict(c), expr=E.simplify(K),
+        constants=dict(c), expr=K, bindings={"h": n / 2.0},
         equation="u_t = u_xx + ((n-1)/x) u_x", domain=(0.0, math.inf),
-        diffusion={"x": (E.ONE, E.num(n - 1.0) / _X)},
+        diffusion=diffusion,
         residual_points=_grid_points(("t", "x", "y"), E.grid(0.15, 0.8, 5),
                                      E.grid(0.3, 2.5, 9), [y]),
         norm_t_list=(0.05, 0.2, 0.5),
@@ -408,6 +457,17 @@ def _build_radial(c):
         args=("x", "t", "y"), stable=ev2)
 
 
+def _second_canonical_trees():
+    """Kernel and potential in x, t and the constants y, nu, mu."""
+    x, t, y, nu = map(E.sym, ("x", "t", "y", "nu"))
+    K = Expr("mul", (
+        E.div(E.sqrt_(E.mul(x, y)), E.mul(E.num(2), t)),
+        E.exp_(E.div(E.neg(E.add(E.pow_(x, 2), E.pow_(y, 2))),
+                     E.mul(E.num(4), t))),
+        E.besseli(nu, E.div(E.mul(y, x), E.mul(E.num(2), t)))))
+    return E.simplify(K), E.sym("mu") / (_X * _X)
+
+
 def _build_second_canonical(c):
     mu, y = float(c["mu"]), float(c["y"])
     if mu > 0.25:
@@ -415,13 +475,7 @@ def _build_second_canonical(c):
     if y <= 0:
         raise ConstraintViolation("source point y must be positive")
     nu = math.sqrt(1.0 - 4.0 * mu) / 2.0
-    K = Expr("mul", (
-        E.div(E.sqrt_(E.mul(E.sym("x"), E.num(y))),
-              E.mul(E.num(2), E.sym("t"))),
-        E.exp_(E.div(E.neg(E.add(E.pow_(E.sym("x"), 2), E.num(y * y))),
-                     E.mul(E.num(4), E.sym("t")))),
-        E.besseli(E.num(nu), E.div(E.mul(E.num(y), E.sym("x")),
-                                   E.mul(E.num(2), E.sym("t"))))))
+    K, potential = _once("second_canonical", _second_canonical_trees)
 
     def ev(x, t):
         z = x * y / (2.0 * t)
@@ -436,9 +490,9 @@ def _build_second_canonical(c):
         name="second_canonical",
         description="fundamental solution of the second canonical form "
                     "(inverse-square potential)",
-        constants=dict(c), expr=E.simplify(K),
+        constants=dict(c), expr=K, bindings={"nu": nu, "mu": mu, "y": y},
         equation="u_t = u_xx + (mu/x^2) u", domain=(0.0, math.inf),
-        potential=E.num(mu) / (_X * _X),
+        potential=potential,
         residual_points=_grid_points(("t", "x"), E.grid(0.15, 0.8, 5),
                                      E.grid(0.3, 2.5, 9)),
         # for mu != 0 the half-line kernel loses mass at rate O(t/y^2):
@@ -448,6 +502,18 @@ def _build_second_canonical(c):
         mass=_line_mass(ev, y, window), stable=ev)
 
 
+def _black_scholes_trees():
+    """Kernel, diffusion and potential in x, y, t and the constants sigma,
+    r and l = r - sigma^2/2."""
+    sigma, r = E.sym("sigma"), E.sym("r")
+    Kb = parse_expression("exp(-r*t) / (sigma*y*(2*pi*t)^(1/2)) * "
+                          "exp(-((log(x/y) + l*t)^2 / (2*sigma^2*t)))",
+                          declared=("x", "y", "t", "sigma", "r", "l"))
+    # K solves the forward equation in (x, t) at fixed y
+    return (Kb, {"x": (sigma * sigma * _X * _X / 2.0, r * _X)},
+            E.neg(r))
+
+
 def _build_black_scholes(c):
     sigma, r, x = float(c["sigma"]), float(c["r"]), float(c["x"])
     if sigma <= 0:
@@ -455,15 +521,15 @@ def _build_black_scholes(c):
     if x <= 0:
         raise ConstraintViolation("evaluation point x must be positive")
     ell = r - sigma * sigma / 2.0
-    Kb = _formula("exp(-r*t) / (sigma*y*(2*pi*t)^(1/2)) * "
-                  "exp(-((log(x/y) + l*t)^2 / (2*sigma^2*t)))",
-                  ("x", "y", "t"), sigma=sigma, r=r, l=ell)
+    Kb, diffusion, potential = _once("black_scholes", _black_scholes_trees)
+    bind = {"sigma": sigma, "r": r, "l": ell}
 
     def mass(t, phi=None):
         # the density in y without its exp(-r t) discount, in log space
         w0 = math.log(x) + ell * t
         wspan = 40 * sigma * math.sqrt(t) + 1
-        k, ert = E.function_of(Kb, "y", {"x": x, "t": t}), math.exp(r * t)
+        k = E.function_of(Kb, "y", dict(bind, x=x, t=t))
+        ert = math.exp(r * t)
 
         def f(w):
             yv = math.exp(w)
@@ -474,27 +540,30 @@ def _build_black_scholes(c):
     return KernelEntry(
         name="black_scholes",
         description="forward Black-Scholes kernel",
-        constants=dict(c), expr=Kb,
+        constants=dict(c), expr=Kb, bindings=bind,
         equation="u_t = (sigma^2/2) x^2 u_xx + r x u_x - r u",
-        domain=(0.0, math.inf),
-        # K solves the forward equation in (x, t) at fixed y
-        diffusion={"x": (E.num(sigma) * sigma * _X * _X / 2.0,
-                         E.num(r) * _X)},
-        potential=E.num(-r),
+        domain=(0.0, math.inf), diffusion=diffusion, potential=potential,
         residual_points=_grid_points(("t", "x", "y"), E.grid(0.1, 1.0, 7),
                                      E.grid(0.5, 2.0, 9), [1.0]),
         norm_t_list=(0.1, 0.5, 1.0),
         mass=mass, args=("x", "t", "y"))
 
 
+def _ou_diffusion():
+    """(sigma^2/2, b x), the diffusion of both Ornstein-Uhlenbeck forms."""
+    sigma = E.sym("sigma")
+    return {"x": (sigma * sigma / 2.0, E.sym("b") * _X)}
+
+
 def _build_ou_fp(c):
     b, sigma, y = float(c["b"]), float(c["sigma"]), float(c["y"])
     if b <= 0 or sigma <= 0:
         raise ConstraintViolation("ou_fp needs b > 0 and sigma > 0")
-    Kb = _formula(
+    Kb, diffusion, potential = _once("ou_fp", lambda: (parse_expression(
         "(b/(pi*sigma^2))^(1/2) * (1 - exp(-2*b*t))^(-1/2) * "
         "exp(-b*(x - y*exp(-b*t))^2 / (sigma^2*(1 - exp(-2*b*t))))",
-        ("x", "t"), y=y, b=b, sigma=sigma)
+        declared=("x", "t", "y", "b", "sigma")), _ou_diffusion(), E.sym("b")))
+    bind = {"b": b, "sigma": sigma, "y": y}
 
     def window(t, phi):
         m = y * math.exp(-b * t)
@@ -505,25 +574,24 @@ def _build_ou_fp(c):
         name="ou_fp",
         description="Ornstein-Uhlenbeck transition density "
                     "(Fokker-Planck form)",
-        constants=dict(c), expr=Kb,
+        constants=dict(c), expr=Kb, bindings=bind,
         equation="u_t = (sigma^2/2) u_xx + b x u_x + b u",
-        diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
-        potential=E.num(b),
+        diffusion=diffusion, potential=potential,
         residual_points=_grid_points(("t", "x"), E.grid(0.1, 1.5, 7),
                                      E.grid(y - 3, y + 3, 9)),
         norm_t_list=(0.1, 0.5, 1.0),
-        mass=_line_mass(Kb, y, window))
+        mass=_line_mass(Kb, y, window, bind))
 
 
 def _build_ou_nonfp(c):
     b, sigma, x = float(c["b"]), float(c["sigma"]), float(c["x"])
     if b <= 0 or sigma <= 0:
         raise ConstraintViolation("ou_nonfp needs b > 0 and sigma > 0")
-    Kb = _formula(
+    Kb, diffusion = _once("ou_nonfp", lambda: (parse_expression(
         "(2/sigma)*(b/pi)^(1/2)*(exp(2*b*t) - 1)^(-1/2) * "
         "exp(-b*((2/sigma^2)*exp(2*b*t)*x^2 + y^2)/(2*(exp(2*b*t) - 1)))"
         " * cosh(2^(1/2)*b/sigma * exp(b*t)*x*y/(exp(2*b*t) - 1))",
-        ("x", "y", "t"), b=b, sigma=sigma)
+        declared=("x", "y", "t", "b", "sigma")), _ou_diffusion()))
     # over y > 0 the kernel integrates to sqrt(2)/sigma, 1 at the default
     target_mass = math.sqrt(2.0) / sigma
 
@@ -547,10 +615,9 @@ def _build_ou_nonfp(c):
         name="ou_nonfp",
         description="Ornstein-Uhlenbeck kernel, non-conservative form "
                     "(half-line cosh kernel)",
-        constants=dict(c), expr=Kb,
+        constants=dict(c), expr=Kb, bindings={"b": b, "sigma": sigma},
         equation="u_t = (sigma^2/2) u_xx + b x u_x",
-        domain=(0.0, math.inf),
-        diffusion={"x": (E.num(sigma * sigma / 2.0), E.num(b) * _X)},
+        domain=(0.0, math.inf), diffusion=diffusion,
         residual_points=_grid_points(("t", "x", "y"), E.grid(0.1, 1.0, 7),
                                      E.grid(-2.0, 2.0, 9), [0.8]),
         normalization_target=lambda t: target_mass,
@@ -564,10 +631,12 @@ def _build_heat2d_timedep(c):
     t0, x0, y0 = float(c["t0"]), float(c["x0"]), float(c["y0"])
     if t0 <= 0:
         raise ConstraintViolation("heat2d_timedep needs t0 > 0")
-    Kb = _formula(
+    Kb, diffusion = _once("heat2d_timedep", lambda: (parse_expression(
         "(t0*t)^(1/2)/(4*pi*(t - t0)) * "
         "exp(-((x - x0)^2/(4*(t - t0))) - t0*t*(y - y0)^2/(4*(t - t0)))",
-        ("x", "y", "t"), x0=x0, y0=y0, t0=t0)
+        declared=("x", "y", "t", "x0", "y0", "t0")),
+        {"x": (E.ONE, E.ZERO), "y": (E.sym("t") ** -2, E.ZERO)}))
+    bind = {"x0": x0, "y0": y0, "t0": t0}
 
     def window(t, phi):
         s = t - t0
@@ -581,17 +650,15 @@ def _build_heat2d_timedep(c):
         name="heat2d_timedep",
         description="kernel of the 2-D heat equation with 1/t^2 "
                     "diffusion in y",
-        constants=dict(c), expr=Kb,
-        equation="u_t = u_xx + t^-2 u_yy  (t > t0)",
-        diffusion={"x": (E.ONE, E.ZERO),
-                   "y": (E.sym("t") ** -2, E.ZERO)},
+        constants=dict(c), expr=Kb, bindings=bind,
+        equation="u_t = u_xx + t^-2 u_yy  (t > t0)", diffusion=diffusion,
         residual_points=_grid_points(
             ("t", "x", "y"), E.grid(t0 + 0.1, t0 + 1.0, 5),
             E.grid(x0 - 1.5, x0 + 1.5, 5), E.grid(y0 - 1.5, y0 + 1.5, 5)),
         norm_t_list=(t0 + 0.1, t0 + 0.5, t0 + 1.0),
         delta_t_list=(t0 + 1e-2, t0 + 1e-3, t0 + 1e-4),
         delta_width=1.0,
-        mass=_product_mass(Kb, {"x": x0, "y": y0}, window, _gl_mass),
+        mass=_product_mass(Kb, bind, {"x": x0, "y": y0}, window, _gl_mass),
         args=("x", "y", "t"))
 
 
@@ -646,32 +713,42 @@ def kernel(name, constants=None):
 # ---------------------------------------------------------------------------
 # uniform verification
 
-def _pde_residual(K, diffusion, potential, points):
-    """max |K_t - sum(a K_ss + b K_s) - c K| / (1 + |K_t|) over the points,
-    with symbolic derivatives; terms with a zero coefficient are skipped.
-    Raises DomainError naming the first point where the residual is not
-    finite."""
+@functools.cache
+def _residual_function(K, diffusion, potential):
+    """The compiled function of K_t and, for each term of the PDE whose
+    coefficient is not the number 0, the coefficient and its derivative of
+    K: derived and compiled once per formula, as its trees live for the
+    process.  `diffusion` is the items of the entry's dict."""
     terms = []
-    for s, (a, b) in diffusion.items():
+    for s, (a, b) in diffusion:
         Ks = E.differentiate(K, s)
         terms += [(a, E.differentiate(Ks, s)), (b, Ks)]
     terms.append((potential, K))
-    trees = [E.differentiate(K, "t")] + [
-        f for coef, d in terms if not E.is_num(coef, 0) for f in (coef, d)]
+    return E.evaluator([E.differentiate(K, "t")] + [
+        f for coef, d in terms if not E.is_num(coef, 0) for f in (coef, d)])
+
+
+def _pde_residual(K, diffusion, potential, points, bindings=()):
+    """max |K_t - sum(a K_ss + b K_s) - c K| / (1 + |K_t|) over the points,
+    with symbolic derivatives and the constants bound by `bindings`; terms
+    with a zero coefficient are skipped.  Raises DomainError naming the
+    first point where the residual is not finite."""
+    f = _residual_function(K, tuple(diffusion.items()), potential)
+    envs = [dict(bindings, **p) for p in points]
     try:
-        rows = E.evaluate_many(trees, points)
+        rows = f(envs)
     except E.ExprError:
         # point by point, so that a non-finite residual at an earlier point
         # is still the error raised
-        rows = (E.evaluate_many(trees, [env])[0] for env in points)
+        rows = (f([env])[0] for env in envs)
     worst = 0.0
-    for env, (kt, *vals) in zip(points, rows):
+    for p, (kt, *vals) in zip(points, rows):
         r = kt
         for cv, dv in zip(vals[::2], vals[1::2]):
             r -= cv * dv
         if not math.isfinite(r):
             raise E.DomainError("non-finite PDE residual at %s" % ", ".join(
-                "%s = %g" % kv for kv in sorted(env.items())))
+                "%s = %g" % kv for kv in sorted(p.items())))
         worst = max(worst, abs(r) / (1.0 + abs(kt)))
     return worst
 
@@ -679,7 +756,7 @@ def _pde_residual(K, diffusion, potential, points):
 def verify_pde_residual(entry):
     """Max scaled PDE residual of the closed form at its sample points."""
     return _pde_residual(entry.expr, entry.diffusion, entry.potential,
-                         entry.residual_points)
+                         entry.residual_points, entry.bindings)
 
 
 def verify_normalization(entry):
@@ -751,8 +828,8 @@ def appell_spread(name):
     y = 0.5
     entry = kernel(name, {"y": y})
     (a, b), = entry.diffusion.values()
-    inv = compute_invariants(ParabolicEquation(a, b, entry.potential,
-                                               domain=entry.domain))
+    inv = compute_invariants(ParabolicEquation(
+        a, b, entry.potential, domain=entry.domain, bindings=entry.bindings))
     ht = build_heat_transform(classify(inv), inv, mode="kernel",
                               source_point=y)
     xs, ts = E.grid(y - 1.5, y + 1.5, 4), E.grid(0.15, 0.45, 3)

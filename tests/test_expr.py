@@ -169,6 +169,26 @@ class TestDifferentiate:
             fd = (E.evaluate(e, {"x": x + h}) - E.evaluate(e, {"x": x - h})) / (2 * h)
             assert E.evaluate(d, {"x": x}) == pytest.approx(fd, rel=1e-8)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.3, 2])
+    def test_bessel_of_a_symbolic_order(self, nu):
+        # (I_{nu-1}(z) + I_{nu+1}(z))/2 * z' with nu +- 1 computed at
+        # evaluation equals the derivative of the numeric order, and the
+        # numeric order still gives the recurrence's tree
+        z = P("x^2/3 + x")
+        numeric = E.differentiate(E.besseli(E.num(nu), z))
+        symbolic = E.differentiate(E.besseli(E.sym("nu"), z))
+        assert numeric == E.simplify(E.mul(E.HALF, E.add(
+            E.besseli(E.num(nu - 1), z), E.besseli(E.num(nu + 1), z)),
+            E.differentiate(z)))
+        for x in (0.05, 0.4, 1.7, 3.1, 6.0):
+            want = E.evaluate(numeric, {"x": x})
+            got = E.evaluate(symbolic, {"x": x, "nu": nu})
+            assert abs(got - want) <= 1e-14 * abs(want), x
+
+    def test_bessel_order_in_the_variable_is_refused(self):
+        with pytest.raises(E.ExprError, match="must not depend on x"):
+            E.differentiate(E.besseli(P("x + 1"), P("x")))
+
 
 class TestEvaluate:
     def test_square(self):

@@ -89,6 +89,8 @@ class TestCatalogVerification:
         (("radial", "--n", "1e6"), "OverflowError"),
         (("mehler_trigonometric", "--y", "1e200"), "OverflowError"),
         (("black_scholes", "--sigma", "1e200"), "OverflowError"),
+        (("ou_fp", "--b", "1e200"), "OverflowError"),
+        (("second_canonical", "--y", "1e-300"), "OverflowError"),
         (("mehler_hyperbolic", "--y", "600"), "ZeroDivisionError"),
         (("linear_potential", "--y", "-1e6"), "ZeroDivisionError"),
     ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
@@ -227,7 +229,7 @@ class TestGenericVerifier:
             entry = K.kernel(name, constants)
             assert entry.stable is not None
             for env in entry.residual_points:
-                want = E.evaluate(entry.expr, env)
+                want = E.evaluate(entry.expr, {**entry.bindings, **env})
                 got = entry.stable(*(env[s] for s in entry.args))
                 assert abs(got - want) <= 1e-12 * abs(want), (constants, env)
 
@@ -318,7 +320,7 @@ class TestBoundIntegrands:
         entry = K.kernel("heat2d_timedep", constants)
         c, bump = entry.constants, K._bump(entry.delta_width)
         for t in entry.norm_t_list + entry.delta_t_list:
-            env = {"x": c["x0"], "y": c["y0"], "t": t}
+            env = {**entry.bindings, "x": c["x0"], "y": c["y0"], "t": t}
             for s in ("x", "y"):
                 src = env[s]
                 lo, hi = src - 25 * math.sqrt(t - c["t0"]), src + 0.5
@@ -329,16 +331,100 @@ class TestBoundIntegrands:
                     got = K._gl_mass(entry.expr, s, env, phi, src, lo, hi)
                     assert got == _gl_quad(f, lo, hi), (t, s, phi)
 
-    def test_formula_is_parsed_once_and_substituted_per_draw(self):
+    def test_formula_is_parsed_once_and_shared_by_every_draw(self):
+        # the trees hold the constants as symbols and are built once per
+        # process: a draw binds their values and builds no tree
+        for name in ALL_NAMES:
+            first, other = K.kernel(name), K.kernel(name, _other_draw(name))
+            assert all(a is b for a, b in zip(_trees(first), _trees(other)))
+            assert other.bindings != first.bindings
         text = ("(b/(pi*sigma^2))^(1/2) * (1 - exp(-2*b*t))^(-1/2) * "
                 "exp(-b*(x - y*exp(-b*t))^2 / (sigma^2*(1 - exp(-2*b*t))))")
-        for consts in ({"y": 0.5, "b": 1.0, "sigma": 1.0},
-                       {"y": -0.45, "b": 0.7, "sigma": 1.3}):
-            got = K._formula(text, ("x", "t"), **consts)
-            want = E.substitute(P(text, declared={"x", "t", *consts}),
-                                consts)
-            assert E.to_text(got) == E.to_text(want)
-        assert K._parse_once.cache_info().hits >= 1
+        assert K.kernel("ou_fp").expr == P(text, declared={
+            "x", "t", "y", "b", "sigma"})
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_a_later_draw_derives_and_compiles_nothing(self, name,
+                                                       monkeypatch):
+        K.verify_entry(name)
+        calls = []
+        for attr in ("differentiate", "_compile"):
+            def counted(*args, _f=getattr(E, attr), _attr=attr, **kw):
+                calls.append(_attr)
+                return _f(*args, **kw)
+            monkeypatch.setattr(E, attr, counted)
+        K.verify_entry(name, _other_draw(name))
+        assert calls == []
+
+    def test_residual_cache_holds_one_entry_per_formula(self):
+        # keyed on the per-process trees; per-draw trees would add an
+        # entry, and their derivatives and code, on every draw
+        K._residual_function.cache_clear()
+        rng = np.random.default_rng(31)
+        formulas = set()
+        for i in range(50):
+            name = ALL_NAMES[i % len(ALL_NAMES)]
+            c = {k: tuple(v * rng.uniform(0.9, 1.1) for v in vs)
+                 if isinstance(vs, tuple) else vs * rng.uniform(0.9, 1.1)
+                 for k, vs in _drawn_constants(name).items()}
+            formula = name
+            if name == "linear_potential_nd":      # one formula per n
+                c["n"] = float(rng.integers(1, 3))
+                formula = name, c["n"]
+            K.verify_entry(name, c)
+            formulas.add(formula)
+        assert K._residual_function.cache_info().currsize == len(formulas)
+        assert len(formulas) <= 16
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_bound_constants_agree_with_substituted_ones(self, name,
+                                                         monkeypatch):
+        for constants in (None, _drawn_constants(name)):
+            got = K.verify_entry(name, constants)
+            want = _substituted_report(name, constants, monkeypatch)
+            for key, w in zip(("residual", "normalization", "delta_limit"),
+                              want):
+                assert np.max(np.abs(np.subtract(got[key], w))) <= 1e-13, (
+                    constants, key)
+
+
+def _other_draw(name):
+    """Constants other than the defaults with the same formula."""
+    c = _drawn_constants(name)
+    return dict(c, n=2.0) if name == "linear_potential_nd" else c
+
+
+def _trees(entry):
+    """The kernel and coefficient trees of an entry."""
+    return [entry.expr, entry.potential,
+            *(f for ab in entry.diffusion.values() for f in ab)]
+
+
+def _substituted_report(name, constants, monkeypatch):
+    """(residual, normalization, delta limits) of verify_entry with the
+    draw's constants substituted into every tree before it is evaluated,
+    the reference for binding them at evaluation."""
+    entry = K.kernel(name, constants)
+    memo = {}
+
+    def sub(e):
+        if id(e) not in memo:
+            memo[id(e)] = e, E.substitute(e, entry.bindings)
+        return memo[id(e)][1]
+    residual = K._pde_residual(
+        sub(entry.expr), {s: (sub(a), sub(b))
+                          for s, (a, b) in entry.diffusion.items()},
+        sub(entry.potential), entry.residual_points)
+    function_of, evaluate, evaluate_many = (E.function_of, E.evaluate,
+                                            E.evaluate_many)
+    with monkeypatch.context() as m:
+        m.setattr(E, "function_of",
+                  lambda e, v, env=None: function_of(sub(e), v, env))
+        m.setattr(E, "evaluate", lambda e, env=None: evaluate(sub(e), env))
+        m.setattr(E, "evaluate_many", lambda trees, envs: evaluate_many(
+            [sub(e) for e in trees], envs))
+        return (residual, K.verify_normalization(entry),
+                K.verify_delta_limit(entry))
 
 
 def _log_evaluate(e, env):
@@ -416,7 +502,7 @@ class TestCrossChecks:
         def k(x, t, y):
             return E.evaluate(tree, dict(consts, x=x, t=t, y=y))
         for x, t in ((-1.0, 0.1), (0.2, 0.3), (1.5, 0.6)):
-            want = E.evaluate(entry.expr, {"x": x, "t": t})
+            want = entry.evaluate(x, t)
             assert abs(k(x, t, entry.constants["y"]) / want - 1) <= 1e-14
         rng = np.random.default_rng(K._SEED)
         for _ in range(5):
@@ -431,7 +517,8 @@ class TestCrossChecks:
         # -4 t ln K(x,t,0) -> x^2 as t drops; the prefactor's relative error
         # 2t ln(1/(4 pi t)) / x^2 is small at x = 2.5, where K underflows
         x, heat = 2.5, K.kernel("heat_1d", {"y": 0.0})
-        errs = [abs(-4 * t * _log_evaluate(heat.expr, {"x": x, "t": t})
+        errs = [abs(-4 * t * _log_evaluate(heat.expr,
+                                           {**heat.bindings, "x": x, "t": t})
                     - x * x) / (x * x) for t in (1e-2, 1e-3)]
         assert errs[0] <= 2e-2
         assert errs[1] <= 2e-3
