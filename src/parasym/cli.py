@@ -37,8 +37,8 @@ from .transform import build_heat_transform, verify_pullback
 
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 20250823
-# check_determining holds several n-by-n float arrays per field: at 1024
-# they take about 300 MB, and at 1e5 one of them alone would be 75 GB
+# check_determining holds n-by-n arrays of max(1, 4096 // n^2) fields at a
+# time, one field's at 1024 (250 MB in all); at 1e5 one would be 75 GB
 MAX_GRID = 1024
 
 

@@ -790,7 +790,7 @@ def verify_entry(name, constants=None):
         norm = verify_normalization(entry)
         delta = verify_delta_limit(entry)
     except (OverflowError, ZeroDivisionError, E.DomainError) as exc:
-        # expr's evaluator turns an OverflowError into a DomainError
+        # expr's evaluator and special.iv raise a DomainError from its cause
         cause = exc.__cause__ or exc
         if not isinstance(cause, (OverflowError, ZeroDivisionError)):
             raise

@@ -8,7 +8,7 @@ scipy.special is loaded on the first call of either function, not when this
 module is imported: most equations are analysed without a Bessel value.
 
 Errors: `z < 0` raises DomainError, and so does `iv` when I_nu(z) is not a
-finite float; I_0 overflows past z = 713.98.
+finite float, caused by an OverflowError if infinite (I_0 past z = 713.98).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def iv(nu, z):
     """I_nu(z) for z >= 0."""
     v = float(_scipy_special().iv(nu, _argument(z)))
     if not math.isfinite(v):
-        raise DomainError("I_nu(z) is not finite at nu=%g, z=%g" % (nu, z))
+        raise DomainError("I_nu(z) is not finite at nu=%g, z=%g" % (nu, z)) \
+            from (OverflowError("I_nu(z) overflows") if math.isinf(v) else None)
     return v
 
 

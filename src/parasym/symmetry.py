@@ -30,9 +30,9 @@ discrepancy rather than an error.
 Every structured field comes from field_from_scalars, which keeps the jet
 (tau, tau', tau'', tau''', rho, rho', rho'', sigma, sigma') of its simplified
 triple; the brackets and the determining check read the jet's values and
-take no t-derivative.  Each jet row is evaluated over a t-grid in one
-expr.evaluate_many call.  xi, phi and their x- and t-derivatives have
-closed forms in the jet and a fixed set of functions of x
+take no t-derivative.  Every field's jet rows are evaluated over a t-grid
+together, in one expr.evaluate_many call (_jets).  xi, phi and their x- and
+t-derivatives have closed forms in the jet and a fixed set of functions of x
 (s = sqrt(a), I, J, a, b, c and their derivatives, with I' = 1/s), each
 evaluated once per basis, in one call over the grid x (check_determining).
 The printed coefficients use the extra symbol `Ivar` for I(x), which may be
@@ -80,12 +80,13 @@ JET = ("tau", "tau1", "tau2", "tau3", "rho", "rho1", "rho2", "sigma",
        "sigma1")                   # tau1 = tau', tau2 = tau'', ...
 
 
-def _jet_values(vf, rows, ts):
-    """The jet rows of vf named in `rows` at the times ts, as an array of
-    shape (len(rows), len(ts)): one compiled call per row."""
-    envs = [{T: t} for t in ts]
-    return np.array([E.evaluate_many((vf.jet[JET.index(r)],), envs)
-                     for r in rows]).reshape(len(rows), len(ts))
+def _jets(basis, rows, ts):
+    """The jet rows named in `rows` of every field of `basis` at the times
+    ts, as an array of shape (len(rows), len(basis), len(ts)): one compiled
+    call for the whole basis."""
+    trees = [vf.jet[JET.index(r)] for r in rows for vf in basis]
+    vals = np.array(E.evaluate_many(trees, [{T: t} for t in ts]))
+    return vals.T.reshape(len(rows), len(basis), len(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +193,9 @@ DETERMINING_TOL = 1e-8     # largest scaled residual of an accepted generator
 
 
 def _scaled(*terms):
-    """max over the grid of |sum terms| / (sum |terms| + 1)."""
+    """max over each field's grid of |sum terms| / (sum |terms| + 1)."""
     u = np.stack(np.broadcast_arrays(*terms))
-    return float((np.abs(u.sum(axis=0)) / (np.abs(u).sum(axis=0) + 1.0)).max())
+    return (np.abs(u.sum(axis=0)) / (np.abs(u).sum(axis=0) + 1.0)).max((1, 2))
 
 
 def check_determining(inv, basis, n=16):
@@ -211,7 +212,9 @@ def check_determining(inv, basis, n=16):
     The fields enter through their jets.  The x-functions s, s', J, J',
     J'', a, a', a'', b, b', c, c' are evaluated over the grid x in one
     expr.evaluate_many call each, in turn, I by invariants.values_at, and
-    each jet row over the grid t in one call; with I' = 1/s
+    every field's jet over the grid t in one call; the formulas run on
+    (field, x, t) arrays of max(1, 4096 // n^2) fields at a time (one
+    field's n-by-n arrays at a large n), with I' = 1/s
 
         xi_x   = s' (tau' I/2 + rho) + tau'/2,   xi_t = s (tau'' I/2 + rho'),
         phi_x  = A/s + J' B,   A = -tau'' I/4 - rho'/2 + tau' J/4,
@@ -219,10 +222,10 @@ def check_determining(inv, basis, n=16):
         phi_xx = (-tau''/(4s) + tau' J'/4)/s - A s'/s^2 + J'' B + J' tau'/(4s),
         phi_t  = -tau''' I^2/8 - rho'' I/2 + tau'' I J/4 + rho' J/2 + sigma'.
 
-    "tree" compares the printed tau, xi and phi, evaluated together in one
-    call, with these formulas at the n diagonal points (x_j, t_j),
-    |w - v| / (|w| + |v| + 1), so a simplifier fault in what the report
-    prints still shows.
+    "tree" compares the printed tau, xi and phi, evaluated for all fields of
+    one gauge offset in one call, with these formulas at the n diagonal
+    points (x_j, t_j), |w - v| / (|w| + |v| + 1), so a simplifier fault in
+    what the report prints still shows.
     """
     xs = chebyshev_points(*probe_window(inv.domain), n)
     ts = E.grid(0.05, 0.45, n)
@@ -230,16 +233,26 @@ def check_determining(inv, basis, n=16):
     sp, Jp, ap = d(inv.sqrt_a), d(inv.J), d(inv.a)
     fx = (inv.sqrt_a, sp, inv.J, Jp, d(Jp), inv.a, ap, d(ap),
           inv.b, d(inv.b), inv.c, d(inv.c))
-    # x runs down axis 0 and t along axis 1 of every grid array
+    # field, x and t run along axes 0, 1 and 2 of every grid array
     envs = [{X: x} for x in xs]
     s, sp, J, Jp, Jpp, a, ap, app, b, bp, c, cp = (
         np.array(E.evaluate_many((e,), envs)) for e in fx)
-    I0 = values_at([("I", inv.I)], xs)
-    out = []
-    for vf in basis:
-        I = I0 + vf.i_offset
-        tau, tau1, tau2, tau3, rho, rho1, rho2, sigma, sigma1 = \
-            _jet_values(vf, JET, ts)
+    offsets = [vf.i_offset for vf in basis]
+    Is = values_at([("I", inv.I)], xs) + np.array(offsets)[:, None, None]
+    jet = _jets(basis, JET, ts)[:, :, None, :]
+    got = np.empty((len(basis), n, 3))     # the printed (tau, xi, phi)
+    for off in dict.fromkeys(offsets):
+        ks = [k for k, o in enumerate(offsets) if o == off]
+        got[ks] = np.array(E.evaluate_many(
+            [e for k in ks for e in (basis[k].tau, basis[k].xi, basis[k].phi)],
+            [{X: x, T: t, IVAR: float(i)}
+             for x, t, i in zip(xs, ts, Is[ks[0], :, 0])]
+        )).reshape(n, len(ks), 3).swapaxes(0, 1)
+    parts = []
+    step = max(1, 4096 // (n * n))
+    for k in (slice(lo, lo + step) for lo in range(0, len(basis), step)):
+        I = Is[k]
+        tau, tau1, tau2, tau3, rho, rho1, rho2, sigma, sigma1 = jet[:, k]
         xi = s * (tau1 * I / 2 + rho)
         xi_x = sp * (tau1 * I / 2 + rho) + tau1 / 2
         xi_t = s * (tau2 * I / 2 + rho1)
@@ -252,23 +265,18 @@ def check_determining(inv, basis, n=16):
             + Jpp * B + Jp * tau1 / (4 * s)
         phi_t = -tau3 * I ** 2 / 8 - rho2 * I / 2 + tau2 * I * J / 4 \
             + rho1 * J / 2 + sigma1
-        res = {
-            "deteq1": _scaled(8 * a * a * phi_x,
-                              (ap - 2 * b) * (xi * ap - a * tau1),
-                              -a * (2 * xi * app - 4 * xi_t - 4 * xi * bp)),
-            "deteq2": _scaled(c * tau1, -phi_t, xi * cp, b * phi_x,
-                              a * phi_xx),
-            "xieq": _scaled(xi_x, -ap / (2 * a) * xi, -tau1 / 2),
-        }
-        want = np.column_stack([tau, xi.diagonal(), phi.diagonal()])
-        got = np.array(E.evaluate_many(
-            (vf.tau, vf.xi, vf.phi),
-            [{X: x, T: t, IVAR: float(i)} for x, t, i in zip(xs, ts, I[:, 0])]))
-        res["tree"] = float((np.abs(want - got)
-                             / (np.abs(want) + np.abs(got) + 1.0)).max())
-        res["max"] = max(res.values())
-        out.append(res)
-    return out
+        want = np.stack([tau[:, 0], xi.diagonal(0, 1, 2),
+                         phi.diagonal(0, 1, 2)], axis=-1)
+        parts.append([
+            _scaled(8 * a * a * phi_x,
+                    (ap - 2 * b) * (xi * ap - a * tau1),
+                    -a * (2 * xi * app - 4 * xi_t - 4 * xi * bp)),
+            _scaled(c * tau1, -phi_t, xi * cp, b * phi_x, a * phi_xx),
+            _scaled(xi_x, -ap / (2 * a) * xi, -tau1 / 2),
+            (np.abs(want - got[k]) / (np.abs(want) + np.abs(got[k]) + 1.0)
+             ).max((1, 2))])
+    return [dict(zip(("deteq1", "deteq2", "xieq", "tree"), r), max=max(r))
+            for r in np.concatenate(parts, axis=1).T.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -289,31 +297,31 @@ class CommutatorTable:
 @np.errstate(over="ignore", invalid="ignore")
 def commutator_table(basis):
     """Structure constants of the emitted basis: each bracket's scalar triple
-    from the two fields' jets (module docstring), decomposed by least squares
-    on the stacked basis triples at BRACKET_TIMES."""
-    rows = ("tau", "rho", "sigma", "tau1", "rho1", "sigma1")
-    vals = [_jet_values(vf, rows, BRACKET_TIMES) for vf in basis]
-    A = np.column_stack([v[:3].T.ravel() for v in vals])
+    from the two fields' jets (module docstring), all pairs in one array
+    pass, decomposed by least squares on the stacked basis triples at
+    BRACKET_TIMES: a column of A (a field) or Y (a pair) holds (tau, rho,
+    sigma) at each time in turn."""
     n = len(basis)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = []
-    for i, j in pairs:
-        tv, rv, sv, tv1, rv1, sv1 = vals[i]
-        tw, rw, sw, tw1, rw1, sw1 = vals[j]
-        brackets.append(np.column_stack([
-            tv * tw1 - tw * tv1,
-            tv * rw1 - tw * rv1 + (rv * tw1 - rw * tv1) / 2,
-            tv * sw1 - tw * sv1 - (rv * rw1 - rw * rv1) / 2]).ravel())
-    Y = np.column_stack(brackets)
+    jet = _jets(basis, ("tau", "rho", "sigma", "tau1", "rho1", "sigma1"),
+                BRACKET_TIMES).swapaxes(1, 2)
+    A = jet[:3].swapaxes(0, 1).reshape(-1, n)
+    i, j = np.triu_indices(n, 1)
+    tv, rv, sv, tv1, rv1, sv1 = jet[:, :, i]
+    tw, rw, sw, tw1, rw1, sw1 = jet[:, :, j]
+    Y = np.stack([
+        tv * tw1 - tw * tv1,
+        tv * rw1 - tw * rv1 + (rv * tw1 - rw * tv1) / 2,
+        tv * sw1 - tw * sv1 - (rv * rw1 - rw * rv1) / 2], axis=1
+    ).reshape(-1, len(i))
     coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
     scale = 1.0 + np.abs(Y).max(axis=0)
     worst = float(np.max(np.abs(A @ coef - Y).max(axis=0) / scale))
     structure = {}
-    for col, (i, j) in enumerate(pairs):
+    for col, (p, q) in enumerate(zip(i.tolist(), j.tolist())):
         entry = {k + 1: float(c) for k, c in enumerate(coef[:, col])
                  if abs(c) > 1e-9}
         if entry:
-            structure[(i + 1, j + 1)] = entry
+            structure[(p + 1, q + 1)] = entry
     return CommutatorTable(dim=n, structure=structure, residual=worst)
 
 

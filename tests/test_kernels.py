@@ -91,6 +91,9 @@ class TestCatalogVerification:
         (("black_scholes", "--sigma", "1e200"), "OverflowError"),
         (("ou_fp", "--b", "1e200"), "OverflowError"),
         (("second_canonical", "--y", "1e-300"), "OverflowError"),
+        # special.iv past the float range, inside a compiled tree
+        (("second_canonical", "--y", "600"), "OverflowError"),
+        (("radial", "--y", "800"), "OverflowError"),
         (("mehler_hyperbolic", "--y", "600"), "ZeroDivisionError"),
         (("linear_potential", "--y", "-1e6"), "ZeroDivisionError"),
     ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from parasym.classify import classify
 from parasym.cli import CORPUS_EXPECT
 from parasym.expr import chebyshev_points
 from parasym.invariants import (ParabolicEquation, compute_invariants,
-                                probe_window)
+                                probe_window, values_at)
 from parasym.parser import parse_expression as P, parse_file
 
 EQDIR = Path(__file__).resolve().parent.parent / "equations"
@@ -409,3 +410,186 @@ class TestJet:
             for name, got, w in zip(S.JET, vf.jet, want):
                 assert got == w, (vf.label, name)
             assert vf.tau == tau
+
+
+# ---------------------------------------------------------------------------
+# reference per-field checks: the loop over the fields that check_determining
+# and commutator_table ran before they took the whole basis in one pass; the
+# batched pass must give the same floats, bit for bit
+
+def reference_jet_values(vf, rows, ts):
+    envs = [{"t": t} for t in ts]
+    return np.array([E.evaluate_many((vf.jet[S.JET.index(r)],), envs)
+                     for r in rows]).reshape(len(rows), len(ts))
+
+
+def reference_scaled(*terms):
+    u = np.stack(np.broadcast_arrays(*terms))
+    return float((np.abs(u.sum(axis=0)) / (np.abs(u).sum(axis=0) + 1.0)).max())
+
+
+def reference_check_determining(inv, basis, n=16):
+    xs = chebyshev_points(*probe_window(inv.domain), n)
+    ts = E.grid(0.05, 0.45, n)
+    d = lambda e: E.differentiate(e, "x")
+    sp, Jp, ap = d(inv.sqrt_a), d(inv.J), d(inv.a)
+    fx = (inv.sqrt_a, sp, inv.J, Jp, d(Jp), inv.a, ap, d(ap),
+          inv.b, d(inv.b), inv.c, d(inv.c))
+    envs = [{"x": x} for x in xs]
+    s, sp, J, Jp, Jpp, a, ap, app, b, bp, c, cp = (
+        np.array(E.evaluate_many((e,), envs)) for e in fx)
+    I0 = values_at([("I", inv.I)], xs)
+    out = []
+    for vf in basis:
+        I = I0 + vf.i_offset
+        tau, tau1, tau2, tau3, rho, rho1, rho2, sigma, sigma1 = \
+            reference_jet_values(vf, S.JET, ts)
+        xi = s * (tau1 * I / 2 + rho)
+        xi_x = sp * (tau1 * I / 2 + rho) + tau1 / 2
+        xi_t = s * (tau2 * I / 2 + rho1)
+        A = -tau2 * I / 4 - rho1 / 2 + tau1 * J / 4
+        B = tau1 * I / 4 + rho / 2
+        phi = -tau2 * I ** 2 / 8 - rho1 * I / 2 + tau1 * I * J / 4 \
+            + rho * J / 2 + sigma
+        phi_x = A / s + Jp * B
+        phi_xx = (-tau2 / (4 * s) + tau1 * Jp / 4) / s - A * sp / s ** 2 \
+            + Jpp * B + Jp * tau1 / (4 * s)
+        phi_t = -tau3 * I ** 2 / 8 - rho2 * I / 2 + tau2 * I * J / 4 \
+            + rho1 * J / 2 + sigma1
+        res = {
+            "deteq1": reference_scaled(
+                8 * a * a * phi_x, (ap - 2 * b) * (xi * ap - a * tau1),
+                -a * (2 * xi * app - 4 * xi_t - 4 * xi * bp)),
+            "deteq2": reference_scaled(c * tau1, -phi_t, xi * cp, b * phi_x,
+                                       a * phi_xx),
+            "xieq": reference_scaled(xi_x, -ap / (2 * a) * xi, -tau1 / 2),
+        }
+        want = np.column_stack([tau, xi.diagonal(), phi.diagonal()])
+        got = np.array(E.evaluate_many(
+            (vf.tau, vf.xi, vf.phi),
+            [{"x": x, "t": t, S.IVAR: float(i)}
+             for x, t, i in zip(xs, ts, I[:, 0])]))
+        res["tree"] = float((np.abs(want - got)
+                             / (np.abs(want) + np.abs(got) + 1.0)).max())
+        res["max"] = max(res.values())
+        out.append(res)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_commutator_table(basis):
+    rows = ("tau", "rho", "sigma", "tau1", "rho1", "sigma1")
+    vals = [reference_jet_values(vf, rows, S.BRACKET_TIMES) for vf in basis]
+    A = np.column_stack([v[:3].T.ravel() for v in vals])
+    n = len(basis)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = []
+    for i, j in pairs:
+        tv, rv, sv, tv1, rv1, sv1 = vals[i]
+        tw, rw, sw, tw1, rw1, sw1 = vals[j]
+        brackets.append(np.column_stack([
+            tv * tw1 - tw * tv1,
+            tv * rw1 - tw * rv1 + (rv * tw1 - rw * tv1) / 2,
+            tv * sw1 - tw * sv1 - (rv * rw1 - rw * rv1) / 2]).ravel())
+    Y = np.column_stack(brackets)
+    coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
+    scale = 1.0 + np.abs(Y).max(axis=0)
+    worst = float(np.max(np.abs(A @ coef - Y).max(axis=0) / scale))
+    structure = {}
+    for col, (i, j) in enumerate(pairs):
+        entry = {k + 1: float(c) for k, c in enumerate(coef[:, col])
+                 if abs(c) > 1e-9}
+        if entry:
+            structure[(i + 1, j + 1)] = entry
+    return structure, worst
+
+
+def _two_offset_basis():
+    """radial's dim-4 basis (gauge I + s) with its last two fields moved
+    to the gauge I + s + 0.5: the tree check makes one call per offset."""
+    basis = _corpus_case("radial")
+    return basis[:2] + [dataclasses.replace(vf, i_offset=vf.i_offset + 0.5)
+                        for vf in basis[2:]]
+
+
+def _fake_tau_basis():
+    _, _, _, basis = setup_case("1")
+    return [dataclasses.replace(basis[0], tau=P("t^2"), label="fake")]
+
+
+def _fake_phi_basis():
+    _, _, _, basis = setup_case("(1 + x^2)^2")
+    v = basis[2]
+    return [dataclasses.replace(v, phi=E.simplify(E.add(v.phi, P("x/100"))))]
+
+
+BATCHED_CASES = (
+    [pytest.param(_corpus_case, (stem,), id=stem)
+     for stem, (dim, _) in sorted(CORPUS_EXPECT.items()) if dim in (4, 6)]
+    + [pytest.param(_two_offset_basis, (), id="two-offsets")])
+
+
+class TestBatchedPass:
+    # n = 40 and 64 split a basis into uneven chunks of 2 and 1 fields
+    @pytest.mark.parametrize("build,args", BATCHED_CASES)
+    def test_same_floats_as_the_per_field_loop(self, build, args):
+        basis = build(*args)
+        inv = basis[0].inv
+        for n in (2, 5, 16, 17, 40, 64):
+            want = reference_check_determining(inv, basis, n)
+            assert S.check_determining(inv, basis, n) == want, n
+        table = S.commutator_table(basis)
+        assert (table.structure, table.residual) == \
+            reference_commutator_table(basis)
+
+    @pytest.mark.parametrize("build", [_fake_tau_basis, _fake_phi_basis])
+    def test_same_floats_on_a_faked_field(self, build):
+        (fake,) = build()
+        inv = fake.inv
+        basis = [fake] + S.emit_basis(classify(inv), inv)
+        for fields in ([fake], basis):
+            for n in (2, 16, 40):
+                assert S.check_determining(inv, fields, n) == \
+                    reference_check_determining(inv, fields, n)
+        table = S.commutator_table(basis)
+        assert (table.structure, table.residual) == \
+            reference_commutator_table(basis)
+
+    def test_memory_stays_at_one_fields_arrays(self):
+        # at n = 256 a pass holds one field, so the whole basis peaks
+        # where a single field does
+        basis = _corpus_case("harmonic_potential")
+        inv = basis[0].inv
+
+        def peak(fields):
+            S.check_determining(inv, fields, n=256)
+            tracemalloc.start()
+            try:
+                S.check_determining(inv, fields, n=256)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(basis[:1])
+        assert one > 256 * 256 * 8 * 10    # the n-by-n arrays are traced
+        assert peak(basis) <= 1.1 * one
+
+    def test_compiles_once_per_call_on_a_fresh_basis(self, monkeypatch):
+        basis = _corpus_case("harmonic_stiff")
+        assert len(basis) == 6
+        roots = []
+        compile_ = E._compile
+
+        def counting(trees):
+            roots.append(len(trees))
+            return compile_(trees)
+
+        monkeypatch.setattr(E, "_compile", counting)
+        S.check_determining(basis[0].inv, basis)
+        # at most the 12 x-functions one at a time, then every field's jet
+        # (9 rows) and every printed (tau, xi, phi) in one function each
+        assert [k for k in roots if k > 1] == [9 * 6, 3 * 6]
+        assert len(roots) <= 12 + 2
+        roots.clear()
+        S.commutator_table(basis)
+        assert roots == [6 * 6]
