@@ -228,8 +228,10 @@ def _analyze_lines(report, cls, checks):
 
 
 def cmd_analyze(args):
-    if not (args.tol_classify > 0 and args.tol_residual > 0):
-        print("error: --tol-classify and --tol-residual must be positive",
+    if not (0 < args.tol_classify < math.inf
+            and 0 < args.tol_residual < math.inf):
+        print("error: --tol-classify and --tol-residual must be positive "
+              "and finite",
               file=sys.stderr)
         return 1
     if not 2 <= args.grid <= MAX_GRID:

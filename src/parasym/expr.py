@@ -476,10 +476,18 @@ def simplify(e):
     if s is _SIMPLIFIED:
         return e
     if s is None:
-        s = _simplify(e)
-        object.__setattr__(e, "_simp", s)
-        if s is e or s._simp is None:
-            object.__setattr__(s, "_simp", _SIMPLIFIED)
+        # a left-nested chain of first children never simplified, as a long
+        # sum is parsed, is simplified from the innermost node out, so no
+        # call recurses once per term
+        chain = [e]
+        while chain[-1].args and chain[-1].args[0].args \
+                and chain[-1].args[0]._simp is None:
+            chain.append(chain[-1].args[0])
+        for c in reversed(chain):
+            s = _simplify(c)
+            object.__setattr__(c, "_simp", s)
+            if s is c or s._simp is None:
+                object.__setattr__(s, "_simp", _SIMPLIFIED)
     return s
 
 
@@ -736,8 +744,10 @@ def _compile(roots):
             emit("%s = float(env[%r])" % (t, e.value))
         elif k == "add":
             emit("%s = _fsum((%s))" % (t, "".join(x + ", " for x in a)))
-        elif k == "mul":
-            emit("%s = %s" % (t, " * ".join(a)))
+        elif k == "mul":      # compile() recurses once per operator
+            emit("%s = %s" % (t, " * ".join(a[:100])))
+            for i in range(100, len(a), 100):
+                emit("%s = %s" % (t, " * ".join([t] + a[i:i + 100])))
         elif k == "neg":
             emit("%s = -%s" % (t, a[0]))
         elif k == "div":
@@ -747,7 +757,7 @@ def _compile(roots):
             _emit_pow(emit, t, a[0], defaults.get(a[1]), a[1])
         elif k == "besseli":
             from . import special
-            emit("%s = %s(%s, %s)" % (t, const(special.iv), a[0], a[1]))
+            emit("%s = %s.iv(%s, %s)" % (t, const(special), a[0], a[1]))
         elif k in _FN_GUARD:
             cond, msg = _FN_GUARD[k]
             emit("%s = _%s(%s)" % (t, k, a[0]), cond % a[0], msg)

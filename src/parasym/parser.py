@@ -12,14 +12,16 @@ Equation files are newline- or semicolon-separated statements:
 Operators ``+ - * / ^`` with ``^`` right-associative; unary minus binds
 tighter than a ``^`` base but looser than a function call, so ``-x^2``
 is ``(-x)^2`` and ``-f(x)`` is ``-(f(x))``.
-``#`` starts a comment running to end of line.
+``#`` starts a comment running to end of line.  ``inf`` is a number: an
+integer literal is exact, any other literal is a float.  An expression
+nests at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expr as E
 from .expr import ParasymError
@@ -49,11 +51,6 @@ class ParsedProgram:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SINGLE = {"+": "op", "-": "op", "*": "op", "/": "op", "^": "op",
-           "(": "lparen", ")": "rparen", ",": "comma", ";": "sep",
-           "=": "eq", "\n": "sep"}
-
-
 @dataclass
 class Token:
     kind: str
@@ -62,65 +59,37 @@ class Token:
     col: int
 
 
+# One named group per token kind, tried in this order.  \d and \w are the
+# Unicode classes: a letter such as σ starts a name, and a digit that is not
+# decimal, such as ², is no number.
+_TOKEN = re.compile(r"""
+    (?P<skip>   [ \t\r]+ | \#[^\n]* )
+  | (?P<num>    (?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)? | inf(?!\w) )
+  | (?P<ident>  [^\W\d]\w* )
+  | (?P<op>     [-+*/^] )
+  | (?P<lparen> \( )
+  | (?P<rparen> \) )
+  | (?P<comma>  , )
+  | (?P<eq>     = )
+  | (?P<sep>    [;\n] )
+  | (?P<bad>    . )
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(source):
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "\n":
-            toks.append(Token("sep", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _SINGLE:
-            toks.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            isfloat = False
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                if source[j] == ".":
-                    isfloat = True
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    isfloat = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            if text.count(".") > 1:
-                raise SyntaxError("malformed number %r" % text, line, col)
-            toks.append(Token("num", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SyntaxError("unexpected character %r" % ch, line, col)
-    toks.append(Token("eof", "", line, col))
+    line, start = 1, 0                    # start: offset of the line
+    for m in _TOKEN.finditer(source):
+        kind, text, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "bad":
+            raise SyntaxError("unexpected character %r" % text, line, col)
+        if kind == "num" and text.count(".") > 1:
+            raise SyntaxError("malformed number %r" % text, line, col)
+        if kind != "skip":
+            toks.append(Token(kind, text, line, col))
+        if text == "\n":
+            line, start = line + 1, m.end()
+    toks.append(Token("eof", "", line, len(source) - start + 1))
     return toks
 
 
@@ -130,11 +99,16 @@ def tokenize(source):
 _LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_MINUS_RBP = 35  # tighter than ^: -x^2 == (-x)^2, looser than call
 
+# Deepest nesting of parentheses, calls, unary signs and powers: every
+# later stage (simplify, differentiate, printing) recurses per level.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens, declared=None):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
         self.declared = declared  # None = accept any identifier
 
     def peek(self):
@@ -158,6 +132,11 @@ class _Parser:
 
     # expression grammar -----------------------------------------------
     def expression(self, min_bp=0):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.peek()
+            raise SyntaxError("expression nested deeper than %d levels"
+                              % MAX_NESTING, t.line, t.col)
         left = self.nud()
         while True:
             t = self.peek()
@@ -173,14 +152,19 @@ class _Parser:
                 right = self.expression(bp + 1)
             left = {"+": E.add, "-": lambda a, b: E.add(a, E.neg(b)),
                     "*": E.mul, "/": E.div, "^": E.pow_}[t.text](left, right)
+        self.depth -= 1
         return left
 
     def nud(self):
         t = self.next()
         if t.kind == "num":
-            if "." in t.text or "e" in t.text or "E" in t.text:
-                return E.num(float(t.text))
-            return E.num(Fraction(int(t.text)))
+            if t.text.isdecimal():
+                try:
+                    return E.num(int(t.text))
+                except ValueError:        # past int's digit limit
+                    raise SyntaxError("integer literal too long",
+                                      t.line, t.col) from None
+            return E.num(float(t.text))
         if t.kind == "op" and t.text == "-":
             return E.neg(self.expression(_UNARY_MINUS_RBP))
         if t.kind == "op" and t.text == "+":
@@ -204,15 +188,11 @@ class _Parser:
                           t.line, t.col)
 
 
-_BUILTIN_NAMES = {"pi", "inf"}
-
-
 def parse_expression(source, declared=None):
     """Parse a single expression.  `declared=None` accepts any identifier;
-    otherwise identifiers must be in `declared` (builtins always allowed)."""
+    otherwise identifiers must be in `declared` (pi always allowed)."""
     toks = [t for t in tokenize(source) if t.kind != "sep"]
-    allowed = None if declared is None else set(declared) | _BUILTIN_NAMES
-    p = _Parser(toks, allowed)
+    p = _Parser(toks, None if declared is None else {*declared, "pi"})
     e = p.expression(0)
     t = p.peek()
     if t.kind != "eof":
@@ -229,13 +209,11 @@ def parse(source):
     Statements: ``var NAME``; ``const NAME = numeric-expr``;
     ``NAME = expr``; ``domain = (lo, hi)``.  Separated by newlines or ``;``.
     """
-    toks = tokenize(source)
-    p = _Parser(toks)
+    p = _Parser(tokenize(source), {"pi"})
     variables = []
     constants = {}
     assignments = {}
     domain = None
-    declared = set(_BUILTIN_NAMES)
 
     while True:
         p.skip_seps()
@@ -244,35 +222,31 @@ def parse(source):
             break
         if t.kind != "ident":
             raise SyntaxError("expected a statement, got %r" % t.text, t.line, t.col)
-        if t.text == "var":
+        if t.text in ("var", "const"):
             p.next()
             name = p.expect("ident")
-            if name.text in declared or name.text in FORBIDDEN_NAMES:
+            if name.text in p.declared or name.text in FORBIDDEN_NAMES:
                 raise SyntaxError("name %r already in use" % name.text,
                                   name.line, name.col)
-            variables.append(name.text)
-            declared.add(name.text)
-        elif t.text == "const":
-            p.next()
-            name = p.expect("ident")
-            if name.text in declared or name.text in FORBIDDEN_NAMES:
-                raise SyntaxError("name %r already in use" % name.text,
-                                  name.line, name.col)
-            p.expect("eq")
-            e = _statement_expr(p, declared)
-            try:
-                constants[name.text] = _constant(e, constants)
-            except E.ExprError as exc:
-                raise SyntaxError("const %s is not a constant: %s" % (name.text, exc),
-                                  name.line, name.col) from exc
-            declared.add(name.text)
+            if t.text == "var":
+                variables.append(name.text)
+            else:
+                p.expect("eq")
+                e = _statement_expr(p)
+                try:
+                    constants[name.text] = _constant(e, constants)
+                except E.ExprError as exc:
+                    raise SyntaxError("const %s is not a constant: %s"
+                                      % (name.text, exc),
+                                      name.line, name.col) from exc
+            p.declared.add(name.text)
         elif t.text == "domain":
             p.next()
             p.expect("eq")
             p.expect("lparen")
-            lo = _bound(p, declared, constants)
+            lo = _bound(p, constants)
             p.expect("comma")
-            hi = _bound(p, declared, constants)
+            hi = _bound(p, constants)
             p.expect("rparen")
             if not lo < hi:
                 raise SyntaxError("empty domain (%g, %g)" % (lo, hi), t.line, t.col)
@@ -283,7 +257,7 @@ def parse(source):
                 raise SyntaxError("%r cannot be assigned" % name.text,
                                   name.line, name.col)
             p.expect("eq")
-            assignments[name.text] = _statement_expr(p, declared)
+            assignments[name.text] = _statement_expr(p)
         # statement must end at a separator or eof
         t = p.peek()
         if t.kind not in ("sep", "eof"):
@@ -295,20 +269,12 @@ def parse(source):
 FORBIDDEN_NAMES = set(E.FUNCTIONS) | {"var", "const", "domain"}
 
 
-def _statement_expr(p, declared):
-    e = _checked_expression(p, declared)
+def _statement_expr(p):
+    e = p.expression(0)
     if p.peek().kind not in ("sep", "eof", "comma", "rparen"):
         t = p.peek()
         raise SyntaxError("trailing input %r" % t.text, t.line, t.col)
     return E.simplify(e)
-
-
-def _checked_expression(p, declared):
-    p2 = _Parser(p.toks, declared)
-    p2.i = p.i
-    e = p2.expression(0)
-    p.i = p2.i
-    return e
 
 
 def _constant(e, env):
@@ -325,22 +291,12 @@ def _constant(e, env):
     return E.evaluate(e, env)
 
 
-def _bound(p, declared, constants):
-    e = E.simplify(_checked_expression(p, declared))
-    env = dict(constants)
-    env["inf"] = math.inf
-    return _eval_allow_inf(e, env)
-
-
-def _eval_allow_inf(e, env):
-    """+-inf is a legal bound, but evaluate rejects non-finite results."""
-    if e.kind == "sym" and e.value == "inf":
-        return math.inf
-    if e.kind == "mul" and len(e.args) == 2 and E.is_num(e.args[0], -1):
-        return -_eval_allow_inf(e.args[1], env)
-    if e.kind == "neg":
-        return -_eval_allow_inf(e.args[0], env)
-    return _constant(e, env)
+def _bound(p, constants):
+    """A domain end: a float number, +-inf included, is read as it is."""
+    e = E.simplify(p.expression(0))
+    if e.kind == "num" and isinstance(e.value, float):
+        return e.value
+    return _constant(e, constants)
 
 
 # ---------------------------------------------------------------------------

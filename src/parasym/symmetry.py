@@ -239,7 +239,11 @@ def check_determining(inv, basis, n=16):
         np.array(E.evaluate_many((e,), envs)) for e in fx)
     offsets = [vf.i_offset for vf in basis]
     Is = values_at([("I", inv.I)], xs) + np.array(offsets)[:, None, None]
-    jet = _jets(basis, JET, ts)[:, :, None, :]
+    try:
+        jet = _jets(basis, JET, ts)[:, :, None, :]
+    except E.DomainError as exc:
+        raise E.DomainError("check_determining: generator jets at t in "
+                            "[0.05, 0.45]: %s" % exc) from exc
     got = np.empty((len(basis), n, 3))     # the printed (tau, xi, phi)
     for off in dict.fromkeys(offsets):
         ks = [k for k, o in enumerate(offsets) if o == off]

@@ -98,6 +98,10 @@ class TestAnalyze:
         "var x\na = x^2\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # NonparabolicError
         "var x\na = 1e-12\nb = 0\nc = 0\ndomain = (-inf, inf)\n",  # DomainError
         "var x\na = 1\nb = 0\nc = log(x)\ndomain = (-inf, inf)\n",  # DomainError
+        "var x\na = 1 + ²\nb = 0\nc = 0\n",        # ² is no decimal digit
+        "var x\na = 1\nb = 0\nc = %sx%s\n" % ("(" * 1000, ")" * 1000),
+        "var x\na = 1\nb = %sx\nc = 0\n" % ("-" * 1000),
+        "var x\na = 1\nb = %sx\nc = 0\n" % ("x^" * 1000),
     ])
     def test_analysis_error_is_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "case.eq"
@@ -106,6 +110,32 @@ class TestAnalyze:
         assert rc == 1
         assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("var x\na = 1 + 3²*x^2\nb = 0\nc = 0\n",
+         "trailing input '²' (line 2, col 10)"),
+        ("var x\na = 1\nb = 0\nc = %sx%s\n" % ("sin(" * 1000, ")" * 1000),
+         "expression nested deeper than 100 levels (line 4, col 405)"),
+        ("var x\na = inf\nb = 0\nc = 0\n",
+         "a undefined at x=-3.99518: non-finite result"),
+        ("var x\na = 1\nb = 3/x\nc = -200000*x^2\ndomain = (0, inf)\n",
+         "check_determining: generator jets at t in [0.05, 0.45]: "
+         "non-finite result"),
+    ], ids=["superscript", "nesting", "inf", "generator-jets"])
+    def test_refusal_names_its_reason(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "case.eq"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "analyze", str(path)) == (
+            1, "", "error: %s: %s\n" % (path, reason))
+
+    @pytest.mark.parametrize("op", ["+", "*", "/"])
+    def test_three_thousand_terms_get_a_verdict(self, capsys, tmp_path, op):
+        path = tmp_path / "case.eq"
+        path.write_text("var x\na = 1 %s %s\nb = 0\nc = 0\ndomain = (-1, 1)\n"
+                        % (op, (" %s " % op).join(["(1 + x^2/10000)"] * 3000)))
+        rc, out, err = run(capsys, "analyze", str(path))
+        assert (rc, err) == (0, "")
+        assert "symmetry algebra dimension" in out
 
     @pytest.mark.parametrize("lines, cause", [
         ("c = 0\ndomain = (0, 1e160)", "I^2 overflows on the probe grid"),
@@ -233,6 +263,8 @@ class TestAnalyze:
         ("--grid", "1025"),
         ("--tol-classify", "-1"), ("--tol-classify", "0"),
         ("--tol-classify", "nan"), ("--tol-residual", "-0.5"),
+        ("--tol-classify", "inf"), ("--tol-residual", "inf"),
+        ("--tol-residual", "1e400"),
     ], ids=" ".join)
     def test_bad_option_value_is_one_error_line(self, capsys, option):
         rc, out, err = run(capsys, "analyze", eqpath("heat"), *option)

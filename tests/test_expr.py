@@ -563,6 +563,15 @@ class TestCompiledEvaluator:
             want = math.fsum((0.5 * want, float(i % 3)))
         assert E.evaluate(e, {"x": 0.25}) == want
 
+    def test_long_product(self):
+        # 3,000 distinct factors, as a long parsed product simplifies to
+        env = {"x%d" % k: (k + 8) / (k + 7) for k in range(3000)}
+        want = 1.0
+        for v in env.values():
+            want *= v
+        e = E.Expr("mul", tuple(map(E.sym, env)))
+        assert E.evaluate(e, env) == want
+
     def test_compiled_functions_do_not_accumulate(self):
         def run(n, offset):
             for i in range(offset, offset + n):

@@ -1,13 +1,145 @@
 """Tokenizer, expression grammar, and equation-file programs."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from parasym import cli
 from parasym import expr as E
 from parasym import parser
-from parasym.parser import (SyntaxError as EqSyntaxError,
+from parasym.expr import ParasymError
+from parasym.parser import (MAX_NESTING, ParsedProgram, Token,
+                            SyntaxError as EqSyntaxError,
                             UndeclaredIdentifier, parse, parse_expression)
+
+
+def reference_tokenize(source):
+    """The character loop the token table replaced, kept as the reference
+    for ASCII input; it reads `inf` as a name."""
+    _SINGLE = {"+": "op", "-": "op", "*": "op", "/": "op", "^": "op",
+               "(": "lparen", ")": "rparen", ",": "comma", ";": "sep",
+               "=": "eq", "\n": "sep"}
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch == "\n":
+            toks.append(Token("sep", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch in _SINGLE:
+            toks.append(Token(_SINGLE[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+            j = i
+            while j < n and (source[j].isdigit() or source[j] == "."):
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    j = k
+                    while j < n and source[j].isdigit():
+                        j += 1
+            text = source[i:j]
+            if text.count(".") > 1:
+                raise EqSyntaxError("malformed number %r" % text, line, col)
+            toks.append(Token("num", text, line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            toks.append(Token("ident", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise EqSyntaxError("unexpected character %r" % ch, line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _lexed(tokenize, source):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+    except EqSyntaxError as exc:
+        return str(exc)
+
+
+class TestTokenTable:
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        st.text(st.characters(max_codepoint=127), max_size=40),
+        st.text("0123456789..eE+-*/^(),;=# \t\r\n_xinf$", max_size=40)))
+    def test_matches_the_character_loop_on_ascii(self, source):
+        want = _lexed(reference_tokenize, source)
+        if not isinstance(want, str):     # inf is a number now
+            want = [("num",) + t[1:] if t[:2] == ("ident", "inf") else t
+                    for t in want]
+        assert _lexed(parser.tokenize, source) == want
+
+    def test_unicode_letters_name_and_decimal_digits_count(self):
+        assert _lexed(parser.tokenize, "σ2 ٣\n x²") == [
+            ("ident", "σ2", 1, 1), ("num", "٣", 1, 4), ("sep", "\n", 1, 5),
+            ("ident", "x²", 2, 2), ("eof", "", 2, 4)]
+        assert E.is_num(parse_expression("٣٣"), 33)
+
+    @pytest.mark.parametrize("source, message", [
+        ("a = 1 + 3²*x^2", "trailing input '²' (line 1, col 10)"),
+        ("a = 1 + ²", "undeclared identifier '²' (line 1, col 9)"),
+        ("a = 1 + 1" + "0" * 5000, "integer literal too long (line 1, col 9)"),
+    ], ids=["digit-after-number", "digit-alone", "long-integer"])
+    def test_non_decimal_and_overlong_numbers_are_refused(self, source,
+                                                          message):
+        with pytest.raises(ParasymError) as err:
+            parse("var x\n" + source)
+        assert str(err.value) == message.replace("line 1", "line 2")
+
+
+class TestNesting:
+    FORMS = {"paren": ("(", ")"), "call": ("sin(", ")"), "minus": ("-", ""),
+             "power": ("x^", "")}
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_limit(self, form):
+        left, right = self.FORMS[form]
+        nested = lambda n: left * n + "x" + right * n
+        parse_expression(nested(MAX_NESTING - 1))
+        with pytest.raises(EqSyntaxError) as err:
+            parse_expression(nested(1000))
+        assert str(err.value) == (
+            "expression nested deeper than %d levels (line 1, col %d)"
+            % (MAX_NESTING, len(left) * MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_long_chains_are_not_nesting(self, op):
+        e = parse_expression("1 %s " % op + (" %s " % op).join(["x"] * 3000))
+        want = {"+": "1 + 3000*x", "-": "1 - 3000*x", "*": "x^3000",
+                "/": "1/(x^3000)"}[op]
+        assert E.to_text(e) == want
 
 
 class TestExpressionGrammar:
@@ -125,6 +257,32 @@ class TestPrograms:
         assert E.is_num(prog.assignments["a"], 1)
 
 
+class TestInf:
+    def test_inf_is_a_float_number(self):
+        assert E.to_sexpr(parse_expression("-inf")) == "-inf"
+        assert parse_expression("2*inf").value == math.inf
+        assert parse_expression("3").value == Fraction(3)
+        assert parse_expression("3.0").value == 3.0
+
+    @pytest.mark.parametrize("domain, want", [
+        ("(0, 2*inf)", (0.0, math.inf)), ("(-inf, 1e400)", (-math.inf, math.inf)),
+    ])
+    def test_infinite_bounds(self, domain, want):
+        assert parse("domain = %s" % domain).domain == want
+
+    @pytest.mark.parametrize("source, message", [
+        ("var inf", "expected ident, got 'inf' (line 1, col 5)"),
+        ("const k = inf", "const k is not a constant: non-finite result "
+                          "(line 1, col 7)"),
+        ("domain = (0, inf - inf)", "empty domain (0, nan) (line 1, col 1)"),
+        ("inf = 1", "expected a statement, got 'inf' (line 1, col 1)"),
+    ])
+    def test_refusals(self, source, message):
+        with pytest.raises(EqSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == message
+
+
 class TestConstantFolding:
     def test_number_constants_and_bounds_are_read_not_compiled(self,
                                                               monkeypatch):
@@ -149,3 +307,64 @@ class TestConstantFolding:
                      "c = m\ndomain = (-inf, k)\n")
         assert prog.constants["m"] == 2 * math.pi
         assert prog.domain == (-math.inf, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the front door: any text ends in a program or one ParasymError, and
+# `parasym analyze` in exit 0, 1 or 2 with at most one line on stderr
+
+_FRAGMENTS = (list("0123456789.eE+-*/^(),;=# \n") + ["²", "٣", "σ"]
+              + ["inf", "pi", "x", "k", "var x", "const k =", "domain =",
+                 "a =", "b =", "c ="] + [f + "(" for f in E.FUNCTIONS])
+
+
+def _nested(form, n):
+    left, right = TestNesting.FORMS[form]
+    return left * n + "x" + right * n
+
+
+# every form at depths past the limit; calls deep in `a` take long to
+# analyze, so only the cheap forms sit just under it
+_DEEP = st.one_of(
+    st.builds(_nested, st.sampled_from(sorted(TestNesting.FORMS)),
+              st.sampled_from([5, 20, MAX_NESTING, 1000])),
+    st.builds(_nested, st.sampled_from(["paren", "minus", "power"]),
+              st.just(MAX_NESTING - 1)))
+_TEXT = st.lists(st.one_of(st.sampled_from(_FRAGMENTS), _DEEP),
+                 max_size=25).map("".join)
+# well-formed expressions, so that analyses run past the parser; one leaf
+# in four is deeply nested
+_ATOM = st.sampled_from(["x", "1", "0.5", "٣", "inf", "pi", "1e400"])
+_EXPR = st.recursive(
+    st.one_of(_ATOM, _ATOM, _ATOM, _DEEP),
+    lambda e: st.one_of(
+        st.builds("({}) {} ({})".format, e, st.sampled_from("+-*/^"), e),
+        st.builds("{}({})".format, st.sampled_from(E.FUNCTIONS), e)),
+    max_leaves=6)
+
+
+class TestFrontDoor:
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXT)
+    def test_parse_gives_a_program_or_a_parasym_error(self, source):
+        try:
+            assert isinstance(parse(source), ParsedProgram)
+        except ParasymError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_EXPR, _EXPR, _TEXT), min_size=3, max_size=3),
+           st.sampled_from(["", "domain = (-1, 1)\n", "domain = (0, inf)\n"]))
+    def test_analyze_ends_in_an_exit_code_and_one_line(self, coefs, domain):
+        text = "var x\n%s" % domain + "".join(
+            "%s = %s\n" % kv for kv in zip("abc", coefs))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "case.eq")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(["analyze", path])
+        assert rc in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1
