@@ -11,11 +11,15 @@ key) and is idempotent.
 from __future__ import annotations
 
 import builtins
+import contextlib
+import functools
 import itertools
 import math
 import types
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 
 class ParasymError(Exception):
@@ -602,6 +606,14 @@ def differentiate(e, var="x", order=1):
 # distinct value, so functions that differ only in their constants have the
 # same source and share one code object from `_CODES`.  `_run` maps what
 # the code raises besides its guards.
+#
+# The same walk also writes the array form of one tree, f(v, env): its value
+# at a float array v of one symbol, the others read once from env.  Only its
+# line templates differ: that symbol is read as v, a sum is a left fold of
+# `+` (not fsum), a guard on an array raises when it holds anywhere, the
+# functions are numpy's, `special.iv` is called on arrays, and there is no
+# loop.  It runs under `numpy_faults`, so a fault raises the DomainError that
+# the scalar form raises at that point.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
@@ -625,6 +637,25 @@ _CODE_GLOBALS = dict(
     {"_" + k: f for k, f in _FN_EVAL.items()},
     __builtins__=builtins, _fsum=math.fsum, _isfinite=math.isfinite,
     _DomainError=DomainError, _ExprError=ExprError)
+# those of the array form: numpy's functions under the same names
+_ARRAY_GLOBALS = dict(
+    _CODE_GLOBALS, _isfinite=np.isfinite, _full=np.full, _shape=np.shape,
+    round=np.round,
+    **{"_" + k: getattr(np, k) for k in _FN_EVAL})
+
+
+class _Form(NamedTuple):
+    """The line templates in which the scalar and the array form differ."""
+    guard: str              # raise when the condition holds
+    nonfinite: str          # the condition that a value is not finite
+    both: str               # the conjunction of two conditions
+
+
+_SCALAR = _Form("if %s: raise _DomainError(%r)", "not _isfinite(%s)",
+                "%s and %s")
+# the array templates, for a value that depends on the array
+_ARRAY = _Form("if (%s).any(): raise _DomainError(%r)", "~_isfinite(%s)",
+               "(%s) & (%s)")
 
 # generated source -> its code object, kept for the life of the process
 _CODES = {}
@@ -657,6 +688,41 @@ def function_of(e, name, bindings=None):
     return at
 
 
+def array_function_of(e, name, bindings=None):
+    """v -> the values of e at each element of the float array v of `name`,
+    an array of v's shape, its other symbols bound by `bindings` (copied
+    here once): e's array form, compiled once per tree and name.  It raises
+    DomainError where evaluate raises one at some element, and elsewhere
+    agrees with evaluate to rounding (its sums are left folds, not fsum)."""
+    f, env = _array_function(e, name), dict(bindings or {})
+    def at(v):
+        with numpy_faults():
+            return _run(f, v, env)
+    return at
+
+
+@functools.cache
+def _array_function(e, name):
+    return _compile((e,), name)
+
+
+@contextlib.contextmanager
+def numpy_faults():
+    """numpy under the error state 'raise', underflow excepted, as in
+    floats; a fault leaves as the DomainError that evaluate raises, from an
+    OverflowError or a ZeroDivisionError where that is the fault."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise",
+                         under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        reason = str(exc)
+        cause = (OverflowError(reason) if reason.startswith("overflow")
+                 else ZeroDivisionError(reason) if reason.startswith("divide")
+                 else exc)
+        raise DomainError(reason) from cause
+
+
 def _function(trees):
     """The compiled function of `trees`, kept in the node of a single tree."""
     if len(trees) != 1:
@@ -668,9 +734,9 @@ def _function(trees):
     return f
 
 
-def _run(f, envs):
+def _run(f, *args):
     try:
-        return f(envs)
+        return f(*args)
     except KeyError as exc:               # only env[name] raises it
         raise UnboundIdentifier(exc.args[0]) from None
     except (OverflowError, ValueError) as exc:
@@ -678,14 +744,16 @@ def _run(f, envs):
         raise DomainError(*exc.args[-1:]) from exc
 
 
-def _compile(roots):
+def _compile(roots, array_of=None):
     """One function envs -> [[value of each root] per env], as described
-    above."""
-    lines = []      # the loop body, one physical line each
+    above; with `array_of`, the array form of the one root, a function
+    (v, env) -> its value at the array v of the symbol `array_of`."""
+    lines = []      # the function body, one physical line each
     ref = {}        # id(node) -> its local or default-argument name
     seen = {}       # (kind, value, operand names) -> local; checks emitted
     names = {}      # repr of a constant -> its default-argument name
     defaults = {}   # default-argument name -> value
+    arrays = set()  # the locals that hold arrays: those that depend on v
     count = itertools.count()
 
     def local():
@@ -698,9 +766,14 @@ def _compile(roots):
             defaults[names[r]] = v
         return names[r]
 
+    def form(*operands):
+        """The templates of a condition on these operands."""
+        return _ARRAY if arrays and arrays.intersection(operands) else _SCALAR
+
     def emit(line, *guard):
         if guard:
-            check = "if %s: raise _DomainError(%r)" % guard
+            cond, msg, templates = guard
+            check = templates.guard % (cond, msg)
             if check not in seen:         # the same check on the same value
                 seen[check] = None
                 lines.append(check)
@@ -714,7 +787,9 @@ def _compile(roots):
         e, ready = stack.pop()
         k = e.kind
         if ready is None:
-            emit(None, "not _isfinite(%s)" % ref[id(e)], "non-finite result")
+            r = ref[id(e)]
+            f = form(r)
+            emit(None, f.nonfinite % r, "non-finite result", f)
             continue
         if not ready:
             if id(e) not in ref:
@@ -728,8 +803,10 @@ def _compile(roots):
                 ref[id(e)] = t = local()
                 emit("%s = float(%s)" % (t, const(e.value)))
             continue
-        if k == "mul" and len(e.args) < 2:
-            ref[id(e)] = ref[id(e.args[0])] if e.args else const(1.0)
+        if len(e.args) < 2 and (k == "mul" or k == "add" and array_of):
+            # an empty product is 1 and an empty sum 0 (fsum's, in a loop)
+            ref[id(e)] = (ref[id(e.args[0])] if e.args
+                          else const(1.0 if k == "mul" else 0.0))
             continue
         a = [ref[id(c)] for c in e.args]
         key = (k, e.value, *a)
@@ -737,62 +814,82 @@ def _compile(roots):
             ref[id(e)] = seen[key]
             continue
         ref[id(e)] = seen[key] = t = local()
-        if k == "sym" and e.value in DEFAULT_BINDINGS:
+        if array_of and ((e.value == array_of) if k == "sym"
+                         else arrays.intersection(a)):
+            arrays.add(t)
+        if k == "sym" and e.value == array_of:
+            emit("%s = v" % t)
+        elif k == "sym" and e.value in DEFAULT_BINDINGS:
             emit("%s = float(env.get(%r, %s))"
                  % (t, e.value, const(DEFAULT_BINDINGS[e.value])))
         elif k == "sym":
             emit("%s = float(env[%r])" % (t, e.value))
-        elif k == "add":
+        elif k == "add" and not array_of:
             emit("%s = _fsum((%s))" % (t, "".join(x + ", " for x in a)))
-        elif k == "mul":      # compile() recurses once per operator
-            emit("%s = %s" % (t, " * ".join(a[:100])))
+        elif k in ("add", "mul"):   # compile() recurses once per operator
+            op = " + " if k == "add" else " * "
+            emit("%s = %s" % (t, op.join(a[:100])))
             for i in range(100, len(a), 100):
-                emit("%s = %s" % (t, " * ".join([t] + a[i:i + 100])))
+                emit("%s = %s" % (t, op.join([t] + a[i:i + 100])))
         elif k == "neg":
             emit("%s = -%s" % (t, a[0]))
         elif k == "div":
             emit("%s = %s / %s" % (t, a[0], a[1]), "%s == 0.0" % a[1],
-                 "division by zero")
+                 "division by zero", form(a[1]))
         elif k == "pow":
-            _emit_pow(emit, t, a[0], defaults.get(a[1]), a[1])
+            _emit_pow(emit, t, a[0], defaults.get(a[1]), a[1], form)
         elif k == "besseli":
             from . import special
             emit("%s = %s.iv(%s, %s)" % (t, const(special), a[0], a[1]))
         elif k in _FN_GUARD:
             cond, msg = _FN_GUARD[k]
-            emit("%s = _%s(%s)" % (t, k, a[0]), cond % a[0], msg)
+            emit("%s = _%s(%s)" % (t, k, a[0]), cond % a[0], msg, form(a[0]))
         elif k in _FN_EVAL:
             emit("%s = _%s(%s)" % (t, k, a[0]))
         else:
             emit("raise _ExprError(%r)" % ("cannot evaluate node kind %r" % k))
-    src = "\n".join(
-        ["def f(envs%s):" % "".join(", " + n for n in defaults),
-         "    out = []",
-         "    for env in envs:"]
-        + ["        " + line for line in lines]
-        + ["        out.append([%s])" % ", ".join(ref[id(r)] for r in roots),
-           "    return out\n"])
+    args = "".join(", " + n for n in defaults)
+    if array_of:
+        root = ref[id(roots[0])]
+        if root not in arrays:            # a tree free of the array
+            root = "_full(_shape(v), %s)" % root
+        src = "\n".join(["def f(v, env%s):" % args]
+                        + ["    " + line for line in lines]
+                        + ["    return %s\n" % root])
+    else:
+        src = "\n".join(
+            ["def f(envs%s):" % args,
+             "    out = []",
+             "    for env in envs:"]
+            + ["        " + line for line in lines]
+            + ["        out.append([%s])" % ", ".join(ref[id(r)]
+                                                      for r in roots),
+               "    return out\n"])
     code = _CODES.get(src)
     if code is None:            # the def's code is the module's first constant
         code = compile(src, "<parasym.expr>", "exec").co_consts[0]
         _CODES[src] = code
-    return types.FunctionType(code, _CODE_GLOBALS, "f",
+    return types.FunctionType(code, _ARRAY_GLOBALS if array_of
+                              else _CODE_GLOBALS, "f",
                               tuple(defaults.values()))
 
 
-def _emit_pow(emit, t, b, c, x):
+def _emit_pow(emit, t, b, c, x, form):
     """t = b ** x with the real-domain guards, where c is the exponent's
-    value if it is a constant.  Every value is a Python float, and for those
-    b ** x equals b ** int(x) at an integral x."""
+    value if it is a constant and form(*operands) gives the line templates
+    of a condition.  For Python floats, and elementwise for numpy's, b ** x
+    equals b ** int(x) at an integral x."""
     if c is not None and math.isfinite(c):   # decide the exponent's part now
         if c < 0:
-            emit(None, "%s == 0.0" % b, "0^negative")
+            emit(None, "%s == 0.0" % b, "0^negative", form(b))
         if c != round(c):
-            emit(None, "%s < 0" % b, "negative base with fractional exponent")
+            emit(None, "%s < 0" % b, "negative base with fractional exponent",
+                 form(b))
     else:
-        emit(None, "%s == 0.0 and %s < 0" % (b, x), "0^negative")
-        emit(None, "%s < 0 and %s != round(%s)" % (b, x, x),
-             "negative base with fractional exponent")
+        f = form(b, x)
+        emit(None, f.both % ("%s == 0.0" % b, "%s < 0" % x), "0^negative", f)
+        emit(None, f.both % ("%s < 0" % b, "%s != round(%s)" % (x, x)),
+             "negative base with fractional exponent", f)
     emit("%s = %s ** %s" % (t, b, x))
 
 

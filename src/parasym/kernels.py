@@ -12,10 +12,12 @@ every environment in which the trees are evaluated.  The PDE residual
 therefore differentiates and compiles each formula once.  Nine entries
 integrate along one axis through `_line_mass`, the two separable ones axis
 by axis through `_product_mass`, and black_scholes in log space.  A mass
-binds its tree once per time by `expr.function_of` (heat2d_timedep's rule:
-one `evaluate_many` call per axis); radial, second_canonical and ou_nonfp,
-whose trees over- or underflow at small t, integrate a stable pointwise form
-(scaled Bessel function, cosh split into two Gaussians).  One generic
+binds its tree once per time as a function of arrays
+(`expr.array_function_of`), and `_quad` integrates it on adaptive 15-point
+Gauss-Kronrod panels, all panels of a sweep in one call; radial,
+second_canonical and ou_nonfp, whose trees over- or underflow at small t,
+integrate a stable form on arrays (scaled Bessel function, cosh split into
+two Gaussians).  No scipy quadrature is used.  One generic
 verifier covers them all: symbolic PDE residual at the sample points,
 quadrature normalization at several times, and a delta-initial-condition
 limit with a Gaussian test bump.  `appell_spread` derives the five
@@ -71,82 +73,121 @@ class OutOfFloatRange(ParasymError):
 _SEED = 20250823
 
 
-def _quad(f, lo, hi, points=None):
+# QUADPACK's 15-point Kronrod rule on [-1, 1] (qk15, Piessens et al. 1983):
+# the nodes from -1 to 0, their weights, and the weights of the 7-point
+# Gauss rule on every second node; the rule is symmetric about 0
+_XK = [-0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+       -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+       -0.20778495500789848, 0.0]
+_WK = [0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+       0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+       0.20443294007529889, 0.20948214108472782]
+_WG = [0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0,
+       0.3818300505051189, 0.0, 0.4179591836734694]
+_XK, _WK, _WG = (np.array(h + [s * v for v in h[-2::-1]])
+                 for h, s in ((_XK, -1.0), (_WK, 1.0), (_WG, 1.0)))
+
+# Every segment between breakpoints starts as _PANELS equal panels, and a
+# panel that is split becomes _SPLIT.  Each sweep evaluates all new panels
+# in one call of the integrand, which costs far more per call than per
+# point, so few wide sweeps beat many narrow ones.
+_PANELS, _SPLIT, _MAX_PANELS = 32, 8, 4096
+_EPS = np.finfo(float).eps
+
+
+def _quad(F, lo, hi, points=None):
+    """Integral of F over [lo, hi] with breakpoints `points`, where F maps a
+    float array to its values: adaptive 15-point Gauss-Kronrod panels, split
+    until the summed error estimate is at most 1e-11 absolute or relative,
+    or until _MAX_PANELS.  The value is accepted when it is finite and its
+    error at most 1e-7 (1 + |value|).  A window or nodes that cannot be told
+    apart in floats are refused; numpy's faults raise as in
+    `expr.numpy_faults`."""
     # the ends' rounding must leave the width within 2^-10 of itself
     if not hi - lo > 1024 * math.ulp(max(abs(lo), abs(hi))):
         raise NonconvergentQuadrature(
             "window [%.17g, %.17g] is too narrow for its floats" % (lo, hi))
-    kw = {"epsabs": 1e-11, "epsrel": 1e-11, "limit": 300}
-    if points:
-        pts = [p for p in points if lo < p < hi]
-        if pts:
-            kw["points"] = pts
-    from scipy.integrate import quad
-    # full_output makes quad return its warning, if any, not print it
-    val, err, _, *warning = quad(f, lo, hi, full_output=1, **kw)
-    if warning or not (math.isfinite(val) and err <= 1e-7 * (1 + abs(val))):
+    edges = [lo, *sorted({p for p in points or () if lo < p < hi}), hi]
+    with E.numpy_faults():
+        ends = np.concatenate([np.linspace(a, b, _PANELS + 1)[:-1]
+                               for a, b in zip(edges, edges[1:])] + [[hi]])
+        a, b = ends[:-1], ends[1:]          # the panels to evaluate
+        panels = np.empty((4, 0))           # rows a, b, value, error
+        while True:
+            half = 0.5 * (b - a)
+            x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+            if not (np.diff(x, axis=1) > 0).all():
+                raise NonconvergentQuadrature(
+                    "quadrature nodes on [%.17g, %.17g] collapse in floats"
+                    % (lo, hi))
+            value, err = _qk15(F(x.ravel()).reshape(x.shape), half)
+            panels = np.concatenate([panels, [a, b, value, err]], axis=1)
+            total, error = math.fsum(panels[2]), math.fsum(panels[3])
+            tol = max(1e-11, 1e-11 * abs(total))
+            if not error > tol:
+                break
+            # split the panels of largest error until the rest sum to tol/2
+            order = np.argsort(panels[3])[::-1]
+            n = min(1 + np.searchsorted(np.cumsum(panels[3][order]),
+                                        error - tol / 2), len(order))
+            if panels.shape[1] + (_SPLIT - 1) * n > _MAX_PANELS:
+                break
+            ends = np.linspace(*panels[:2, order[:n]], _SPLIT + 1)
+            a, b = ends[:-1].ravel(), ends[1:].ravel()
+            panels = panels[:, order[n:]]
+    if not (math.isfinite(total) and error <= 1e-7 * (1 + abs(total))):
         raise NonconvergentQuadrature(
-            "quadrature error %.2e for value %.6g%s" % (err, val, "".join(
-                ": " + " ".join(w.split()) for w in warning)))
-    return val
+            "quadrature error %.2e for value %.6g" % (error, total))
+    return total
 
 
-def _mass_quad(f, phi, source, lo, hi, points):
-    """Integral of f over [lo, hi]; with a test bump phi, of f times phi at
-    the offset from the source."""
+def _qk15(f, half):
+    """Value and QUADPACK's error estimate of the 15-point Kronrod rule on
+    each panel, from its values f (one row per panel) and half-width."""
+    resk = f @ _WK
+    h = np.abs(half)
+    err = np.abs(resk - f @ _WG) * h
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _WK * h
+    # resasc min(1, (200 err / resasc)^1.5), written so that it cannot
+    # overflow, and at least the rounding of the panel's sum
+    scaled = resasc * (np.minimum(200 * err, resasc)
+                       / np.where(resasc > 0, resasc, 1.0)) ** 1.5
+    err = np.where(resasc > 0, scaled, err)
+    return resk * half, np.maximum(err, 50 * _EPS * (np.abs(f) @ _WK * h))
+
+
+
+def _mass_quad(F, phi, source, lo, hi, points):
+    """Integral of the array function F over [lo, hi]; with a test bump
+    phi, of F times phi at the offset from the source."""
     if phi is None:
-        return _quad(f, lo, hi, points)
-    return _quad(lambda v: f(v) * phi(v - source), lo, hi, points)
-
-
-@functools.cache
-def _gl_rule():
-    """Nodes and weights of the 120-node Gauss-Legendre rule on [-1, 1],
-    computed on first use."""
-    return np.polynomial.legendre.leggauss(120)
-
-
-def _gl_mass(K, s, env, phi, source, lo, hi):
-    """_mass_quad's integral along s by the fixed 120-node Gauss-Legendre
-    rule.  Nodes that overflow or collapse in floats are refused."""
-    nodes, weights = _gl_rule()
-    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    if not np.isfinite(x).all():
-        raise OverflowError("nodes on [%g, %g] overflow" % (lo, hi))
-    if not (np.diff(x) > 0).all():
-        raise NonconvergentQuadrature(
-            "quadrature nodes on [%.17g, %.17g] collapse in floats"
-            % (lo, hi))
-    w = 0.5 * (hi - lo) * weights
-    # Python floats, not numpy scalars: the same IEEE sums, done faster
-    rows = E.evaluate_many((K,), [{**env, s: v} for v in x.tolist()])
-    return sum(wi * (fi * phi(xi - source) if phi else fi)
-               for (fi,), xi, wi in zip(rows, x.tolist(), w.tolist()))
+        return _quad(F, lo, hi, points)
+    return _quad(lambda v: F(v) * phi(v - source), lo, hi, points)
 
 
 def _line_mass(f, source, window, bindings=()):
     """mass(t, phi=None) of a tree f in x and t, its constants bound by
-    `bindings`, or of a stable form f(v, t), by _mass_quad over the (lo, hi,
-    breakpoints) that window(t, phi) gives."""
+    `bindings`, or of a stable form f(v, t) on arrays v, by _mass_quad over
+    the (lo, hi, breakpoints) that window(t, phi) gives."""
     def mass(t, phi=None):
-        g = (E.function_of(f, "x", dict(bindings, t=t)) if isinstance(f, Expr)
-             else lambda v: f(v, t))
-        return _mass_quad(g, phi, source, *window(t, phi))
+        F = (E.array_function_of(f, "x", dict(bindings, t=t))
+             if isinstance(f, Expr) else lambda v: f(v, t))
+        return _mass_quad(F, phi, source, *window(t, phi))
     return mass
 
 
-def _product_mass(K, bindings, source, window, rule):
+def _product_mass(K, bindings, source, window):
     """mass(t, phi=None) of a kernel K, its constants bound by `bindings`,
     that is a product of one factor per axis of `source` (symbol -> source
     value) and a factor of t: integrate one axis at a time through the
-    source by rule(K, axis, environment, phi, source value, *limits), with
-    window(t, phi) giving the limits per axis, then divide out the other
-    axes' factors there."""
+    source by _mass_quad, with window(t, phi) giving (lo, hi, breakpoints)
+    per axis, then divide out the other axes' factors there."""
     def mass(t, phi=None):
         at = dict(bindings, **source, t=t)
         total = 1.0
         for (s, s0), limits in zip(source.items(), window(t, phi)):
-            total *= rule(K, s, at, phi, s0, *limits)
+            total *= _mass_quad(E.array_function_of(K, s, at), phi, s0,
+                                *limits)
         return total / E.evaluate(K, at) ** (len(source) - 1)
     return mass
 
@@ -156,7 +197,7 @@ def _bump(width):
     s2 = 2.0 * width * width
 
     def phi(d):
-        return math.exp(-d ** 2 / s2)
+        return np.exp(-d ** 2 / s2)
 
     return phi
 
@@ -370,9 +411,7 @@ def _build_linear_potential_nd(c):
         equation="u_t = Lap u + (sum b_k x_k) u",
         diffusion=diffusion, potential=potential, residual_points=points,
         normalization_target=target, norm_t_list=(0.05, 0.15, 0.3),
-        mass=_product_mass(K, bind, dict(zip(xsyms, ys)), window,
-                           lambda K, s, env, *rest: _mass_quad(
-                               E.function_of(K, s, env), *rest)),
+        mass=_product_mass(K, bind, dict(zip(xsyms, ys)), window),
         args=xsyms + ("t",))
 
 
@@ -435,7 +474,7 @@ def _build_radial(c):
         # scaled-Bessel form, stable for small t
         z = x * yv / (2.0 * t)
         return (x ** (1.0 - n / 2.0) * yv ** (n / 2.0) / (2.0 * t)
-                * ive(nu, z) * math.exp(-(x - yv) ** 2 / (4.0 * t)))
+                * ive(nu, z) * np.exp(-(x - yv) ** 2 / (4.0 * t)))
 
     def window(t, phi):
         w = 40 * math.sqrt(t) + 1
@@ -479,8 +518,8 @@ def _build_second_canonical(c):
 
     def ev(x, t):
         z = x * y / (2.0 * t)
-        return (math.sqrt(x * y) / (2.0 * t) * ive(nu, z)
-                * math.exp(-(x - y) ** 2 / (4.0 * t)))
+        return (np.sqrt(x * y) / (2.0 * t) * ive(nu, z)
+                * np.exp(-(x - y) ** 2 / (4.0 * t)))
 
     def window(t, phi):
         w = 40 * math.sqrt(t) + 0.5
@@ -528,11 +567,11 @@ def _build_black_scholes(c):
         # the density in y without its exp(-r t) discount, in log space
         w0 = math.log(x) + ell * t
         wspan = 40 * sigma * math.sqrt(t) + 1
-        k = E.function_of(Kb, "y", dict(bind, x=x, t=t))
+        k = E.array_function_of(Kb, "y", dict(bind, x=x, t=t))
         ert = math.exp(r * t)
 
         def f(w):
-            yv = math.exp(w)
+            yv = np.exp(w)
             v = ert * k(yv) * yv
             return v * phi(yv - x) if phi else v
         return _quad(f, w0 - wspan, w0 + wspan, points=[w0])
@@ -602,8 +641,8 @@ def _build_ou_nonfp(c):
         pref = (2.0 / sigma) * math.sqrt(b / math.pi) / math.sqrt(e2)
         xs = math.sqrt(2.0) * math.exp(b * t) * xv / sigma
         return 0.5 * pref * (
-            math.exp(-b * (yv - xs) ** 2 / (2.0 * e2))
-            + math.exp(-b * (yv + xs) ** 2 / (2.0 * e2)))
+            np.exp(-b * (yv - xs) ** 2 / (2.0 * e2))
+            + np.exp(-b * (yv + xs) ** 2 / (2.0 * e2)))
 
     def window(t, phi):
         # density in y on the half line; peak of the Gaussian-cosh profile
@@ -640,11 +679,10 @@ def _build_heat2d_timedep(c):
 
     def window(t, phi):
         s = t - t0
-        # ~18 Gaussian widths: wide enough for full mass, narrow enough
-        # that the fixed-order rule still resolves the peak at small s
+        # ~18 Gaussian widths: wide enough for the full mass
         wx = 25 * math.sqrt(s)
         wy = 25 * math.sqrt(s / (t0 * t))
-        return (x0 - wx, x0 + wx), (y0 - wy, y0 + wy)
+        return (x0 - wx, x0 + wx, [x0]), (y0 - wy, y0 + wy, [y0])
 
     return KernelEntry(
         name="heat2d_timedep",
@@ -658,7 +696,7 @@ def _build_heat2d_timedep(c):
         norm_t_list=(t0 + 0.1, t0 + 0.5, t0 + 1.0),
         delta_t_list=(t0 + 1e-2, t0 + 1e-3, t0 + 1e-4),
         delta_width=1.0,
-        mass=_product_mass(Kb, bind, {"x": x0, "y": y0}, window, _gl_mass),
+        mass=_product_mass(Kb, bind, {"x": x0, "y": y0}, window),
         args=("x", "y", "t"))
 
 

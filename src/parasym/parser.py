@@ -206,8 +206,9 @@ def parse_expression(source, declared=None):
 def parse(source):
     """Parse an equation program into a ParsedProgram.
 
-    Statements: ``var NAME``; ``const NAME = numeric-expr``;
-    ``NAME = expr``; ``domain = (lo, hi)``.  Separated by newlines or ``;``.
+    Statements: ``var NAME``; ``const NAME = numeric-expr``; ``a = expr``,
+    ``b = expr`` and ``c = expr``, each at most once; ``domain = (lo, hi)``.
+    Separated by newlines or ``;``.
     """
     p = _Parser(tokenize(source), {"pi"})
     variables = []
@@ -253,8 +254,11 @@ def parse(source):
             domain = (lo, hi)
         else:
             name = p.next()
-            if name.text in FORBIDDEN_NAMES:
-                raise SyntaxError("%r cannot be assigned" % name.text,
+            if name.text not in COEFFICIENTS:
+                raise SyntaxError("%r cannot be assigned: only a, b and c "
+                                  "can" % name.text, name.line, name.col)
+            if name.text in assignments:
+                raise SyntaxError("%s is assigned twice" % name.text,
                                   name.line, name.col)
             p.expect("eq")
             assignments[name.text] = _statement_expr(p)
@@ -267,6 +271,7 @@ def parse(source):
 
 
 FORBIDDEN_NAMES = set(E.FUNCTIONS) | {"var", "const", "domain"}
+COEFFICIENTS = ("a", "b", "c")      # the only names a statement assigns
 
 
 def _statement_expr(p):

@@ -102,6 +102,7 @@ class TestAnalyze:
         "var x\na = 1\nb = 0\nc = %sx%s\n" % ("(" * 1000, ")" * 1000),
         "var x\na = 1\nb = %sx\nc = 0\n" % ("-" * 1000),
         "var x\na = 1\nb = %sx\nc = 0\n" % ("x^" * 1000),
+        "var x\na = 1\nb = 0\nc = 0\nd = x^2\n",   # only a, b, c are read
     ])
     def test_analysis_error_is_one_line(self, capsys, tmp_path, text):
         path = tmp_path / "case.eq"

@@ -8,6 +8,7 @@ import os
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -470,6 +471,51 @@ class TestCompiledEvaluator:
             assert (_outcome(f, v)
                     == _outcome(E.evaluate, e, {**bindings, name: v}))
         assert bindings == before
+
+    @given(_trees, st.sampled_from(["x", "y", "z"]),
+           st.lists(_values, min_size=1, max_size=6), _values)
+    @settings(max_examples=250, deadline=None)
+    def test_array_form_raises_where_evaluate_raises(self, e, name, vs, y):
+        # elementwise, and on the whole array, the array form raises the
+        # class evaluate raises; it may also refuse an intermediate value
+        # that evaluate carries as inf to a finite result, never the other
+        # way round
+        bindings = {"x": 0.3, "y": y, "z": -2.5}
+        f = E.array_function_of(e, name, bindings)
+        raised = set()
+        for v in vs:
+            want = _outcome(E.evaluate, e, {**bindings, name: v})
+            got = _outcome(lambda: float(f(np.array([v]))[0]))
+            if want[0] == "raises":
+                raised.add(want[1])
+                assert got[:2] == want[:2]
+            else:
+                assert got[0] == "value" or got[1] is E.DomainError
+        if raised:
+            with pytest.raises(E.ExprError) as exc:
+                f(np.array(vs))
+            assert type(exc.value) in raised | {E.DomainError}
+
+    def test_array_form_of_a_tree_free_of_the_array(self):
+        v = np.array([1.0, -2.0, 0.5])
+        for e, want in ((E.mul(2, "y"), 6.0), (E.Expr("add", ()), 0.0),
+                        (E.Expr("mul", ()), 1.0), (E.num(-0.5), -0.5)):
+            got = E.array_function_of(e, "x", {"y": 3.0})(v)
+            assert got.shape == v.shape and (got == want).all()
+        assert (E.array_function_of(E.sym("x"), "x")(v) == v).all()
+
+    def test_array_form_faults(self):
+        with pytest.raises(E.UnboundIdentifier, match="y"):
+            E.array_function_of(E.mul("x", "y"), "x")(np.ones(2))
+        with pytest.raises(E.DomainError, match="log of non-positive"):
+            E.array_function_of(E.log_("x"), "x")(np.array([1.0, 0.0]))
+        # numpy's overflow keeps its cause, as math.exp's does
+        with pytest.raises(E.DomainError) as exc:
+            E.array_function_of(E.exp_("x"), "x")(np.array([1.0, 710.0]))
+        assert isinstance(exc.value.__cause__, OverflowError)
+        with pytest.raises(E.DomainError) as exc:
+            E.evaluate(E.exp_("x"), {"x": 710.0})
+        assert isinstance(exc.value.__cause__, OverflowError)
 
     def test_function_of_after_a_raised_error(self):
         f = E.function_of(E.div(E.log_("x"), "y"), "x", {"y": 2.0})

@@ -1,10 +1,12 @@
 """The package imports without its test-only dependencies, and the commands
-that need no quadrature or Bessel value run without scipy."""
+that need no quadrature `I`, `G` or Bessel value run without scipy."""
 
 import json
 import os
 import subprocess
 import sys
+
+from parasym import kernels as K
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -100,3 +102,25 @@ def test_quadrature_analysis_loads_scipy():
         EQDIR, "brownian.eq")]])
     assert loaded["results"][0][0] == 0
     assert "scipy.integrate" in loaded["scipy"]
+
+
+# the catalog entries whose kernels hold a Bessel function
+BESSEL = ("radial", "second_canonical")
+
+
+def test_kernel_catalog_runs_without_scipy_integrate():
+    # the catalog integrates by its own quadrature: the entries without a
+    # Bessel value need no scipy, and those with one only scipy.special
+    argvs = [["--json", "kernels", "verify", name]
+             for name in K.list_kernels() if name not in BESSEL]
+    assert len(argvs) == 10
+    normal = _run_cli("normal", argvs)
+    blocked = _run_cli("blocked", argvs)
+    assert normal["scipy"] == blocked["scipy"] == []
+    assert all(code == 0 for code, _, _ in blocked["results"])
+    assert blocked["results"] == normal["results"]
+    bessel = _run_cli("normal", [["kernels", "verify", name]
+                                 for name in BESSEL])
+    assert [code for code, _, _ in bessel["results"]] == [0, 0]
+    assert "scipy.special" in bessel["scipy"]
+    assert not any(m.startswith("scipy.integrate") for m in bessel["scipy"])

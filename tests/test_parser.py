@@ -250,6 +250,22 @@ class TestPrograms:
         with pytest.raises(EqSyntaxError):
             parse("exp = 3")
 
+    @pytest.mark.parametrize("source, message", [
+        # a name the equation does not read would be dropped without a word
+        ("var x; a = 1; b = 0; c = 0; d = x^2",
+         "'d' cannot be assigned: only a, b and c can (line 1, col 29)"),
+        ("var x\nx = 1", "'x' cannot be assigned: only a, b and c can "
+                         "(line 2, col 1)"),
+        ("exp = 3", "'exp' cannot be assigned: only a, b and c can "
+                    "(line 1, col 1)"),
+        ("var x\na = 1\nb = 0\nc = 0\nb = x",
+         "b is assigned twice (line 5, col 1)"),
+    ])
+    def test_only_a_b_and_c_are_assigned_once(self, source, message):
+        with pytest.raises(EqSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == message
+
     def test_parse_file(self, tmp_path):
         f = tmp_path / "e.eq"
         f.write_text("var x\na = 1\nb = 0\nc = 0\n")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sps
 
@@ -52,3 +53,20 @@ class TestRangeHandling:
     def test_at_zero(self):
         assert special.ive(0.0, 0.0) == 1.0
         assert special.ive(2.0, 0.0) == 0.0
+
+
+class TestArrays:
+    def test_elementwise_equals_the_float_calls(self):
+        z = np.array([0.0, 0.3, 2.0, 40.0, 700.0])
+        for f in (special.iv, special.ive):
+            got = f(1.5, z)
+            assert isinstance(got, np.ndarray) and got.shape == z.shape
+            assert got.tolist() == [f(1.5, v) for v in z.tolist()]
+            assert type(f(1.5, 2.0)) is float
+
+    def test_errors_name_the_first_bad_argument(self):
+        with pytest.raises(DomainError, match="z >= 0"):
+            special.ive(0.5, np.array([1.0, -1e-3]))
+        with pytest.raises(DomainError, match="z=800") as exc:
+            special.iv(0.0, np.array([1.0, 800.0, 900.0]))
+        assert isinstance(exc.value.__cause__, OverflowError)
