@@ -409,6 +409,33 @@ class TestBoundIntegrands:
                     np.vectorize(cli._round)(want[key]).tolist(), (
                         constants, key)
 
+    @pytest.mark.parametrize("constants", [{}, _drawn_constants(
+        "heat2d_timedep")], ids=["default", "drawn"])
+    def test_batched_gauss_legendre_equals_the_per_point_sum(self,
+                                                             constants):
+        # heat2d's integrand along each axis, with and without the bump,
+        # evaluated in one call of its array form on the nodes of the
+        # 120-node rule, sums to the nested reference rule's per-point sum
+        entry = K.kernel("heat2d_timedep", constants)
+        c, bump = entry.constants, K._bump(entry.delta_width)
+        nodes, weights = np.polynomial.legendre.leggauss(120)
+        for t in entry.norm_t_list + entry.delta_t_list:
+            env = {**entry.bindings, "x": c["x0"], "y": c["y0"], "t": t}
+            for s in ("x", "y"):
+                src = env[s]
+                lo, hi = src - 25 * math.sqrt(t - c["t0"]), src + 0.5
+                x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+                w = (0.5 * (hi - lo) * weights).tolist()
+                k = E.array_function_of(entry.expr, s, env)(x)
+                for phi in (None, bump):
+                    def f(v, s=s, phi=phi, src=src):
+                        k = E.evaluate(entry.expr, {**env, s: v})
+                        return k * float(phi(v - src)) if phi else k
+                    vals = (k * phi(x - src) if phi else k).tolist()
+                    got = sum(wi * vi for wi, vi in zip(w, vals))
+                    want = _gl_quad(f, lo, hi)
+                    assert abs(got - want) <= 1e-13 * abs(want), (t, s, phi)
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_array_form_matches_scalar_evaluate(self, name):
         # every tree of the formula, along each of its arguments: the same
