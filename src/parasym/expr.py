@@ -607,13 +607,13 @@ def differentiate(e, var="x", order=1):
 # same source and share one code object from `_CODES`.  `_run` maps what
 # the code raises besides its guards.
 #
-# The same walk also writes the array form of one tree, f(v, env): its value
-# at a float array v of one symbol, the others read once from env.  Only its
-# line templates differ: that symbol is read as v, a sum is a left fold of
-# `+` (not fsum), a guard on an array raises when it holds anywhere, the
-# functions are numpy's, `special.iv` is called on arrays, and there is no
-# loop.  It runs under `numpy_faults`, so a fault raises the DomainError that
-# the scalar form raises at that point.
+# The same walk also writes the array form of one tree, f((v, env)): its
+# value at a float array v of one symbol, the others read once from env.
+# Only its line templates differ: that symbol is read as v, a sum is a left
+# fold of `+` (not fsum), a guard on an array raises when it holds anywhere,
+# the functions are numpy's, `special.iv` is called on arrays, and there is
+# no loop.  It runs under `numpy_faults`, so a fault raises the DomainError
+# that the scalar form raises at that point.
 
 DEFAULT_BINDINGS = {"pi": math.pi}
 
@@ -632,7 +632,9 @@ _FN_GUARD = {
 }
 
 # The generated functions share these globals and never write to them, so a
-# function refers to nothing but its code and defaults, and dies with its node.
+# function refers to nothing but its code and defaults.  A scalar function
+# dies with its node; an array form is cached by (tree, name) for the life of
+# the process, like kernels' residual functions.
 _CODE_GLOBALS = dict(
     {"_" + k: f for k, f in _FN_EVAL.items()},
     __builtins__=builtins, _fsum=math.fsum, _isfinite=math.isfinite,
@@ -697,7 +699,7 @@ def array_function_of(e, name, bindings=None):
     f, env = _array_function(e, name), dict(bindings or {})
     def at(v):
         with numpy_faults():
-            return _run(f, v, env)
+            return _run(f, (v, env))
     return at
 
 
@@ -734,9 +736,9 @@ def _function(trees):
     return f
 
 
-def _run(f, *args):
+def _run(f, arg):
     try:
-        return f(*args)
+        return f(arg)
     except KeyError as exc:               # only env[name] raises it
         raise UnboundIdentifier(exc.args[0]) from None
     except (OverflowError, ValueError) as exc:
@@ -747,7 +749,8 @@ def _run(f, *args):
 def _compile(roots, array_of=None):
     """One function envs -> [[value of each root] per env], as described
     above; with `array_of`, the array form of the one root, a function
-    (v, env) -> its value at the array v of the symbol `array_of`."""
+    (v, env) -> its value at the array v of the symbol `array_of`, called
+    on that one pair as the scalar function is on its envs."""
     lines = []      # the function body, one physical line each
     ref = {}        # id(node) -> its local or default-argument name
     seen = {}       # (kind, value, operand names) -> local; checks emitted
@@ -788,7 +791,7 @@ def _compile(roots, array_of=None):
         k = e.kind
         if ready is None:
             r = ref[id(e)]
-            f = form(r)
+            f = _ARRAY if r in arrays else _SCALAR     # form(r), inline
             emit(None, f.nonfinite % r, "non-finite result", f)
             continue
         if not ready:
@@ -853,7 +856,7 @@ def _compile(roots, array_of=None):
         root = ref[id(roots[0])]
         if root not in arrays:            # a tree free of the array
             root = "_full(_shape(v), %s)" % root
-        src = "\n".join(["def f(v, env%s):" % args]
+        src = "\n".join(["def f(v_env%s):" % args, "    v, env = v_env"]
                         + ["    " + line for line in lines]
                         + ["    return %s\n" % root])
     else:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import expr as E
 from .expr import Expr, DomainError, ParasymError, chebyshev_points
+from .parser import COEFFICIENTS
 
 
 class NonparabolicError(ParasymError):
@@ -75,13 +76,13 @@ class ParabolicEquation:
     @staticmethod
     def from_program(prog):
         """Build from a ParsedProgram (see parser module)."""
-        missing = [k for k in ("a", "b", "c") if k not in prog.assignments]
+        missing = [k for k in COEFFICIENTS if k not in prog.assignments]
         if missing:
             raise UnsupportedCoefficient(
                 "equation file must assign a, b, c (missing %s)" % ", ".join(missing))
         var = prog.variables[0] if prog.variables else VAR
         sub = {} if var == VAR else {var: E.sym(VAR)}
-        a, b, c = (E.substitute(prog.assignments[k], sub) for k in ("a", "b", "c"))
+        a, b, c = (E.substitute(prog.assignments[k], sub) for k in COEFFICIENTS)
         domain = prog.domain or (-math.inf, math.inf)
         return ParabolicEquation(a, b, c, domain, dict(prog.constants))
 

@@ -10,7 +10,7 @@ from parasym import kernels as K
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
-TEST_ONLY = ("sympy", "hypothesis", "pytest")
+TEST_ONLY = ("sympy", "hypothesis", "pytest", "mpmath")
 MODULES = {"classify", "cli", "expr", "invariants", "kernels", "parser",
            "special", "symmetry", "transform"}
 
